@@ -84,7 +84,6 @@ from .weyl import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "CMonomial",
     "CPolynomial",
     "FockMatrix",

@@ -15,7 +15,8 @@ Generators are spelled a1..ad (annihilation) and c1..cd (creation);
 polynomial variables z1..zd and zb1..zbd.  --q takes an exact rational
 string such as 1/2.  All randomized suites record their seed in the
 report and default to seed 0, so identical invocations produce identical
-output; exit status is nonzero when any case fails.
+output.  Exit status is 0 on success, 1 when a verification case fails and
+2 on bad input.
 """
 
 from __future__ import annotations
@@ -122,8 +123,21 @@ def _print_report(report: dict, as_json: bool) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command.  Exit status: 0 pass, 1 a verification case
+    failed, 2 bad input (one line on stderr, as argparse does)."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # Bad input surfaces as ValueError or IndexError: ParseError,
+    # MixedContextError, ModeMismatchError and InvalidParameterError subclass
+    # ValueError, and context and mode-index validation raise one or the other.
+    try:
+        return _dispatch(args)
+    except (ValueError, IndexError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args) -> int:
     if args.command == "normal-order":
         w = parse_weyl(args.expression, args.d)
         _emit(w.to_json_dict(), args.json, format_weyl(w))

@@ -150,12 +150,6 @@ def integrate(f, spec: QuadratureSpec, tol: float = 1e-12) -> float:
     )
 
 
-def unipoly_to_float_coeffs(p: UniPoly) -> np.ndarray:
-    """Coefficients as complex128; raises if any imaginary part survives
-    conversion checks elsewhere (callers decide)."""
-    return np.array([complex(c) for c in p.coeffs], dtype=complex)
-
-
 def unipoly_eval_float(p: UniPoly, x) -> complex:
     """Horner evaluation of an exact polynomial in floating point."""
     acc = 0j

@@ -11,6 +11,14 @@ q = 1/2, and the exact certificates attached to them.
 Quantities involving the irrational scale alpha = (q(1-q))^(-1/2) are
 never materialized: identities containing alpha are verified after
 pulling them back to Q with alpha^2 = 1/(q(1-q)).
+
+Five chains are memoised for the life of the process, each grown on
+demand and never rebuilt: `eta`, `omega` and `omega_by_raising` per
+(d, q), and per d the symmetric family `g_poly_symmetric` and the powers
+of the number operator that `express_in_N` peels with.  The three UniPoly
+chains hold only immutable values, so handing out a cached level cannot
+change a later result.  The WeylElements of the other two still expose
+their `terms` as a plain dict, which callers must not mutate.
 """
 
 from __future__ import annotations
@@ -153,12 +161,22 @@ def apply_Rq_univariate(ctx: RadialContext, p: UniPoly) -> UniPoly:
     return out
 
 
+_raising_cache: dict = {}
+
+
 def omega_by_raising(ctx: RadialContext, k: int) -> UniPoly:
-    """omega_k computed by iterating the univariate raising operator."""
-    p = UniPoly((GR_ONE,))
-    for _ in range(k):
-        p = apply_Rq_univariate(ctx, p)
-    return p
+    """omega_k computed by iterating the univariate raising operator.
+
+    Every level is one `apply_Rq_univariate` step from the level below, so
+    this route stays independent of the three-term recurrence in `omega`.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    key = (ctx.d, ctx.q)
+    chain = _raising_cache.setdefault(key, [UniPoly((GR_ONE,))])
+    while len(chain) <= k:
+        chain.append(apply_Rq_univariate(ctx, chain[-1]))
+    return chain[k]
 
 
 _omega_cache: dict = {}

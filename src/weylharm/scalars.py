@@ -89,26 +89,41 @@ class GaussRational:
         return complex(float(self.re), float(self.im))
 
     # -- arithmetic ----------------------------------------------------
+    #
+    # Results are built by ``_gr`` from parts that are already Fractions,
+    # and int/Fraction operands never become a GaussRational first.  Most
+    # values in the package are real, so a zero imaginary part is passed
+    # through instead of being added or multiplied: a product with a real
+    # factor costs two Fraction products, and real x real costs one.
 
     def __add__(self, other: ScalarLike) -> "GaussRational":
-        other = GaussRational.coerce(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, GaussRational):
+            im, oim = self.im, other.im
+            return _gr(self.re + other.re, im + oim if oim else im)
+        return _gr(self.re + as_fraction(other), self.im)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussRational":
-        other = GaussRational.coerce(other)
-        return GaussRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, GaussRational):
+            im, oim = self.im, other.im
+            return _gr(self.re - other.re, im - oim if oim else im)
+        return _gr(self.re - as_fraction(other), self.im)
 
     def __rsub__(self, other: ScalarLike) -> "GaussRational":
-        return GaussRational.coerce(other).__sub__(self)
+        return _gr(as_fraction(other) - self.re, -self.im)
 
     def __mul__(self, other: ScalarLike) -> "GaussRational":
-        other = GaussRational.coerce(other)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        re, im = self.re, self.im
+        if not isinstance(other, GaussRational):
+            other = as_fraction(other)
+            return _gr(re * other, im * other if im else im)
+        ore, oim = other.re, other.im
+        if not oim:
+            return _gr(re * ore, im * ore if im else im)
+        if not im:
+            return _gr(re * ore, re * oim)
+        return _gr(re * ore - im * oim, re * oim + im * ore)
 
     __rmul__ = __mul__
 
@@ -126,7 +141,7 @@ class GaussRational:
         return GaussRational.coerce(other).__truediv__(self)
 
     def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
+        return _gr(-self.re, -self.im)
 
     def __pow__(self, n: int) -> "GaussRational":
         if not isinstance(n, int) or n < 0:
@@ -175,6 +190,19 @@ class GaussRational:
 
     def __str__(self) -> str:
         return format_gauss(self)
+
+
+_new = object.__new__
+_set_re = GaussRational.re.__set__
+_set_im = GaussRational.im.__set__
+
+
+def _gr(re: Fraction, im: Fraction) -> GaussRational:
+    """Build a GaussRational from parts that are already Fractions."""
+    z = _new(GaussRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 GR_ZERO = GaussRational(0)
@@ -322,12 +350,30 @@ class UniPoly:
         return acc
 
     def compose_linear(self, a: ScalarLike, b: ScalarLike) -> "UniPoly":
-        """Return t |-> p(a*t + b), computed exactly by Horner."""
-        arg = UniPoly((GaussRational.coerce(b), GaussRational.coerce(a)))
-        acc = UP_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * arg + c
-        return acc
+        """Return t |-> p(a*t + b), exactly, in O(n^2) scalar operations.
+
+        First a synthetic Taylor shift by b: sweeping the coefficient list
+        from the top, c_j += b * c_{j+1}, once for each of the n - 1 levels,
+        turns p(t) into p(t + b) in place.  Then coefficient k is scaled by
+        a^k.  This is the classical shift of von zur Gathen and Gerhard,
+        "Fast algorithms for Taylor shifts and certain difference
+        equations" (ISSAC 1997); Horner's rule over UniPoly products would
+        cost O(n^3).
+        """
+        a = GaussRational.coerce(a)
+        b = GaussRational.coerce(b)
+        cs = list(self.coeffs)
+        n = len(cs)
+        if b:
+            for i in range(n - 1):
+                for j in range(n - 2, i - 1, -1):
+                    cs[j] = cs[j] + b * cs[j + 1]
+        if a != GR_ONE:
+            power = GR_ONE
+            for k in range(1, n):
+                power = power * a
+                cs[k] = cs[k] * power
+        return UniPoly(cs)
 
     def compose_shift(self, shift: ScalarLike) -> "UniPoly":
         """Return t |-> p(t + shift)."""

@@ -117,11 +117,6 @@ class WeylElement:
         for mono in sorted(self.terms, key=term_sort_key):
             yield mono, self.terms[mono]
 
-    def graded_component(self, degree: int) -> "WeylElement":
-        return WeylElement(
-            self.d, {m: c for m, c in self.terms.items() if m.degree == degree}
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylElement):
             return NotImplemented

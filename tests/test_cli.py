@@ -59,6 +59,21 @@ class TestElementCommands:
         with pytest.raises(SystemExit):
             main(["order", "z1", "--q", "0.5"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eta", "--d", "0", "--q", "1/2", "--k", "2"], "mode count d must be >= 1"),
+            (["normal-order", "a3", "--d", "1"], "mode index 3 out of range 1..1"),
+            (["verify", "genfun", "--q", "1"], "alpha is undefined for q in {0, 1}"),
+        ],
+    )
+    def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"weylharm: error: {message}\n"
+
 
 class TestVerify:
     def test_sl2_passes(self, capsys):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylharm.ordering import cal_E, cal_L, cal_R, order_q
 from weylharm.poly import CPolynomial, is_harmonic
@@ -32,6 +34,7 @@ from weylharm.verify import Q_GRID, random_weyl
 from weylharm.weyl import WeylElement, number_operator, weyl_mul
 
 T = UniPoly.x()
+RAISING_CONTEXTS = [(1, Fraction(1, 3)), (2, Fraction(1, 3)), (2, Fraction(2, 3))]
 
 
 def poly_of_N(p: UniPoly, d: int) -> WeylElement:
@@ -159,6 +162,24 @@ class TestOmegaRoutes:
                     w = omega(ctx, k)
                     assert omega_by_raising(ctx, k) == w
                     assert omega_closed_form(ctx, k) == w
+
+    def test_raising_rejects_negative_k(self):
+        with pytest.raises(ValueError):
+            omega_by_raising(RadialContext(1, Fraction(1, 3)), -1)
+
+    @given(st.lists(st.tuples(st.sampled_from(RAISING_CONTEXTS), st.integers(0, 10)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=25, deadline=None)
+    def test_cached_raising_chain(self, requests):
+        # Interleaved requests grow the chains of contexts that must not share
+        # one; each level is checked against a fresh uncached iteration.
+        for (d, q), k in requests:
+            ctx = RadialContext(d, q)
+            fresh = UniPoly((GR_ONE,))
+            for _ in range(k):
+                fresh = apply_Rq_univariate(ctx, fresh)
+            assert omega_by_raising(ctx, k) == fresh
+            assert fresh == omega(ctx, k) == omega_closed_form(ctx, k)
 
     def test_chu_vandermonde_case(self):
         # q = 0, d = 1, k = 2: unit-argument Gauss series collapses

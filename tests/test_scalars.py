@@ -143,3 +143,101 @@ class TestUniPoly:
         p = UniPoly((0, 0, 1))
         assert p.forward_difference() == UniPoly((1, 2))
         assert p.backward_difference() == UniPoly((-1, 2))
+
+
+# ---------------------------------------------------------------------------
+# Fast paths against retained oracles
+# ---------------------------------------------------------------------------
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+ZERO = st.just(Fraction(0))
+
+# Real, purely imaginary and general values, drawn separately so every
+# branch of the arithmetic sees both zero and nonzero parts.
+gauss_mixed = st.one_of(
+    st.builds(GaussRational, small_fractions, ZERO),
+    st.builds(GaussRational, ZERO, small_fractions),
+    st.builds(GaussRational, small_fractions, small_fractions),
+)
+rational_operands = st.one_of(st.integers(min_value=-7, max_value=7), small_fractions)
+
+
+def fraction_parts(x):
+    """(re, im) of any scalar operand as raw Fractions."""
+    if isinstance(x, GaussRational):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def textbook(op, x, y):
+    """The Q(i) operation computed on raw Fraction pairs."""
+    a, b = fraction_parts(x)
+    c, d = fraction_parts(y)
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    return a * c - b * d, a * d + b * c
+
+
+OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y}
+
+
+def assert_is(z, re, im):
+    assert isinstance(z, GaussRational)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (re, im)
+    reference = GaussRational(re, im)
+    assert z == reference and hash(z) == hash(reference)
+    if not im:
+        assert z == re and hash(z) == hash(re)
+
+
+class TestGaussRationalFastPaths:
+    @given(st.sampled_from(sorted(OPS)),
+           st.one_of(st.tuples(gauss_mixed, gauss_mixed),
+                     st.tuples(gauss_mixed, rational_operands),
+                     st.tuples(rational_operands, gauss_mixed)))
+    @settings(max_examples=300)
+    def test_binary_ops_match_textbook(self, op, operands):
+        x, y = operands
+        assert_is(OPS[op](x, y), *textbook(op, x, y))
+
+    @given(gauss_mixed)
+    def test_negation_matches_textbook(self, x):
+        assert_is(-x, -x.re, -x.im)
+
+    @given(gauss_mixed, st.sampled_from([1.5, "1", None]))
+    @settings(max_examples=20)
+    def test_inexact_operands_rejected(self, x, bad):
+        for op in OPS.values():
+            with pytest.raises(TypeError):
+                op(x, bad)
+
+
+def horner_compose_linear(p, a, b):
+    """t |-> p(a*t + b) by Horner's rule over UniPoly products."""
+    arg = UniPoly((b, a))
+    acc = UniPoly()
+    for c in reversed(p.coeffs):
+        acc = acc * arg + c
+    return acc
+
+
+complex_polys = st.builds(UniPoly, st.lists(gauss_mixed, max_size=8))
+linear_parts = st.one_of(st.just(0), st.just(1), rational_operands, gauss_mixed)
+
+
+class TestComposeLinearAgainstHorner:
+    @given(complex_polys, linear_parts, linear_parts)
+    @settings(max_examples=150)
+    def test_matches_horner(self, p, a, b):
+        assert p.compose_linear(a, b) == horner_compose_linear(p, a, b)
+
+    @given(complex_polys, gauss_mixed)
+    @settings(max_examples=40)
+    def test_degenerate_parts(self, p, c):
+        assert p.compose_linear(0, c) == horner_compose_linear(p, 0, c)
+        assert p.compose_linear(0, c) == UniPoly.constant(p(c))
+        assert p.compose_linear(c, 0) == horner_compose_linear(p, c, 0)
+        assert p.compose_linear(1, 0) == p
