@@ -11,7 +11,6 @@ A floating-point layer verifies the analytic claims: the gamma-weight
 orthogonality and the generating function.
 """
 
-from ._kernel import BACKEND as kernel_backend
 from .ordering import (
     OrderingContext,
     apply_M,
@@ -126,7 +125,6 @@ __all__ = [
     "hyp2f1_3f2_connection_check",
     "is_harmonic",
     "is_radial",
-    "kernel_backend",
     "krawtchouk_meixner_check",
     "meixner_pollaczek_poly",
     "nonorthogonality_certificate",

@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--q", type=_fraction, default=Fraction(1, 2))
     vp.add_argument("--deg", type=int, default=4)
     vp.add_argument("--k", type=int, default=None)
-    vp.add_argument("--kmax", type=int, default=8)
+    vp.add_argument("--kmax", type=int, default=None,
+                    help="top degree (default 4 for harmonics, 8 otherwise)")
     vp.add_argument("--count", type=int, default=20)
     vp.add_argument("--tol", type=float, default=1e-8)
     vp.add_argument("--order", type=int, default=10)
@@ -195,19 +196,22 @@ def _dispatch(args) -> int:
 
 def _run_suite(args) -> list:
     name = args.suite
+    kmax = args.kmax
+    if kmax is None:
+        kmax = 4 if name == "harmonics" else 8
     if name == "sl2":
         return [V.suite_sl2(args.d, args.q, args.deg, args.count, args.seed)]
     if name == "intertwine":
         return [V.suite_intertwine(args.d, args.q, args.deg, args.count, args.seed)]
     if name == "radial":
-        return [V.suite_radial(args.d, args.q, args.kmax, args.seed)]
+        return [V.suite_radial(args.d, args.q, kmax, args.seed)]
     if name == "harmonics":
-        return [V.suite_harmonics(args.d, k_max=min(args.kmax, 4),
+        return [V.suite_harmonics(args.d, k_max=kmax,
                                   count=args.count, deg=args.deg, seed=args.seed)]
     if name == "hahn":
-        return [V.suite_hahn(args.kmax, d_max=4, seed=args.seed)]
+        return [V.suite_hahn(kmax, d_max=4, seed=args.seed)]
     if name == "orthogonality":
-        return [V.suite_orthogonality(args.d, args.kmax, args.tol, args.seed)]
+        return [V.suite_orthogonality(args.d, kmax, args.tol, args.seed)]
     if name == "genfun":
         return [V.suite_genfun(args.q, args.d, args.order, args.tol, args.seed)]
     return V.suite_all(seed=args.seed, quick=args.quick)

@@ -9,8 +9,18 @@ algebra through the convex mix of left and right multiplication
 and the ordering map sends z^alpha zbar^beta to M^alpha M+^beta applied
 to the unit.  q = 0 gives Wick order (annihilators multiplied on the
 left, creators on the right), q = 1 the reverse, q = 1/2 the symmetric
-(Weyl) order.  The inverse is computed by triangular peeling: the top
-degree part of the image of a monomial is that monomial itself.
+(Weyl) order.
+
+That image has the Cahill-Glauber closed form (Phys. Rev. 177, 1857
+(1969); Agarwal-Wolf, Phys. Rev. D 2, 2161 (1970)):
+
+    z^alpha zbar^beta  |->  sum_i  prod_j i_j! C(alpha_j, i_j) C(beta_j, i_j)
+                                   (1-q)^(i_j)  (a+)^(beta-i) a^(alpha-i)
+
+whose weights are the Wick contraction weights of the product kernel
+(`weyl.contractions`) scaled by (1-q)^|i|.  The inverse is the same sum
+with -(1-q) in place of 1-q.  `apply_M` and `apply_Mplus` keep the
+defining operator form as an independent check of both.
 
 The transferred sl2 triple (`cal_R`, `cal_L`, `cal_E`) makes the ordering
 map an intertwiner for the classical triple on polynomials.
@@ -20,10 +30,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .poly import CMonomial, CPolynomial
-from .weyl import ModeMismatchError, WeylElement, commutator, weyl_mul
+from .weyl import (
+    ModeMismatchError,
+    NormalMonomial,
+    WeylElement,
+    check_exponents,
+    commutator,
+    contractions,
+    weyl_mul,
+)
 
 
 @dataclass(frozen=True)
@@ -68,24 +85,25 @@ def apply_Mplus(ctx: OrderingContext, j: int, w: WeylElement) -> WeylElement:
     return weyl_mul(c, w).scale(ctx.q) + weyl_mul(w, c).scale(ctx.q_complement)
 
 
-_monomial_cache: dict = {}
+def _contracted(alpha: tuple, beta: tuple, t: Fraction):
+    """(alpha - i, beta - i, weight * t^|i|) over the contractions i of
+    a^alpha (a+)^beta, with the Wick weights of `contractions`."""
+    for ivec, weight in contractions(alpha, beta):
+        yield (
+            tuple(a - i for a, i in zip(alpha, ivec)),
+            tuple(b - i for b, i in zip(beta, ivec)),
+            weight * t ** sum(ivec),
+        )
 
 
-def ordered_monomial(ctx: OrderingContext, alpha: tuple, beta: tuple) -> WeylElement:
-    """Image of z^alpha zbar^beta under the ordering map."""
-    key = (ctx.d, ctx.q, alpha, beta)
-    hit = _monomial_cache.get(key)
-    if hit is not None:
-        return hit
-    w = WeylElement.unit(ctx.d)
-    for j in range(ctx.d):
-        for _ in range(beta[j]):
-            w = apply_Mplus(ctx, j + 1, w)
-    for j in range(ctx.d):
-        for _ in range(alpha[j]):
-            w = apply_M(ctx, j + 1, w)
-    _monomial_cache[key] = w
-    return w
+def ordered_monomial(ctx: OrderingContext, alpha, beta) -> WeylElement:
+    """Image of z^alpha zbar^beta under the ordering map, in closed form."""
+    alpha, beta = tuple(alpha), tuple(beta)
+    check_exponents(alpha, beta)
+    return WeylElement(ctx.d, {
+        NormalMonomial(b, a): c
+        for a, b, c in _contracted(alpha, beta, ctx.q_complement)
+    })
 
 
 def order_q(ctx: OrderingContext, p: CPolynomial) -> WeylElement:
@@ -110,46 +128,20 @@ def b_element(ctx: OrderingContext, l: int, j: int, k: int) -> WeylElement:
         raise ValueError("exponents must be nonnegative")
     if not 1 <= l <= ctx.d:
         raise IndexError(f"mode index {l} out of range 1..{ctx.d}")
-    d = ctx.d
-    e = tuple(1 if i == l - 1 else 0 for i in range(d))
-    zero = (0,) * d
-    q, qc = ctx.q, ctx.q_complement
-    out = WeylElement.zero(d)
-    creation = WeylElement.monomial(d, tuple(j * x for x in e), zero)
-    for s in range(k + 1):
-        left = WeylElement.monomial(d, zero, tuple(s * x for x in e))
-        right = WeylElement.monomial(d, zero, tuple((k - s) * x for x in e))
-        word = weyl_mul(weyl_mul(left, creation), right)
-        out = out + word.scale(comb(k, s) * q ** (k - s) * qc**s)
-    return out
+    e = tuple(1 if i == l - 1 else 0 for i in range(ctx.d))
+    return ordered_monomial(ctx, tuple(k * x for x in e), tuple(j * x for x in e))
 
 
 def unorder_q(ctx: OrderingContext, w: WeylElement) -> CPolynomial:
-    """Inverse of the ordering map.
-
-    The image of z^alpha zbar^beta has top part exactly the normal
-    monomial with creations beta and annihilations alpha (coefficient 1;
-    commutator corrections all drop degree), so matching and subtracting
-    top terms strictly decreases degree and terminates.
-    """
+    """Inverse of the ordering map: the closed form with -(1-q) for 1-q."""
     _check_w(ctx, w)
-    out = CPolynomial.zero(ctx.d)
-    residual = w
-    while not residual.is_zero():
-        deg = residual.degree()
-        top = CPolynomial(
-            ctx.d,
-            {
-                CMonomial(m.alpha, m.beta): c
-                for m, c in residual.terms.items()
-                if m.degree == deg
-            },
-        )
-        out = out + top
-        residual = residual - order_q(ctx, top)
-        if not residual.is_zero() and residual.degree() >= deg:
-            raise AssertionError("triangular inversion failed to reduce degree")
-    return out
+    acc: dict = {}
+    for mono, coeff in w.terms.items():
+        for a, b, c in _contracted(mono.alpha, mono.beta, -ctx.q_complement):
+            key = CMonomial(a, b)
+            cur = acc.get(key)
+            acc[key] = coeff * c if cur is None else cur + coeff * c
+    return CPolynomial(ctx.d, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
 from .scalars import GR_ONE, GR_ZERO, GaussRational, ScalarLike
-from .weyl import ModeMismatchError
+from .weyl import ModeMismatchError, check_exponents
 
 
 class CMonomial(NamedTuple):
@@ -52,7 +53,7 @@ class CPolynomial:
                     raise ModeMismatchError(f"monomial {mono} does not have {d} modes")
                 clean[mono] = coeff
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("CPolynomial is immutable")
@@ -70,7 +71,9 @@ class CPolynomial:
 
     @classmethod
     def monomial(cls, d: int, alpha, beta, coeff: ScalarLike = 1) -> "CPolynomial":
-        return cls(d, {CMonomial(tuple(alpha), tuple(beta)): coeff})
+        alpha, beta = tuple(alpha), tuple(beta)
+        check_exponents(alpha, beta)
+        return cls(d, {CMonomial(alpha, beta): coeff})
 
     @classmethod
     def z(cls, d: int, j: int) -> "CPolynomial":
@@ -142,7 +145,7 @@ class CPolynomial:
         if isinstance(other, (int, Fraction, GaussRational)):
             other = CPolynomial.one(self.d).scale(other)
         self._check_same(other)
-        out = dict(self.terms)
+        out = self.terms.copy()
         for mono, c in other.terms.items():
             acc = out.get(mono)
             acc = c if acc is None else acc + c
@@ -235,6 +238,7 @@ class CPolynomial:
         terms = {}
         for t in data["terms"]:
             mono = CMonomial(tuple(t["alpha"]), tuple(t["beta"]))
+            check_exponents(mono.alpha, mono.beta)
             terms[mono] = GaussRational(Fraction(t["re"]), Fraction(t["im"]))
         return cls(d, terms)
 

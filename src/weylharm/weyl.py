@@ -14,9 +14,12 @@ independent correctness oracle for products (`fock_represent`).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product as _product
+from math import comb, factorial
+from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
-from ._kernel import contractions
 from .scalars import GR_ONE, GR_ZERO, GaussRational, ScalarLike
 
 
@@ -33,6 +36,17 @@ class NormalMonomial(NamedTuple):
     @property
     def degree(self) -> int:
         return sum(self.beta) + sum(self.alpha)
+
+
+def check_exponents(*vectors) -> None:
+    """Raise ValueError unless every entry of every vector is an int >= 0.
+
+    Called where exponents enter from outside (constructors, JSON); the
+    internal hot paths only ever produce valid vectors.
+    """
+    for vec in vectors:
+        if not all(isinstance(e, int) and e >= 0 for e in vec):
+            raise ValueError(f"exponents must be nonnegative integers, got {tuple(vec)}")
 
 
 def term_sort_key(mono: NormalMonomial):
@@ -60,7 +74,7 @@ class WeylElement:
                     )
                 clean[mono] = coeff
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylElement is immutable")
@@ -80,7 +94,9 @@ class WeylElement:
     def monomial(
         cls, d: int, beta, alpha, coeff: ScalarLike = 1
     ) -> "WeylElement":
-        return cls(d, {NormalMonomial(tuple(beta), tuple(alpha)): coeff})
+        beta, alpha = tuple(beta), tuple(alpha)
+        check_exponents(beta, alpha)
+        return cls(d, {NormalMonomial(beta, alpha): coeff})
 
     @classmethod
     def annihilator(cls, d: int, j: int) -> "WeylElement":
@@ -135,7 +151,7 @@ class WeylElement:
         if isinstance(other, (int, Fraction, GaussRational)):
             other = WeylElement.unit(self.d) * other
         self._check_same(other)
-        out = dict(self.terms)
+        out = self.terms.copy()
         for mono, c in other.terms.items():
             acc = out.get(mono)
             acc = c if acc is None else acc + c
@@ -203,6 +219,7 @@ class WeylElement:
         terms = {}
         for t in data["terms"]:
             mono = NormalMonomial(tuple(t["beta"]), tuple(t["alpha"]))
+            check_exponents(mono.beta, mono.alpha)
             terms[mono] = GaussRational(Fraction(t["re"]), Fraction(t["im"]))
         return cls(d, terms)
 
@@ -215,6 +232,29 @@ class WeylElement:
 def _check_mode(d: int, j: int):
     if not 1 <= j <= d:
         raise IndexError(f"mode index {j} out of range 1..{d}")
+
+
+@lru_cache(maxsize=None)
+def contractions(ann: tuple, cre: tuple) -> tuple:
+    """Wick expansion of a^ann (a+)^cre, the one contraction primitive.
+
+    Per mode, a^m (a+)^n = sum_i C(m,i) C(n,i) i! (a+)^(n-i) a^(m-i); the
+    multi-mode expansion is the product over modes.  Returns a tuple of
+    (ivec, weight) pairs: ``ivec`` is the per-mode contraction count to
+    subtract from both exponent vectors, ``weight`` the integer coefficient.
+    Memoised, since products and orderings revisit the same exponent pairs.
+    """
+    per_mode = [
+        [(i, comb(m, i) * comb(n, i) * factorial(i)) for i in range(min(m, n) + 1)]
+        for m, n in zip(ann, cre)
+    ]
+    out = []
+    for combo in _product(*per_mode):
+        weight = 1
+        for _, c in combo:
+            weight *= c
+        out.append((tuple(i for i, _ in combo), weight))
+    return tuple(out)
 
 
 def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:

@@ -65,6 +65,8 @@ class TestElementCommands:
             (["eta", "--d", "0", "--q", "1/2", "--k", "2"], "mode count d must be >= 1"),
             (["normal-order", "a3", "--d", "1"], "mode index 3 out of range 1..1"),
             (["verify", "genfun", "--q", "1"], "alpha is undefined for q in {0, 1}"),
+            (["normal-order", "a1^-3"],
+             "exponent must be a nonnegative integer (at position 3)"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
@@ -128,3 +130,11 @@ class TestVerify:
             "--count", "3", "--deg", "4",
         )
         assert code == 0
+
+    def test_harmonics_honours_kmax(self, capsys):
+        code, out = run_cli(
+            capsys, "verify", "harmonics", "--kmax", "6", "--d", "1", "--count", "2",
+            "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["params"]["kmax"] == 6

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylharm.ordering import (
     OrderingContext,
@@ -222,6 +224,68 @@ class TestBElements:
                 cb, cs = b.terms[ref], s.terms.get(ref)
                 assert cs is not None
                 assert b.scale(cs) == s.scale(cb)
+
+
+# ---------------------------------------------------------------------------
+# The closed form against the defining operator form
+# ---------------------------------------------------------------------------
+
+
+def operator_form(ctx, alpha, beta):
+    """M^alpha M+^beta applied to the unit, one generator at a time."""
+    w = WeylElement.unit(ctx.d)
+    for j in range(ctx.d):
+        for _ in range(beta[j]):
+            w = apply_Mplus(ctx, j + 1, w)
+    for j in range(ctx.d):
+        for _ in range(alpha[j]):
+            w = apply_M(ctx, j + 1, w)
+    return w
+
+
+# rationals inside and outside [0, 1], with its endpoints and midpoint drawn often
+q_values = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+)
+q_outside = st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(
+    lambda q: not 0 <= q <= 1
+)
+
+
+@st.composite
+def monomials(draw):
+    d = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * d)
+    return d, draw(exps), draw(exps)
+
+
+class TestClosedForm:
+    @given(q_values, monomials())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_operator_form(self, q, mono):
+        d, alpha, beta = mono
+        ctx = OrderingContext(d, q)
+        assert ordered_monomial(ctx, alpha, beta) == operator_form(ctx, alpha, beta)
+
+    @given(q_outside, st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_round_trips_outside_unit_interval(self, q, seed):
+        rng = random.Random(seed)
+        ctx = OrderingContext(3, q)
+        p = random_cpoly(rng, 3, 4)
+        assert unorder_q(ctx, order_q(ctx, p)) == p
+        w = random_weyl(rng, 3, 4)
+        assert order_q(ctx, unorder_q(ctx, w)) == w
+
+    def test_rejects_bad_exponents(self):
+        ctx = OrderingContext(1, Fraction(1, 3))
+        with pytest.raises(ValueError):
+            ordered_monomial(ctx, (-1,), (2,))
+        with pytest.raises(ValueError):
+            ordered_monomial(ctx, (1,), (1.5,))
+        with pytest.raises(ValueError):
+            b_element(ctx, 1, -1, 0)
 
 
 # ---------------------------------------------------------------------------

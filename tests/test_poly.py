@@ -116,6 +116,21 @@ class TestRing:
         with pytest.raises(ModeMismatchError):
             CPolynomial.one(1) + CPolynomial.one(2)
 
+    def test_monomial_rejects_bad_exponents(self):
+        with pytest.raises(ValueError):
+            CPolynomial.monomial(1, (-1,), (0,))
+        with pytest.raises(ValueError):
+            CPolynomial.monomial(1, (0,), (0.5,))
+        data = {"d": 1, "terms": [{"alpha": [2], "beta": [-1], "re": "1", "im": "0"}]}
+        with pytest.raises(ValueError):
+            CPolynomial.from_json_dict(data)
+
+    def test_terms_are_read_only(self):
+        p = CPolynomial.radius_squared(2)
+        with pytest.raises(AttributeError):
+            p.terms.clear()
+        assert p == CPolynomial.radius_squared(2)
+
 
 class TestTriple:
     def test_L_on_zzbar(self):

@@ -74,6 +74,15 @@ class TestEta:
                 )
                 assert eta(ctx, 2) == expected
 
+    def test_cached_value_cannot_be_corrupted(self):
+        ctx = RadialContext(1, Fraction(1, 2))
+        before = dict(eta(ctx, 2).terms)
+        with pytest.raises(AttributeError):
+            eta(ctx, 2).terms.clear()
+        with pytest.raises(TypeError):
+            eta(ctx, 2).terms[next(iter(before))] = GR_ONE
+        assert dict(eta(ctx, 2).terms) == before != {}
+
 
 class TestExpressInN:
     def test_unit(self):

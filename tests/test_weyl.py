@@ -5,7 +5,6 @@ from math import comb, factorial
 
 import pytest
 
-from weylharm import _ccr_py
 from weylharm.scalars import GR_ONE, GaussRational
 from weylharm.verify import random_weyl
 from weylharm.weyl import (
@@ -15,6 +14,7 @@ from weylharm.weyl import (
     ad,
     anticommutator,
     commutator,
+    contractions,
     fock_product_block_agrees,
     fock_represent,
     number_operator,
@@ -82,23 +82,10 @@ def test_contraction_formula_single_mode():
     for m in range(4):
         for n in range(4):
             data = dict()
-            for ivec, coeff in _ccr_py.contractions((m,), (n,)):
+            for ivec, coeff in contractions((m,), (n,)):
                 data[ivec[0]] = coeff
             for i in range(min(m, n) + 1):
                 assert data[i] == comb(m, i) * comb(n, i) * factorial(i)
-
-
-def test_compiled_backend_matches_pure():
-    try:
-        from weylharm import _ccr
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(3)
-    for _ in range(50):
-        d = rng.randint(1, 3)
-        ann = tuple(rng.randint(0, 5) for _ in range(d))
-        cre = tuple(rng.randint(0, 5) for _ in range(d))
-        assert _ccr.contractions(ann, cre) == _ccr_py.contractions(ann, cre)
 
 
 # ---------------------------------------------------------------------------
@@ -273,3 +260,13 @@ def test_json_round_trip():
     assert keys == sorted(keys)
     for t in data["terms"]:
         assert isinstance(t["re"], str) and isinstance(t["im"], str)
+
+
+@pytest.mark.parametrize("beta, alpha", [((-3,), (2,)), ((1,), (-1,)), ((1.0,), (0,))])
+def test_monomial_rejects_bad_exponents(beta, alpha):
+    with pytest.raises(ValueError):
+        WeylElement.monomial(1, beta, alpha)
+    data = {"d": 1, "terms": [{"beta": list(beta), "alpha": list(alpha),
+                               "re": "1", "im": "0"}]}
+    with pytest.raises(ValueError):
+        WeylElement.from_json_dict(data)
