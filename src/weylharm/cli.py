@@ -81,12 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("eta", help="a radial basis element of the Weyl algebra"),
                need_q=True, k=True)
 
-    vp = sub.add_parser("verify", help="run a verification suite")
+    # No prefix matching: "--k" must not be read as "--kmax".
+    vp = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     vp.add_argument("suite", choices=SUITES)
-    vp.add_argument("--d", type=int, default=2)
+    vp.add_argument("--d", type=int, default=None,
+                    help="mode count; hahn sweeps d = 1..D "
+                         "(default 4 for hahn, 2 otherwise)")
     vp.add_argument("--q", type=_fraction, default=Fraction(1, 2))
     vp.add_argument("--deg", type=int, default=4)
-    vp.add_argument("--k", type=int, default=None)
     vp.add_argument("--kmax", type=int, default=None,
                     help="top degree (default 4 for harmonics, 8 otherwise)")
     vp.add_argument("--count", type=int, default=20)
@@ -199,21 +201,24 @@ def _run_suite(args) -> list:
     kmax = args.kmax
     if kmax is None:
         kmax = 4 if name == "harmonics" else 8
+    d = args.d
+    if d is None:
+        d = 4 if name == "hahn" else 2
     if name == "sl2":
-        return [V.suite_sl2(args.d, args.q, args.deg, args.count, args.seed)]
+        return [V.suite_sl2(d, args.q, args.deg, args.count, args.seed)]
     if name == "intertwine":
-        return [V.suite_intertwine(args.d, args.q, args.deg, args.count, args.seed)]
+        return [V.suite_intertwine(d, args.q, args.deg, args.count, args.seed)]
     if name == "radial":
-        return [V.suite_radial(args.d, args.q, kmax, args.seed)]
+        return [V.suite_radial(d, args.q, kmax, args.seed)]
     if name == "harmonics":
-        return [V.suite_harmonics(args.d, k_max=kmax,
+        return [V.suite_harmonics(d, k_max=kmax,
                                   count=args.count, deg=args.deg, seed=args.seed)]
     if name == "hahn":
-        return [V.suite_hahn(kmax, d_max=4, seed=args.seed)]
+        return [V.suite_hahn(kmax, d_max=d, seed=args.seed)]
     if name == "orthogonality":
-        return [V.suite_orthogonality(args.d, kmax, args.tol, args.seed)]
+        return [V.suite_orthogonality(d, kmax, args.tol, args.seed)]
     if name == "genfun":
-        return [V.suite_genfun(args.q, args.d, args.order, args.tol, args.seed)]
+        return [V.suite_genfun(args.q, d, args.order, args.tol, args.seed)]
     return V.suite_all(seed=args.seed, quick=args.quick)
 
 

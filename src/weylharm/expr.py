@@ -303,27 +303,26 @@ def _power_text(symbol: str, exponent: int) -> str:
     return symbol if exponent == 1 else f"{symbol}^{exponent}"
 
 
-def format_weyl(w: WeylElement) -> str:
-    """Human rendering, highest degree first (JSON keeps ascending order)."""
+def _format(x, symbols: tuple) -> str:
+    """Human rendering, highest degree first (JSON keeps ascending order);
+    ``symbols`` names the variables of each monomial field in turn."""
     items = []
-    for mono, coeff in reversed(list(w.sorted_terms())):
+    for mono, coeff in reversed(list(x.sorted_terms())):
         factors = [
-            _power_text(f"c{j + 1}", e) for j, e in enumerate(mono.beta) if e
-        ] + [
-            _power_text(f"a{j + 1}", e) for j, e in enumerate(mono.alpha) if e
+            _power_text(f"{symbol}{j + 1}", e)
+            for symbol, exponents in zip(symbols, mono)
+            for j, e in enumerate(exponents)
+            if e
         ]
         items.append((coeff, "*".join(factors)))
     return _format_terms(items)
+
+
+def format_weyl(w: WeylElement) -> str:
+    """Creators c1..cd before annihilators a1..ad in each term."""
+    return _format(w, ("c", "a"))
 
 
 def format_cpoly(p: CPolynomial) -> str:
-    """Human rendering, highest degree first (JSON keeps ascending order)."""
-    items = []
-    for mono, coeff in reversed(list(p.sorted_terms())):
-        factors = [
-            _power_text(f"z{j + 1}", e) for j, e in enumerate(mono.alpha) if e
-        ] + [
-            _power_text(f"zb{j + 1}", e) for j, e in enumerate(mono.beta) if e
-        ]
-        items.append((coeff, "*".join(factors)))
-    return _format_terms(items)
+    """z1..zd before zb1..zbd in each term."""
+    return _format(p, ("z", "zb"))

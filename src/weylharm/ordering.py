@@ -36,6 +36,7 @@ from .weyl import (
     ModeMismatchError,
     NormalMonomial,
     WeylElement,
+    _check_mode,
     check_exponents,
     commutator,
     contractions,
@@ -106,14 +107,25 @@ def ordered_monomial(ctx: OrderingContext, alpha, beta) -> WeylElement:
     })
 
 
+def _closed_form(terms, t: Fraction, key) -> dict:
+    """sum over terms of coeff * (the closed form of its monomial with 1-q
+    replaced by t), as a dict keyed by ``key(alpha, beta)``."""
+    acc: dict = {}
+    for mono, coeff in terms.items():
+        for a, b, c in _contracted(mono.alpha, mono.beta, t):
+            k = key(a, b)
+            cur = acc.get(k)
+            acc[k] = coeff * c if cur is None else cur + coeff * c
+    return acc
+
+
 def order_q(ctx: OrderingContext, p: CPolynomial) -> WeylElement:
     """The ordering map, linear over Q(i)."""
     if p.d != ctx.d:
         raise ModeMismatchError(f"polynomial has d={p.d}, context d={ctx.d}")
-    out = WeylElement.zero(ctx.d)
-    for mono, coeff in p.terms.items():
-        out = out + ordered_monomial(ctx, mono.alpha, mono.beta).scale(coeff)
-    return out
+    return WeylElement(ctx.d, _closed_form(
+        p.terms, ctx.q_complement, lambda a, b: NormalMonomial(b, a)
+    ))
 
 
 def b_element(ctx: OrderingContext, l: int, j: int, k: int) -> WeylElement:
@@ -126,8 +138,7 @@ def b_element(ctx: OrderingContext, l: int, j: int, k: int) -> WeylElement:
     """
     if j < 0 or k < 0:
         raise ValueError("exponents must be nonnegative")
-    if not 1 <= l <= ctx.d:
-        raise IndexError(f"mode index {l} out of range 1..{ctx.d}")
+    _check_mode(ctx.d, l)
     e = tuple(1 if i == l - 1 else 0 for i in range(ctx.d))
     return ordered_monomial(ctx, tuple(k * x for x in e), tuple(j * x for x in e))
 
@@ -135,13 +146,7 @@ def b_element(ctx: OrderingContext, l: int, j: int, k: int) -> WeylElement:
 def unorder_q(ctx: OrderingContext, w: WeylElement) -> CPolynomial:
     """Inverse of the ordering map: the closed form with -(1-q) for 1-q."""
     _check_w(ctx, w)
-    acc: dict = {}
-    for mono, coeff in w.terms.items():
-        for a, b, c in _contracted(mono.alpha, mono.beta, -ctx.q_complement):
-            key = CMonomial(a, b)
-            cur = acc.get(key)
-            acc[key] = coeff * c if cur is None else cur + coeff * c
-    return CPolynomial(ctx.d, acc)
+    return CPolynomial(ctx.d, _closed_form(w.terms, -ctx.q_complement, CMonomial))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .scalars import GR_ONE, GR_ZERO, GaussRational, ScalarLike
-from .weyl import ModeMismatchError, check_exponents
+from .scalars import GR_ZERO, GaussRational
+from .weyl import _SCALARS, TermMap, _check_mode
 
 
 class CMonomial(NamedTuple):
@@ -31,83 +30,39 @@ class CMonomial(NamedTuple):
         return (sum(self.alpha), sum(self.beta))
 
 
-def cterm_sort_key(mono: CMonomial):
-    return (mono.degree, mono.beta, mono.alpha)
-
-
-class CPolynomial:
+class CPolynomial(TermMap):
     """A finite Q(i)-combination of monomials z^alpha zbar^beta."""
 
-    __slots__ = ("d", "terms")
-
-    def __init__(self, d: int, terms: dict | None = None):
-        if d < 1:
-            raise ValueError("mode count d must be >= 1")
-        clean: dict = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = GaussRational.coerce(coeff)
-                if coeff.is_zero():
-                    continue
-                if len(mono.alpha) != d or len(mono.beta) != d:
-                    raise ModeMismatchError(f"monomial {mono} does not have {d} modes")
-                clean[mono] = coeff
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CPolynomial is immutable")
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, d: int) -> "CPolynomial":
-        return cls(d, {})
-
-    @classmethod
-    def one(cls, d: int) -> "CPolynomial":
-        z = (0,) * d
-        return cls(d, {CMonomial(z, z): GR_ONE})
-
-    @classmethod
-    def monomial(cls, d: int, alpha, beta, coeff: ScalarLike = 1) -> "CPolynomial":
-        alpha, beta = tuple(alpha), tuple(beta)
-        check_exponents(alpha, beta)
-        return cls(d, {CMonomial(alpha, beta): coeff})
+    __slots__ = ()
+    _mono = CMonomial
 
     @classmethod
     def z(cls, d: int, j: int) -> "CPolynomial":
-        _check_mode(d, j)
-        e = tuple(1 if k == j - 1 else 0 for k in range(d))
-        return cls.monomial(d, e, (0,) * d)
+        return cls._generator(d, j, 0)
 
     @classmethod
     def zbar(cls, d: int, j: int) -> "CPolynomial":
-        _check_mode(d, j)
-        e = tuple(1 if k == j - 1 else 0 for k in range(d))
-        return cls.monomial(d, (0,) * d, e)
+        return cls._generator(d, j, 1)
 
     @classmethod
     def radius_squared(cls, d: int) -> "CPolynomial":
         """r^2 = sum_j z_j zbar_j."""
-        terms = {}
-        for j in range(d):
-            e = tuple(1 if k == j else 0 for k in range(d))
-            terms[CMonomial(e, e)] = GR_ONE
-        return cls(d, terms)
+        return cls._diagonal_sum(d)
 
-    # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(m.degree for m in self.terms)
+    def __mul__(self, other) -> "CPolynomial":
+        if isinstance(other, _SCALARS):
+            return self.scale(other)
+        self._check_same(other)
+        acc: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = CMonomial(
+                    tuple(a + b for a, b in zip(m1.alpha, m2.alpha)),
+                    tuple(a + b for a, b in zip(m1.beta, m2.beta)),
+                )
+                cur = acc.get(mono)
+                acc[mono] = c1 * c2 if cur is None else cur + c1 * c2
+        return CPolynomial(self.d, acc)
 
     def is_homogeneous(self) -> bool:
         degs = {m.degree for m in self.terms}
@@ -120,94 +75,6 @@ class CPolynomial:
             buckets.setdefault(m.degree, {})[m] = c
         return {deg: CPolynomial(self.d, t) for deg, t in sorted(buckets.items())}
 
-    def coefficient(self, alpha, beta) -> GaussRational:
-        return self.terms.get(CMonomial(tuple(alpha), tuple(beta)), GR_ZERO)
-
-    def sorted_terms(self) -> Iterator[tuple[CMonomial, GaussRational]]:
-        for mono in sorted(self.terms, key=cterm_sort_key):
-            yield mono, self.terms[mono]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CPolynomial):
-            return NotImplemented
-        return self.d == other.d and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.d, frozenset(self.terms.items())))
-
-    # -- ring operations -----------------------------------------------------
-
-    def _check_same(self, other: "CPolynomial"):
-        if self.d != other.d:
-            raise ModeMismatchError(f"mode counts differ: {self.d} vs {other.d}")
-
-    def __add__(self, other) -> "CPolynomial":
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = CPolynomial.one(self.d).scale(other)
-        self._check_same(other)
-        out = self.terms.copy()
-        for mono, c in other.terms.items():
-            acc = out.get(mono)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
-        return CPolynomial(self.d, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "CPolynomial":
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = CPolynomial.one(self.d).scale(other)
-        return self + (-other)
-
-    def __neg__(self) -> "CPolynomial":
-        return CPolynomial(self.d, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, coeff: ScalarLike) -> "CPolynomial":
-        c = GaussRational.coerce(coeff)
-        if c.is_zero():
-            return CPolynomial.zero(self.d)
-        return CPolynomial(self.d, {m: v * c for m, v in self.terms.items()})
-
-    def __mul__(self, other) -> "CPolynomial":
-        if isinstance(other, (int, Fraction, GaussRational)):
-            return self.scale(other)
-        self._check_same(other)
-        acc: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = CMonomial(
-                    tuple(a + b for a, b in zip(m1.alpha, m2.alpha)),
-                    tuple(a + b for a, b in zip(m1.beta, m2.beta)),
-                )
-                add = c1 * c2
-                cur = acc.get(mono)
-                cur = add if cur is None else cur + add
-                if cur.is_zero():
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = cur
-        return CPolynomial(self.d, acc)
-
-    def __rmul__(self, other) -> "CPolynomial":
-        if isinstance(other, (int, Fraction, GaussRational)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "CPolynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = CPolynomial.one(self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def substitute_scaled(self, lam: GaussRational) -> "CPolynomial":
         """p(lam*z, conj(lam)*zbar), the bi-degree scaling action."""
         lamc = lam.conjugate()
@@ -216,41 +83,10 @@ class CPolynomial:
             out[m] = c * lam ** sum(m.alpha) * lamc ** sum(m.beta)
         return CPolynomial(self.d, out)
 
-    # -- serialization ----------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "terms": [
-                {
-                    "alpha": list(m.alpha),
-                    "beta": list(m.beta),
-                    "re": str(c.re),
-                    "im": str(c.im),
-                }
-                for m, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CPolynomial":
-        d = int(data["d"])
-        terms = {}
-        for t in data["terms"]:
-            mono = CMonomial(tuple(t["alpha"]), tuple(t["beta"]))
-            check_exponents(mono.alpha, mono.beta)
-            terms[mono] = GaussRational(Fraction(t["re"]), Fraction(t["im"]))
-        return cls(d, terms)
-
     def __repr__(self) -> str:
         from .expr import format_cpoly
 
         return f"<CPolynomial d={self.d}: {format_cpoly(self)}>"
-
-
-def _check_mode(d: int, j: int):
-    if not 1 <= j <= d:
-        raise IndexError(f"mode index {j} out of range 1..{d}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +111,8 @@ def op_L(p: CPolynomial) -> CPolynomial:
                 m.alpha[:j] + (aj - 1,) + m.alpha[j + 1 :],
                 m.beta[:j] + (bj - 1,) + m.beta[j + 1 :],
             )
-            add = c * (aj * bj)
             cur = acc.get(mono)
-            cur = add if cur is None else cur + add
-            if cur.is_zero():
-                acc.pop(mono, None)
-            else:
-                acc[mono] = cur
+            acc[mono] = c * (aj * bj) if cur is None else cur + c * (aj * bj)
     return CPolynomial(p.d, acc)
 
 

@@ -17,8 +17,8 @@ demand and never rebuilt: `eta`, `omega` and `omega_by_raising` per
 (d, q), and per d the symmetric family `g_poly_symmetric` and the powers
 of the number operator that `express_in_N` peels with.  The three UniPoly
 chains hold only immutable values, so handing out a cached level cannot
-change a later result.  The WeylElements of the other two still expose
-their `terms` as a plain dict, which callers must not mutate.
+change a later result.  The WeylElements of the other two expose their
+`terms` as read-only `MappingProxyType`s, so they cannot be changed either.
 """
 
 from __future__ import annotations

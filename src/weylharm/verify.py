@@ -53,7 +53,7 @@ from .specfun import (
     meixner_pollaczek_poly,
     pochhammer,
 )
-from .weyl import NormalMonomial, WeylElement
+from .weyl import NormalMonomial, WeylElement, compositions
 
 Q_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 
@@ -269,17 +269,7 @@ def harmonic_basis(d: int, k: int) -> list:
 
 def _homogeneous_monomials(d: int, k: int) -> list:
     """All (alpha, beta) exponent pairs with |alpha| + |beta| = k."""
-    whole = []
-
-    def fill(prefix, left, slots):
-        if slots == 1:
-            whole.append(tuple(prefix) + (left,))
-            return
-        for v in range(left + 1):
-            fill(prefix + [v], left - v, slots - 1)
-
-    fill([], k, 2 * d)
-    return [CMonomial(e[:d], e[d:]) for e in whole]
+    return [CMonomial(e[:d], e[d:]) for e in compositions(k, 2 * d)]
 
 
 def _transpose_rows(rows: list, columns: list) -> list:
@@ -372,6 +362,8 @@ def suite_harmonics(
 def suite_hahn(k_max: int = 8, d_max: int = 4, seed: int = 0) -> dict:
     """Identification of the symmetric radial family with the named
     hypergeometric families, plus the series-level identities."""
+    if d_max < 1:
+        raise ValueError("d_max must be >= 1")
     ok_hahn = True
     ok_mp = True
     for d in range(1, d_max + 1):

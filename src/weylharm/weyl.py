@@ -5,7 +5,9 @@ Elements are finite Q(i)-linear combinations of normal monomials
 left of all annihilation generators, modes in ascending index order.
 Multiplication rewrites to this form through the commutation rule
 a_j a_k+ = a_k+ a_j + delta_jk, so equality of elements is structural
-equality of their term maps.
+equality of their term maps.  Everything but that product lives in the base
+class `TermMap`, which `poly.CPolynomial` shares: the ordering map is a
+linear isomorphism between two spaces of the same shape.
 
 A truncated matrix representation on occupation states provides an
 independent correctness oracle for products (`fock_represent`).
@@ -49,15 +51,31 @@ def check_exponents(*vectors) -> None:
             raise ValueError(f"exponents must be nonnegative integers, got {tuple(vec)}")
 
 
-def term_sort_key(mono: NormalMonomial):
+def term_sort_key(mono):
     """Canonical output order: by (total degree, beta, alpha)."""
     return (mono.degree, mono.beta, mono.alpha)
 
 
-class WeylElement:
-    """A finite Q(i)-combination of normal monomials over d modes."""
+def _check_mode(d: int, j: int):
+    if not 1 <= j <= d:
+        raise IndexError(f"mode index {j} out of range 1..{d}")
+
+
+_SCALARS = (int, Fraction, GaussRational)
+
+
+class TermMap:
+    """An immutable Q(i)-combination of monomials over d modes.
+
+    A monomial is a ``_mono`` named tuple of two exponent vectors, each of
+    length d; every method that takes exponent vectors takes them in
+    ``_mono._fields`` order.  Zero coefficients are dropped on construction,
+    so callers may accumulate into a plain dict and leave cancelled keys in
+    it.  Subclasses set ``_mono`` and supply the product.
+    """
 
     __slots__ = ("d", "terms")
+    _mono: type
 
     def __init__(self, d: int, terms: dict | None = None):
         if d < 1:
@@ -77,40 +95,42 @@ class WeylElement:
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, d: int) -> "WeylElement":
+    def zero(cls, d: int):
         return cls(d, {})
 
     @classmethod
-    def unit(cls, d: int) -> "WeylElement":
+    def one(cls, d: int):
         z = (0,) * d
-        return cls(d, {NormalMonomial(z, z): GR_ONE})
+        return cls(d, {cls._mono(z, z): GR_ONE})
 
     @classmethod
-    def monomial(
-        cls, d: int, beta, alpha, coeff: ScalarLike = 1
-    ) -> "WeylElement":
-        beta, alpha = tuple(beta), tuple(alpha)
-        check_exponents(beta, alpha)
-        return cls(d, {NormalMonomial(beta, alpha): coeff})
+    def monomial(cls, d: int, first, second, coeff: ScalarLike = 1):
+        first, second = tuple(first), tuple(second)
+        check_exponents(first, second)
+        return cls(d, {cls._mono(first, second): coeff})
 
     @classmethod
-    def annihilator(cls, d: int, j: int) -> "WeylElement":
-        """The generator a_j, 1 <= j <= d."""
+    def _generator(cls, d: int, j: int, field: int):
+        """Exponent 1 at mode j (1 <= j <= d) in ``_mono`` field 0 or 1."""
         _check_mode(d, j)
         e = tuple(1 if k == j - 1 else 0 for k in range(d))
-        return cls.monomial(d, (0,) * d, e)
+        z = (0,) * d
+        return cls(d, {cls._mono(*((e, z) if field == 0 else (z, e))): GR_ONE})
 
     @classmethod
-    def creator(cls, d: int, j: int) -> "WeylElement":
-        """The generator a_j+, 1 <= j <= d."""
-        _check_mode(d, j)
-        e = tuple(1 if k == j - 1 else 0 for k in range(d))
-        return cls.monomial(d, e, (0,) * d)
+    def _diagonal_sum(cls, d: int):
+        """The sum over j of the monomial with exponent 1 at mode j in both
+        fields."""
+        terms = {}
+        for j in range(d):
+            e = tuple(1 if k == j else 0 for k in range(d))
+            terms[cls._mono(e, e)] = GR_ONE
+        return cls(d, terms)
 
     # -- structure --------------------------------------------------------
 
@@ -126,69 +146,64 @@ class WeylElement:
             return -1
         return max(m.degree for m in self.terms)
 
-    def coefficient(self, beta, alpha) -> GaussRational:
-        return self.terms.get(NormalMonomial(tuple(beta), tuple(alpha)), GR_ZERO)
+    def coefficient(self, first, second) -> GaussRational:
+        return self.terms.get(self._mono(tuple(first), tuple(second)), GR_ZERO)
 
-    def sorted_terms(self) -> Iterator[tuple[NormalMonomial, GaussRational]]:
+    def sorted_terms(self) -> Iterator[tuple]:
         for mono in sorted(self.terms, key=term_sort_key):
             yield mono, self.terms[mono]
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylElement):
+        if type(other) is not type(self):
             return NotImplemented
         return self.d == other.d and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.d, frozenset(self.terms.items())))
 
-    # -- algebra ------------------------------------------------------------
+    # -- linear structure ---------------------------------------------------
 
-    def _check_same(self, other: "WeylElement"):
+    def _check_same(self, other):
         if self.d != other.d:
             raise ModeMismatchError(f"mode counts differ: {self.d} vs {other.d}")
 
-    def __add__(self, other) -> "WeylElement":
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = WeylElement.unit(self.d) * other
+    def __add__(self, other):
+        if isinstance(other, _SCALARS):
+            other = self.one(self.d).scale(other)
+        elif type(other) is not type(self):
+            return NotImplemented
         self._check_same(other)
-        out = self.terms.copy()
+        out = dict(self.terms)
         for mono, c in other.terms.items():
-            acc = out.get(mono)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
-        return WeylElement(self.d, out)
+            cur = out.get(mono)
+            out[mono] = c if cur is None else cur + c
+        return type(self)(self.d, out)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "WeylElement":
-        return self + (-other if isinstance(other, WeylElement) else -GaussRational.coerce(other))
+    def __sub__(self, other):
+        if isinstance(other, _SCALARS):
+            other = GaussRational.coerce(other)
+        return self + (-other)
 
-    def __neg__(self) -> "WeylElement":
-        return WeylElement(self.d, {m: -c for m, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)(self.d, {m: -c for m, c in self.terms.items()})
 
-    def scale(self, coeff: ScalarLike) -> "WeylElement":
+    def scale(self, coeff: ScalarLike):
         c = GaussRational.coerce(coeff)
         if c.is_zero():
-            return WeylElement.zero(self.d)
-        return WeylElement(self.d, {m: v * c for m, v in self.terms.items()})
+            return self.zero(self.d)
+        return type(self)(self.d, {m: v * c for m, v in self.terms.items()})
 
-    def __mul__(self, other) -> "WeylElement":
-        if isinstance(other, (int, Fraction, GaussRational)):
-            return self.scale(other)
-        return weyl_mul(self, other)
-
-    def __rmul__(self, other) -> "WeylElement":
-        if isinstance(other, (int, Fraction, GaussRational)):
+    def __rmul__(self, other):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, n: int) -> "WeylElement":
+    def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        out = WeylElement.unit(self.d)
+        out = self.one(self.d)
         base = self
         while n:
             if n & 1:
@@ -200,38 +215,59 @@ class WeylElement:
     # -- serialization --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        fields = self._mono._fields
         return {
             "d": self.d,
             "terms": [
-                {
-                    "beta": list(m.beta),
-                    "alpha": list(m.alpha),
-                    "re": str(c.re),
-                    "im": str(c.im),
-                }
+                {**{f: list(v) for f, v in zip(fields, m)},
+                 "re": str(c.re), "im": str(c.im)}
                 for m, c in self.sorted_terms()
             ],
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "WeylElement":
+    def from_json_dict(cls, data: dict):
         d = int(data["d"])
         terms = {}
         for t in data["terms"]:
-            mono = NormalMonomial(tuple(t["beta"]), tuple(t["alpha"]))
-            check_exponents(mono.beta, mono.alpha)
-            terms[mono] = GaussRational(Fraction(t["re"]), Fraction(t["im"]))
+            vectors = [tuple(t[f]) for f in cls._mono._fields]
+            check_exponents(*vectors)
+            terms[cls._mono(*vectors)] = GaussRational(
+                Fraction(t["re"]), Fraction(t["im"])
+            )
         return cls(d, terms)
+
+
+class WeylElement(TermMap):
+    """A finite Q(i)-combination of normal monomials over d modes."""
+
+    __slots__ = ()
+    _mono = NormalMonomial
+
+    @classmethod
+    def unit(cls, d: int) -> "WeylElement":
+        """The identity, the same as `one`."""
+        return cls.one(d)
+
+    @classmethod
+    def annihilator(cls, d: int, j: int) -> "WeylElement":
+        """The generator a_j, 1 <= j <= d."""
+        return cls._generator(d, j, 1)
+
+    @classmethod
+    def creator(cls, d: int, j: int) -> "WeylElement":
+        """The generator a_j+, 1 <= j <= d."""
+        return cls._generator(d, j, 0)
+
+    def __mul__(self, other) -> "WeylElement":
+        if isinstance(other, _SCALARS):
+            return self.scale(other)
+        return weyl_mul(self, other)
 
     def __repr__(self) -> str:
         from .expr import format_weyl
 
         return f"<WeylElement d={self.d}: {format_weyl(self)}>"
-
-
-def _check_mode(d: int, j: int):
-    if not 1 <= j <= d:
-        raise IndexError(f"mode index {j} out of range 1..{d}")
 
 
 @lru_cache(maxsize=None)
@@ -273,13 +309,8 @@ def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
                     a1 + a2 - i for a1, a2, i in zip(m1.alpha, m2.alpha, ivec)
                 )
                 mono = NormalMonomial(beta, alpha)
-                add = c12 * weight
                 cur = acc.get(mono)
-                cur = add if cur is None else cur + add
-                if cur.is_zero():
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = cur
+                acc[mono] = c12 * weight if cur is None else cur + c12 * weight
     return WeylElement(d, acc)
 
 
@@ -304,11 +335,7 @@ def ad(x: WeylElement):
 
 def number_operator(d: int) -> WeylElement:
     """N = sum_j a_j+ a_j, already in normal form."""
-    terms = {}
-    for j in range(d):
-        e = tuple(1 if k == j else 0 for k in range(d))
-        terms[NormalMonomial(e, e)] = GR_ONE
-    return WeylElement(d, terms)
+    return WeylElement._diagonal_sum(d)
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +343,20 @@ def number_operator(d: int) -> WeylElement:
 # ---------------------------------------------------------------------------
 
 
+def compositions(total: int, parts: int) -> Iterator[tuple]:
+    """All tuples of ``parts`` nonnegative ints summing to ``total``, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for v in range(total + 1):
+        for rest in compositions(total - v, parts - 1):
+            yield (v,) + rest
+
+
 def occupation_states(d: int, cutoff: int) -> tuple:
     """All occupation vectors n with |n| <= cutoff, graded lexicographic."""
-    states = []
-
-    def fill(prefix, left, slots):
-        if slots == 1:
-            states.append(tuple(prefix) + (left,))
-            return
-        for v in range(left + 1):
-            fill(prefix + [v], left - v, slots - 1)
-
-    for total in range(cutoff + 1):
-        start = len(states)
-        fill([], total, d)
-        states[start:] = sorted(states[start:])
-    return tuple(states)
+    return tuple(n for total in range(cutoff + 1) for n in compositions(total, d))
 
 
 class FockMatrix:
@@ -381,13 +406,8 @@ class FockMatrix:
         for (r, k), c in self.entries.items():
             for k2, c2 in by_row.get(k, ()):
                 key = (r, k2)
-                add = c * c2
                 cur = acc.get(key)
-                cur = add if cur is None else cur + add
-                if cur.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = cur
+                acc[key] = c * c2 if cur is None else cur + c * c2
         return FockMatrix(self.d, self.cutoff, acc)
 
     def column(self, col: int) -> dict:
@@ -434,13 +454,8 @@ def fock_represent(w: WeylElement, cutoff: int) -> FockMatrix:
                 for step in range(aj):
                     weight *= nj - step
             key = (out.index[target], col)
-            add = coeff * weight
             cur = entries.get(key)
-            cur = add if cur is None else cur + add
-            if cur.is_zero():
-                entries.pop(key, None)
-            else:
-                entries[key] = cur
+            entries[key] = coeff * weight if cur is None else cur + coeff * weight
     return FockMatrix(w.d, cutoff, entries)
 
 

@@ -67,6 +67,7 @@ class TestElementCommands:
             (["verify", "genfun", "--q", "1"], "alpha is undefined for q in {0, 1}"),
             (["normal-order", "a1^-3"],
              "exponent must be a nonnegative integer (at position 3)"),
+            (["verify", "hahn", "--d", "0"], "d_max must be >= 1"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
@@ -123,6 +124,19 @@ class TestVerify:
     def test_hahn(self, capsys):
         code, out = run_cli(capsys, "verify", "hahn", "--kmax", "5")
         assert code == 0
+
+    @pytest.mark.parametrize("extra, dmax", [([], 4), (["--d", "1"], 1), (["--d", "3"], 3)])
+    def test_hahn_honours_d(self, capsys, extra, dmax):
+        code, out = run_cli(capsys, "verify", "hahn", "--kmax", "2", "--json", *extra)
+        assert code == 0
+        assert json.loads(out)["params"]["dmax"] == dmax
+
+    def test_k_flag_rejected(self, capsys):
+        # no suite reads --k, and it must not pass as an abbreviation of --kmax
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "sl2", "--k", "99"])
+        assert exc.value.code == 2
+        assert "--k" in capsys.readouterr().err
 
     def test_harmonics(self, capsys):
         code, out = run_cli(

@@ -5,8 +5,9 @@ from math import comb, factorial
 
 import pytest
 
+from weylharm.poly import CPolynomial
 from weylharm.scalars import GR_ONE, GaussRational
-from weylharm.verify import random_weyl
+from weylharm.verify import random_cpoly, random_weyl
 from weylharm.weyl import (
     ModeMismatchError,
     NormalMonomial,
@@ -225,6 +226,10 @@ class TestFock:
     def test_state_count(self):
         assert len(occupation_states(2, 4)) == 15
         assert len(occupation_states(3, 2)) == 10
+        # graded by total, lexicographic within a total
+        assert occupation_states(2, 2) == (
+            (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)
+        )
 
     def test_annihilator_entries(self):
         m = fock_represent(WeylElement.annihilator(1, 1), 4)
@@ -248,18 +253,39 @@ class TestFock:
 
 
 def test_json_round_trip():
-    rng = random.Random(13)
-    w = random_weyl(rng, 2, 4, 5)
-    data = w.to_json_dict()
-    assert WeylElement.from_json_dict(data) == w
-    # canonical term order: sorted by (degree, beta, alpha)
-    keys = [
-        (sum(t["beta"]) + sum(t["alpha"]), tuple(t["beta"]), tuple(t["alpha"]))
-        for t in data["terms"]
-    ]
-    assert keys == sorted(keys)
-    for t in data["terms"]:
-        assert isinstance(t["re"], str) and isinstance(t["im"], str)
+    # both term maps share one serializer; each keeps its own key order
+    for cls, make, fields in (
+        (WeylElement, random_weyl, ["beta", "alpha", "re", "im"]),
+        (CPolynomial, random_cpoly, ["alpha", "beta", "re", "im"]),
+    ):
+        rng = random.Random(13)
+        w = make(rng, 2, 4, 5)
+        data = w.to_json_dict()
+        assert cls.from_json_dict(data) == w
+        # canonical term order: sorted by (degree, beta, alpha)
+        keys = [
+            (sum(t["beta"]) + sum(t["alpha"]), tuple(t["beta"]), tuple(t["alpha"]))
+            for t in data["terms"]
+        ]
+        assert keys == sorted(keys)
+        for t in data["terms"]:
+            assert list(t) == fields
+            assert isinstance(t["re"], str) and isinstance(t["im"], str)
+
+
+@pytest.mark.parametrize("cls", [WeylElement, CPolynomial])
+def test_immutability_error_names_class(cls):
+    x = cls.one(1)
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        x.d = 2
+
+
+def test_term_maps_of_different_types_do_not_mix():
+    # their monomials are equal tuples, so only the type tells them apart
+    assert WeylElement.zero(1) != CPolynomial.zero(1)
+    assert WeylElement.unit(1) != CPolynomial.one(1)
+    with pytest.raises(TypeError):
+        WeylElement.unit(1) + CPolynomial.one(1)
 
 
 @pytest.mark.parametrize("beta, alpha", [((-3,), (2,)), ((1,), (-1,)), ((1.0,), (0,))])
