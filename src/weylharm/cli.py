@@ -16,7 +16,7 @@ polynomial variables z1..zd and zb1..zbd.  --q takes an exact rational
 string such as 1/2.  All randomized suites record their seed in the
 report and default to seed 0, so identical invocations produce identical
 output.  Exit status is 0 on success, 1 when a verification case fails and
-2 on bad input.
+2 on bad input, which includes a flag that is not spelled in full.
 """
 
 from __future__ import annotations
@@ -53,6 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_parser(name, help_text):
+        # No prefix matching: "--k" must not be read as "--kmax".
+        return sub.add_parser(name, help=help_text, allow_abbrev=False)
+
     def add_common(p, expr=False, need_q=False, k=False, kmax=False):
         if expr:
             p.add_argument("expression")
@@ -67,22 +71,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--kmax", type=int, default=8)
         p.add_argument("--json", action="store_true", help="emit JSON")
 
-    add_common(sub.add_parser("normal-order", help="normal form of a Weyl expression"),
+    add_common(add_parser("normal-order", "normal form of a Weyl expression"),
                expr=True)
-    add_common(sub.add_parser("order", help="apply the ordering map to a polynomial"),
+    add_common(add_parser("order", "apply the ordering map to a polynomial"),
                expr=True, need_q=True)
-    add_common(sub.add_parser("unorder", help="invert the ordering map"),
+    add_common(add_parser("unorder", "invert the ordering map"),
                expr=True, need_q=True)
-    add_common(sub.add_parser("decompose",
-                              help="radial-times-harmonic decomposition of a Weyl expression"),
+    add_common(add_parser("decompose",
+                          "radial-times-harmonic decomposition of a Weyl expression"),
                expr=True, need_q=True)
-    add_common(sub.add_parser("omega", help="table of the radial polynomials"),
+    add_common(add_parser("omega", "table of the radial polynomials"),
                need_q=True, kmax=True)
-    add_common(sub.add_parser("eta", help="a radial basis element of the Weyl algebra"),
+    add_common(add_parser("eta", "a radial basis element of the Weyl algebra"),
                need_q=True, k=True)
 
-    # No prefix matching: "--k" must not be read as "--kmax".
-    vp = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
+    vp = add_parser("verify", "run a verification suite")
     vp.add_argument("suite", choices=SUITES)
     vp.add_argument("--d", type=int, default=None,
                     help="mode count; hahn sweeps d = 1..D "

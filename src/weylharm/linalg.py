@@ -12,7 +12,7 @@ order is a valid substitution order everywhere below.
 
 from __future__ import annotations
 
-from .scalars import GR_ONE, GR_ZERO, GaussRational
+from .scalars import GR_ONE, GaussRational
 
 
 def _col_key(col):
@@ -100,38 +100,6 @@ def kernel_basis(rows, columns) -> list:
                 vec[pcol] = -c
         basis.append(vec)
     return basis
-
-
-def solve(rows, rhs_key="__rhs__"):
-    """Solve the system encoded as augmented rows {col: a, rhs_key: b}.
-
-    Returns a particular solution {column: value} with free columns at
-    zero, or None when the system is inconsistent.  The rhs column is
-    never chosen as a pivot.
-    """
-    pivots: dict = {}
-    for row in rows:
-        if not row:
-            continue
-        reduced = _reduce_against(row, pivots)
-        if not reduced:
-            continue
-        unknown_cols = [c for c in reduced if c != rhs_key]
-        if not unknown_cols:
-            return None  # 0 = nonzero rhs
-        col = min(unknown_cols, key=_col_key)
-        inv = GR_ONE / reduced[col]
-        pivots[col] = {c: v * inv for c, v in reduced.items()}
-    solution: dict = {}
-    for col in reversed(list(pivots)):
-        prow = pivots[col]
-        value = prow.get(rhs_key, GR_ZERO)
-        for c, v in prow.items():
-            if c == col or c == rhs_key:
-                continue
-            value = value - v * solution.get(c, GR_ZERO)
-        solution[col] = value
-    return solution
 
 
 def same_row_space(rows_a, rows_b) -> bool:

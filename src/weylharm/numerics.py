@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .radial import RadialContext, g_poly_symmetric, omega_by_raising
+from .radial import g_poly_symmetric
 from .scalars import UniPoly
 
 # Lanczos approximation, g = 7, 9 coefficients: relative error below
@@ -323,16 +323,3 @@ def genfun_ode_residual(q, d: int, lam, s, step: float = 1e-3):
         )
     g0 = genfun_eval(q, d, lam, s)
     return (1.0 + 2.0 * s0 * s + s * s) * d2 - (lam - d * s) * g0
-
-
-def exact_float_bridge_error(ctx: RadialContext, k: int, points) -> float:
-    """Largest relative gap between exact and float evaluation of omega_k."""
-    w = omega_by_raising(ctx, k)
-    worst = 0.0
-    for x in points:
-        exact = w(x)
-        exact_f = complex(float(exact.re), float(exact.im))
-        approx = unipoly_eval_float(w, float(x))
-        denom = max(abs(exact_f), 1.0)
-        worst = max(worst, abs(approx - exact_f) / denom)
-    return worst

@@ -22,8 +22,24 @@ whose weights are the Wick contraction weights of the product kernel
 with -(1-q) in place of 1-q.  `apply_M` and `apply_Mplus` keep the
 defining operator form as an independent check of both.
 
-The transferred sl2 triple (`cal_R`, `cal_L`, `cal_E`) makes the ordering
-map an intertwiner for the classical triple on polynomials.
+The transferred sl2 triple (`cal_R`, `cal_L`, `cal_E`) is the classical
+triple of `poly` (R = r^2, L the quarter-Laplacian, E = degree + d) pushed
+through the ordering map, so that the map intertwines the two.  In
+normal-monomial coordinates (z^alpha zbar^beta <-> (a+)^beta a^alpha) the
+closed form above is exp((1-q) L), since exp(tL) z^a zbar^b =
+sum_i t^i i! C(a, i) C(b, i) z^(a-i) zbar^(b-i) per mode; the pushed
+triple is therefore the classical one conjugated by exp((1-q) L).  From
+[L, R] = E, [L, E] = 2L and [L, L] = 0, the series
+exp(tL) X exp(-tL) = X + t[L, X] + t^2/2 [L, [L, X]] + ... terminates:
+
+    cal_L = L
+    cal_E = E + 2(1-q) L
+    cal_R = R + (1-q) E + (1-q)^2 L
+
+with R, L and E acting on the two exponent vectors of each normal monomial
+exactly as on those of a polynomial.  No Weyl product is needed; the
+product forms (e.g. cal_L w = -sum_j [a_j, [a_j+, w]]) are kept in the
+tests as the independent check.
 """
 
 from __future__ import annotations
@@ -31,14 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import CMonomial, CPolynomial
+from .poly import CMonomial, CPolynomial, op_E, op_L, op_R
 from .weyl import (
     ModeMismatchError,
     NormalMonomial,
     WeylElement,
     _check_mode,
     check_exponents,
-    commutator,
     contractions,
     weyl_mul,
 )
@@ -65,24 +80,17 @@ class OrderingContext:
         return 1 - self.q
 
 
-def _gen_pair(ctx: OrderingContext, j: int):
-    return (
-        WeylElement.annihilator(ctx.d, j),
-        WeylElement.creator(ctx.d, j),
-    )
-
-
 def apply_M(ctx: OrderingContext, j: int, w: WeylElement) -> WeylElement:
     """(1-q) a_j w + q w a_j."""
     _check_w(ctx, w)
-    a, _ = _gen_pair(ctx, j)
+    a = WeylElement.annihilator(ctx.d, j)
     return weyl_mul(a, w).scale(ctx.q_complement) + weyl_mul(w, a).scale(ctx.q)
 
 
 def apply_Mplus(ctx: OrderingContext, j: int, w: WeylElement) -> WeylElement:
     """q a_j+ w + (1-q) w a_j+."""
     _check_w(ctx, w)
-    _, c = _gen_pair(ctx, j)
+    c = WeylElement.creator(ctx.d, j)
     return weyl_mul(c, w).scale(ctx.q) + weyl_mul(w, c).scale(ctx.q_complement)
 
 
@@ -154,48 +162,23 @@ def unorder_q(ctx: OrderingContext, w: WeylElement) -> CPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def cal_R(ctx: OrderingContext, w: WeylElement) -> WeylElement:
-    """(1-q)^2 sum a_j w a_j+  +  q(1-q) sum (w a_j+ a_j + a_j a_j+ w)
-    +  q^2 sum a_j+ w a_j."""
-    _check_w(ctx, w)
-    q, qc = ctx.q, ctx.q_complement
-    out = WeylElement.zero(ctx.d)
-    for j in range(1, ctx.d + 1):
-        a, c = _gen_pair(ctx, j)
-        out = out + weyl_mul(weyl_mul(a, w), c).scale(qc * qc)
-        out = out + (
-            weyl_mul(w, weyl_mul(c, a)) + weyl_mul(weyl_mul(a, c), w)
-        ).scale(q * qc)
-        out = out + weyl_mul(weyl_mul(c, w), a).scale(q * q)
-    return out
-
-
 def cal_L(ctx: OrderingContext, w: WeylElement) -> WeylElement:
-    """- sum_j [a_j, [a_j+, w]]; independent of q."""
+    """The transferred lowering operator: L itself, independent of q."""
     _check_w(ctx, w)
-    out = WeylElement.zero(ctx.d)
-    for j in range(1, ctx.d + 1):
-        a, c = _gen_pair(ctx, j)
-        out = out - commutator(a, commutator(c, w))
-    return out
+    return op_L(w)
 
 
 def cal_E(ctx: OrderingContext, w: WeylElement) -> WeylElement:
-    """The transferred symmetrized Euler operator."""
+    """The transferred grading operator E + 2(1-q) L."""
     _check_w(ctx, w)
-    q, qc = ctx.q, ctx.q_complement
-    out = w.scale(ctx.d)
-    for j in range(1, ctx.d + 1):
-        a, c = _gen_pair(ctx, j)
-        bracket_c = commutator(c, w)
-        bracket_a = commutator(a, w)
-        out = out - (
-            weyl_mul(a, bracket_c) - weyl_mul(bracket_a, c)
-        ).scale(qc)
-        out = out - (
-            weyl_mul(bracket_c, a) - weyl_mul(c, bracket_a)
-        ).scale(q)
-    return out
+    return op_E(w) + op_L(w).scale(2 * ctx.q_complement)
+
+
+def cal_R(ctx: OrderingContext, w: WeylElement) -> WeylElement:
+    """The transferred raising operator R + (1-q) E + (1-q)^2 L."""
+    _check_w(ctx, w)
+    t = ctx.q_complement
+    return op_R(w) + op_E(w).scale(t) + op_L(w).scale(t * t)
 
 
 def _check_w(ctx: OrderingContext, w: WeylElement):

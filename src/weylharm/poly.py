@@ -94,33 +94,43 @@ class CPolynomial(TermMap):
 # ---------------------------------------------------------------------------
 
 
-def op_R(p: CPolynomial) -> CPolynomial:
-    """Multiplication by the squared radius."""
-    return CPolynomial.radius_squared(p.d) * p
+def _shift_diagonal(p: TermMap, step: int, weight) -> TermMap:
+    """sum_j weight(u_j, v_j) * (the monomial with both exponents at mode j
+    moved by ``step``), over every term of p.
 
-
-def op_L(p: CPolynomial) -> CPolynomial:
-    """Quarter-Laplacian sum_j d^2/(dz_j dzbar_j)."""
+    The triple only ever touches the two exponent vectors of a monomial
+    together and symmetrically, so the field order of ``_mono`` does not
+    matter: one body serves `CPolynomial` and `weyl.WeylElement`.
+    """
+    cls = type(p)
     acc: dict = {}
-    for m, c in p.terms.items():
+    for (u, v), c in p.terms.items():
         for j in range(p.d):
-            aj, bj = m.alpha[j], m.beta[j]
-            if aj == 0 or bj == 0:
+            w = weight(u[j], v[j])
+            if not w:
                 continue
-            mono = CMonomial(
-                m.alpha[:j] + (aj - 1,) + m.alpha[j + 1 :],
-                m.beta[:j] + (bj - 1,) + m.beta[j + 1 :],
+            mono = cls._mono(
+                u[:j] + (u[j] + step,) + u[j + 1 :],
+                v[:j] + (v[j] + step,) + v[j + 1 :],
             )
             cur = acc.get(mono)
-            acc[mono] = c * (aj * bj) if cur is None else cur + c * (aj * bj)
-    return CPolynomial(p.d, acc)
+            acc[mono] = c * w if cur is None else cur + c * w
+    return cls(p.d, acc)
 
 
-def op_E(p: CPolynomial) -> CPolynomial:
+def op_R(p: TermMap) -> TermMap:
+    """Multiplication by the squared radius sum_j z_j zbar_j."""
+    return _shift_diagonal(p, 1, lambda a, b: 1)
+
+
+def op_L(p: TermMap) -> TermMap:
+    """Quarter-Laplacian sum_j d^2/(dz_j dzbar_j)."""
+    return _shift_diagonal(p, -1, lambda a, b: a * b)
+
+
+def op_E(p: TermMap) -> TermMap:
     """Symmetrized Euler operator: degree + d on each monomial."""
-    return CPolynomial(
-        p.d, {m: c * (m.degree + p.d) for m, c in p.terms.items()}
-    )
+    return type(p)(p.d, {m: c * (m.degree + p.d) for m, c in p.terms.items()})
 
 
 def op_euler(p: CPolynomial) -> CPolynomial:

@@ -13,12 +13,13 @@ never materialized: identities containing alpha are verified after
 pulling them back to Q with alpha^2 = 1/(q(1-q)).
 
 Five chains are memoised for the life of the process, each grown on
-demand and never rebuilt: `eta`, `omega` and `omega_by_raising` per
-(d, q), and per d the symmetric family `g_poly_symmetric` and the powers
-of the number operator that `express_in_N` peels with.  The three UniPoly
-chains hold only immutable values, so handing out a cached level cannot
-change a later result.  The WeylElements of the other two expose their
-`terms` as read-only `MappingProxyType`s, so they cannot be changed either.
+demand by one helper (`_chain_level`) and never rebuilt: `eta`, `omega`
+and `omega_by_raising` per (d, q), and per d the symmetric family
+`g_poly_symmetric` and the powers of the number operator that
+`express_in_N` peels with.  The three UniPoly chains hold only immutable
+values, so handing out a cached level cannot change a later result.  The
+WeylElements of the other two expose their `terms` as read-only
+`MappingProxyType`s, so they cannot be changed either.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .ordering import OrderingContext, cal_L, cal_R, order_q, unorder_q
 from .poly import harmonic_decompose
 from .scalars import GR_ONE, GaussRational, UniPoly
 from .specfun import hyp2F1_terminating_poly
-from .weyl import NormalMonomial, WeylElement, weyl_mul
+from .weyl import NormalMonomial, WeylElement, number_operator, weyl_mul
 
 
 class NotRadialError(ValueError):
@@ -80,6 +81,19 @@ class RadialContext:
 # eta_k and the number-operator representation
 # ---------------------------------------------------------------------------
 
+
+def _chain_level(cache: dict, key, seed: list, step, k: int):
+    """Level k of the chain memoised as ``cache[key]``.
+
+    A missing chain starts as ``seed``; the chain grows by appending
+    ``step(chain)`` until it has level k, and is never rebuilt.
+    """
+    chain = cache.setdefault(key, seed)
+    while len(chain) <= k:
+        chain.append(step(chain))
+    return chain[k]
+
+
 _eta_cache: dict = {}
 _n_power_cache: dict = {}
 
@@ -88,21 +102,14 @@ def eta(ctx: RadialContext, k: int) -> WeylElement:
     """The k-th iterate of the raising operator on the unit."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    key = (ctx.d, ctx.q)
-    chain = _eta_cache.setdefault(key, [WeylElement.unit(ctx.d)])
     octx = ctx.ordering
-    while len(chain) <= k:
-        chain.append(cal_R(octx, chain[-1]))
-    return chain[k]
+    return _chain_level(_eta_cache, (ctx.d, ctx.q), [WeylElement.unit(ctx.d)],
+                        lambda chain: cal_R(octx, chain[-1]), k)
 
 
 def _number_power(d: int, m: int) -> WeylElement:
-    from .weyl import number_operator
-
-    chain = _n_power_cache.setdefault(d, [WeylElement.unit(d), number_operator(d)])
-    while len(chain) <= m:
-        chain.append(weyl_mul(chain[-1], chain[1]))
-    return chain[m]
+    return _chain_level(_n_power_cache, d, [WeylElement.unit(d), number_operator(d)],
+                        lambda chain: weyl_mul(chain[-1], chain[1]), m)
 
 
 def express_in_N(w: WeylElement) -> UniPoly:
@@ -172,11 +179,8 @@ def omega_by_raising(ctx: RadialContext, k: int) -> UniPoly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    key = (ctx.d, ctx.q)
-    chain = _raising_cache.setdefault(key, [UniPoly((GR_ONE,))])
-    while len(chain) <= k:
-        chain.append(apply_Rq_univariate(ctx, chain[-1]))
-    return chain[k]
+    return _chain_level(_raising_cache, (ctx.d, ctx.q), [UniPoly((GR_ONE,))],
+                        lambda chain: apply_Rq_univariate(ctx, chain[-1]), k)
 
 
 _omega_cache: dict = {}
@@ -191,17 +195,16 @@ def omega(ctx: RadialContext, k: int) -> UniPoly:
     with omega_0 = 1 (and omega_{-1} = 0)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    key = (ctx.d, ctx.q)
-    chain = _omega_cache.setdefault(key, [UniPoly((GR_ONE,))])
     q = ctx.q
     t = UniPoly.x()
-    while len(chain) <= k:
+
+    def step(chain):
         n = len(chain) - 1
         prev = chain[n - 1] if n >= 1 else UniPoly()
         linear = t + (1 - q) * ctx.d - (2 * q - 1) * n
-        nxt = linear * chain[n] + prev * (q * (1 - q) * n * (n + ctx.d - 1))
-        chain.append(nxt)
-    return chain[k]
+        return linear * chain[n] + prev * (q * (1 - q) * n * (n + ctx.d - 1))
+
+    return _chain_level(_omega_cache, (ctx.d, ctx.q), [UniPoly((GR_ONE,))], step, k)
 
 
 def omega_closed_form(ctx: RadialContext, k: int) -> UniPoly:
@@ -323,13 +326,13 @@ def g_poly_symmetric(d: int, k: int) -> UniPoly:
     """
     if d < 1 or k < 0:
         raise ValueError("need d >= 1 and k >= 0")
-    chain = _g_cache.setdefault(d, [UniPoly((GR_ONE,)), UniPoly.x()])
     lam = UniPoly.x()
-    while len(chain) <= k:
+
+    def step(chain):
         n = len(chain) - 2  # recurrence index: computing g_{n+2}
-        nxt = (lam * chain[n + 1] - chain[n] * (n + d)) / Fraction(n + 2)
-        chain.append(nxt)
-    return chain[k]
+        return (lam * chain[n + 1] - chain[n] * (n + d)) / Fraction(n + 2)
+
+    return _chain_level(_g_cache, d, [UniPoly((GR_ONE,)), UniPoly.x()], step, k)
 
 
 def check_fg_recurrence(ctx: RadialContext, k_max: int) -> bool:

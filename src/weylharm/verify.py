@@ -136,6 +136,12 @@ def report_failed(report: dict) -> bool:
     return any(c["status"] != "PASS" for c in report["cases"])
 
 
+def _check_k_max(k_max: int) -> None:
+    # a negative top degree would empty every loop and pass vacuously
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+
+
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
@@ -192,6 +198,7 @@ def suite_intertwine(
 
 
 def omega_table(d: int, q: Fraction, k_max: int) -> list:
+    _check_k_max(k_max)
     ctx = RadialContext(d, q)
     return [
         {"k": k, "coeffs": [str(c) for c in omega(ctx, k).coeffs]}
@@ -201,6 +208,7 @@ def omega_table(d: int, q: Fraction, k_max: int) -> list:
 
 def suite_radial(d: int, q: Fraction, k_max: int = 8, seed: int = 0) -> dict:
     """The radial tower: all computation routes and their certificates."""
+    _check_k_max(k_max)
     ctx = RadialContext(d, q)
     weyl_k = min(k_max, 6)
     ok_triple = all(
@@ -286,6 +294,7 @@ def suite_harmonics(
 ) -> dict:
     """q-independence of Weyl harmonics, dimensions, and the tensor
     decomposition round-trip."""
+    _check_k_max(k_max)
     rng = random.Random(seed)
     if q_pairs is None:
         q_pairs = [
@@ -362,6 +371,7 @@ def suite_harmonics(
 def suite_hahn(k_max: int = 8, d_max: int = 4, seed: int = 0) -> dict:
     """Identification of the symmetric radial family with the named
     hypergeometric families, plus the series-level identities."""
+    _check_k_max(k_max)
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     ok_hahn = True
@@ -413,6 +423,7 @@ def suite_hahn(k_max: int = 8, d_max: int = 4, seed: int = 0) -> dict:
 def suite_orthogonality(d: int, k_max: int = 8, tol: float = 1e-8, seed: int = 0) -> dict:
     from .numerics import orthogonality_stable
 
+    _check_k_max(k_max)
     res = orthogonality_stable(d, k_max)
     off = np.array(res["normalized"], dtype=float).copy()
     np.fill_diagonal(off, 0.0)

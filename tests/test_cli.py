@@ -68,6 +68,12 @@ class TestElementCommands:
             (["normal-order", "a1^-3"],
              "exponent must be a nonnegative integer (at position 3)"),
             (["verify", "hahn", "--d", "0"], "d_max must be >= 1"),
+            # a negative top degree must not pass every case vacuously
+            (["omega", "--d", "1", "--q", "0", "--kmax", "-1"], "k_max must be >= 0"),
+            (["verify", "radial", "--kmax", "-1"], "k_max must be >= 0"),
+            (["verify", "harmonics", "--kmax", "-1"], "k_max must be >= 0"),
+            (["verify", "hahn", "--kmax", "-1"], "k_max must be >= 0"),
+            (["verify", "orthogonality", "--kmax", "-1"], "k_max must be >= 0"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
@@ -76,6 +82,22 @@ class TestElementCommands:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"weylharm: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["omega", "--d", "1", "--q", "0", "--k", "3"], "--k 3"),
+            (["eta", "--d", "1", "--q", "0", "--k", "1", "--js"], "--js"),
+            (["order", "z1", "--q", "1/2", "--js"], "--js"),
+            (["normal-order", "a1", "--js"], "--js"),
+        ],
+    )
+    def test_abbreviated_flag_rejected(self, capsys, argv, flag):
+        # "--k" must not run as "--kmax", nor "--js" as "--json"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestVerify:

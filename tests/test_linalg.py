@@ -25,30 +25,6 @@ def test_kernel_basis_known():
         assert total.is_zero()
 
 
-def test_solve_consistent_and_inconsistent():
-    rows = [
-        {0: gr(2), 1: gr(1), "__rhs__": gr(5)},
-        {0: gr(1), 1: gr(-1), "__rhs__": gr(1)},
-    ]
-    sol = linalg.solve(rows)
-    assert sol[0] == gr(2) and sol[1] == gr(1)
-
-    bad = [
-        {0: gr(1), "__rhs__": gr(1)},
-        {0: gr(1), "__rhs__": gr(2)},
-    ]
-    assert linalg.solve(bad) is None
-
-
-def test_solve_underdetermined_free_columns_zero():
-    rows = [{0: gr(1), 1: gr(1), "__rhs__": gr(3)}]
-    sol = linalg.solve(rows)
-    # particular solution with the free column at zero still satisfies
-    x0 = sol.get(0, GaussRational(0))
-    x1 = sol.get(1, GaussRational(0))
-    assert x0 + x1 == gr(3)
-
-
 def test_randomized_rank_and_kernel_consistency():
     rng = random.Random(7)
     for _ in range(20):

@@ -11,7 +11,6 @@ from weylharm.numerics import (
     BranchCutProximityError,
     QuadratureSpec,
     StepSizeError,
-    exact_float_bridge_error,
     genfun_eval,
     genfun_ode_residual,
     genfun_singularity_radius,
@@ -207,6 +206,19 @@ class TestGenFun:
         # a coarse step cannot pass the halved-step consistency check
         with pytest.raises(StepSizeError):
             genfun_ode_residual(Fraction(1, 4), 1, 0.5, 0.0, step=0.2)
+
+
+def exact_float_bridge_error(ctx, k, points):
+    """Largest relative gap between exact and float evaluation of omega_k."""
+    w = omega_by_raising(ctx, k)
+    worst = 0.0
+    for x in points:
+        exact = w(x)
+        exact_f = complex(float(exact.re), float(exact.im))
+        approx = unipoly_eval_float(w, float(x))
+        denom = max(abs(exact_f), 1.0)
+        worst = max(worst, abs(approx - exact_f) / denom)
+    return worst
 
 
 def test_exact_float_bridge():

@@ -24,7 +24,13 @@ from weylharm.ordering import (
 from weylharm.poly import CPolynomial, deriv_z, deriv_zbar
 from weylharm.scalars import GaussRational
 from weylharm.verify import Q_GRID, random_cpoly, random_weyl
-from weylharm.weyl import WeylElement, commutator, number_operator, weyl_mul
+from weylharm.weyl import (
+    NormalMonomial,
+    WeylElement,
+    commutator,
+    number_operator,
+    weyl_mul,
+)
 
 # ---------------------------------------------------------------------------
 # Independent oracle: full symmetrization over letter permutations
@@ -339,6 +345,85 @@ class TestDerivativeRelations:
                         assert order_q(
                             ctx, CPolynomial.zbar(d, j) * p
                         ) == apply_Mplus(ctx, j, w)
+
+
+# ---------------------------------------------------------------------------
+# The transferred triple against its product form
+# ---------------------------------------------------------------------------
+
+
+def _gens(d, j):
+    return WeylElement.annihilator(d, j), WeylElement.creator(d, j)
+
+
+def product_cal_R(ctx, w):
+    """(1-q)^2 sum a_j w a_j+  +  q(1-q) sum (w a_j+ a_j + a_j a_j+ w)
+    +  q^2 sum a_j+ w a_j, by general products."""
+    q, qc = ctx.q, ctx.q_complement
+    out = WeylElement.zero(ctx.d)
+    for j in range(1, ctx.d + 1):
+        a, c = _gens(ctx.d, j)
+        out = out + weyl_mul(weyl_mul(a, w), c).scale(qc * qc)
+        out = out + (
+            weyl_mul(w, weyl_mul(c, a)) + weyl_mul(weyl_mul(a, c), w)
+        ).scale(q * qc)
+        out = out + weyl_mul(weyl_mul(c, w), a).scale(q * q)
+    return out
+
+
+def product_cal_L(ctx, w):
+    """- sum_j [a_j, [a_j+, w]], by general products."""
+    out = WeylElement.zero(ctx.d)
+    for j in range(1, ctx.d + 1):
+        a, c = _gens(ctx.d, j)
+        out = out - commutator(a, commutator(c, w))
+    return out
+
+
+def product_cal_E(ctx, w):
+    """d w - sum_j (1-q)(a_j [a_j+, w] - [a_j, w] a_j+)
+    + q([a_j+, w] a_j - a_j+ [a_j, w]), by general products."""
+    q, qc = ctx.q, ctx.q_complement
+    out = w.scale(ctx.d)
+    for j in range(1, ctx.d + 1):
+        a, c = _gens(ctx.d, j)
+        bracket_c = commutator(c, w)
+        bracket_a = commutator(a, w)
+        out = out - (weyl_mul(a, bracket_c) - weyl_mul(bracket_a, c)).scale(qc)
+        out = out - (weyl_mul(bracket_c, a) - weyl_mul(c, bracket_a)).scale(q)
+    return out
+
+
+gauss = st.builds(
+    GaussRational,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def weyl_elements(draw):
+    """A WeylElement over d <= 3 modes with up to 4 terms of degree <= 5."""
+    d = draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        left, exps = draw(st.integers(0, 5)), []
+        for _ in range(2 * d):
+            exps.append(draw(st.integers(0, left)))
+            left -= exps[-1]
+        exps = draw(st.permutations(exps))
+        terms[NormalMonomial(tuple(exps[:d]), tuple(exps[d:]))] = draw(gauss)
+    return WeylElement(d, terms)
+
+
+class TestTripleClosedForm:
+    @given(q_values, weyl_elements())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_product_form(self, q, w):
+        ctx = OrderingContext(w.d, q)
+        assert cal_L(ctx, w) == product_cal_L(ctx, w)
+        assert cal_E(ctx, w) == product_cal_E(ctx, w)
+        assert cal_R(ctx, w) == product_cal_R(ctx, w)
 
 
 class TestTransferredTriple:

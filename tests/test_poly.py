@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylharm import linalg
+from weylharm.linalg import _col_key, _reduce_against
 from weylharm.poly import (
     CMonomial,
     CPolynomial,
@@ -20,7 +22,7 @@ from weylharm.poly import (
     op_R,
     op_euler,
 )
-from weylharm.scalars import GR_ONE, GaussRational
+from weylharm.scalars import GR_ONE, GR_ZERO, GaussRational
 from weylharm.verify import (
     _homogeneous_monomials,
     harmonic_basis,
@@ -31,6 +33,66 @@ from weylharm.verify import (
 # ---------------------------------------------------------------------------
 # Independent oracle: harmonic decomposition by brute-force linear solve
 # ---------------------------------------------------------------------------
+
+
+def solve(rows, rhs_key="__rhs__"):
+    """Solve the system encoded as augmented rows {col: a, rhs_key: b}.
+
+    Returns a particular solution {column: value} with free columns at
+    zero, or None when the system is inconsistent.  The rhs column is
+    never chosen as a pivot.
+    """
+    pivots: dict = {}
+    for row in rows:
+        if not row:
+            continue
+        reduced = _reduce_against(row, pivots)
+        if not reduced:
+            continue
+        unknown_cols = [c for c in reduced if c != rhs_key]
+        if not unknown_cols:
+            return None  # 0 = nonzero rhs
+        col = min(unknown_cols, key=_col_key)
+        inv = GR_ONE / reduced[col]
+        pivots[col] = {c: v * inv for c, v in reduced.items()}
+    solution: dict = {}
+    for col in reversed(list(pivots)):
+        prow = pivots[col]
+        value = prow.get(rhs_key, GR_ZERO)
+        for c, v in prow.items():
+            if c == col or c == rhs_key:
+                continue
+            value = value - v * solution.get(c, GR_ZERO)
+        solution[col] = value
+    return solution
+
+
+def gr(x):
+    return GaussRational(Fraction(x))
+
+
+def test_solve_consistent_and_inconsistent():
+    rows = [
+        {0: gr(2), 1: gr(1), "__rhs__": gr(5)},
+        {0: gr(1), 1: gr(-1), "__rhs__": gr(1)},
+    ]
+    sol = solve(rows)
+    assert sol[0] == gr(2) and sol[1] == gr(1)
+
+    bad = [
+        {0: gr(1), "__rhs__": gr(1)},
+        {0: gr(1), "__rhs__": gr(2)},
+    ]
+    assert solve(bad) is None
+
+
+def test_solve_underdetermined_free_columns_zero():
+    rows = [{0: gr(1), 1: gr(1), "__rhs__": gr(3)}]
+    sol = solve(rows)
+    # particular solution with the free column at zero still satisfies
+    x0 = sol.get(0, GaussRational(0))
+    x1 = sol.get(1, GaussRational(0))
+    assert x0 + x1 == gr(3)
 
 
 def oracle_harmonic_decompose(p):
@@ -63,7 +125,7 @@ def oracle_harmonic_decompose(p):
             for nu, c in op_L(CPolynomial(d, {mu: GR_ONE})).terms.items():
                 images.setdefault(nu, {})[(j, mu)] = c
         rows.extend(dict(row) for row in images.values())
-    solution = linalg.solve(rows)
+    solution = solve(rows)
     assert solution is not None
     out = []
     for j in range(jmax + 1):
@@ -154,6 +216,22 @@ class TestTriple:
                 assert op_R(op_L(p)) - op_L(op_R(p)) == -op_E(p)
                 assert op_E(op_R(p)) - op_R(op_E(p)) == op_R(p).scale(2)
                 assert op_E(op_L(p)) - op_L(op_E(p)) == op_L(p).scale(-2)
+
+    @given(st.integers(1, 3), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_against_products_and_derivatives(self, d, deg, seed):
+        # R is the product with r^2, L the per-mode second derivative, and
+        # E the Euler operator sum_j (z_j d/dz_j + zbar_j d/dzbar_j) plus d
+        p = random_cpoly(random.Random(seed), d, deg)
+        assert op_R(p) == CPolynomial.radius_squared(d) * p
+        lap = CPolynomial.zero(d)
+        euler = p.scale(d)
+        for j in range(1, d + 1):
+            lap = lap + deriv_z(deriv_zbar(p, j), j)
+            euler = euler + CPolynomial.z(d, j) * deriv_z(p, j)
+            euler = euler + CPolynomial.zbar(d, j) * deriv_zbar(p, j)
+        assert op_L(p) == lap
+        assert op_E(p) == euler
 
     def test_derivatives(self):
         p = CPolynomial.monomial(2, (2, 0), (0, 1))
