@@ -46,8 +46,17 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one ``prog: error: msg`` line with
+    exit status 2, like every other bad input.  `add_subparsers` makes the
+    subcommand parsers of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weylharm",
         description="Exact q-ordered Weyl algebra kernel and verification suites.",
     )
@@ -130,7 +139,7 @@ def _print_report(report: dict, as_json: bool) -> None:
 
 def main(argv=None) -> int:
     """Run one command.  Exit status: 0 pass, 1 a verification case
-    failed, 2 bad input (one line on stderr, as argparse does)."""
+    failed, 2 bad input, usage errors included (one line on stderr)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     # Bad input surfaces as ValueError or IndexError: ParseError,

@@ -131,7 +131,7 @@ def order_q(ctx: OrderingContext, p: CPolynomial) -> WeylElement:
     """The ordering map, linear over Q(i)."""
     if p.d != ctx.d:
         raise ModeMismatchError(f"polynomial has d={p.d}, context d={ctx.d}")
-    return WeylElement(ctx.d, _closed_form(
+    return WeylElement._trusted(ctx.d, _closed_form(
         p.terms, ctx.q_complement, lambda a, b: NormalMonomial(b, a)
     ))
 
@@ -154,7 +154,8 @@ def b_element(ctx: OrderingContext, l: int, j: int, k: int) -> WeylElement:
 def unorder_q(ctx: OrderingContext, w: WeylElement) -> CPolynomial:
     """Inverse of the ordering map: the closed form with -(1-q) for 1-q."""
     _check_w(ctx, w)
-    return CPolynomial(ctx.d, _closed_form(w.terms, -ctx.q_complement, CMonomial))
+    return CPolynomial._trusted(
+        ctx.d, _closed_form(w.terms, -ctx.q_complement, CMonomial))
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ class CPolynomial(TermMap):
                 )
                 cur = acc.get(mono)
                 acc[mono] = c1 * c2 if cur is None else cur + c1 * c2
-        return CPolynomial(self.d, acc)
+        return CPolynomial._trusted(self.d, acc)
 
     def is_homogeneous(self) -> bool:
         degs = {m.degree for m in self.terms}
@@ -115,7 +115,7 @@ def _shift_diagonal(p: TermMap, step: int, weight) -> TermMap:
             )
             cur = acc.get(mono)
             acc[mono] = c * w if cur is None else cur + c * w
-    return cls(p.d, acc)
+    return cls._trusted(p.d, acc)
 
 
 def op_R(p: TermMap) -> TermMap:
@@ -130,7 +130,7 @@ def op_L(p: TermMap) -> TermMap:
 
 def op_E(p: TermMap) -> TermMap:
     """Symmetrized Euler operator: degree + d on each monomial."""
-    return type(p)(p.d, {m: c * (m.degree + p.d) for m, c in p.terms.items()})
+    return p._trusted(p.d, {m: c * (m.degree + p.d) for m, c in p.terms.items()})
 
 
 def op_euler(p: CPolynomial) -> CPolynomial:

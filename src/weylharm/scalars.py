@@ -1,9 +1,11 @@
 """Exact scalar arithmetic: Gaussian rationals and univariate polynomials.
 
-Every coefficient in the package lives in Q(i), the field of complex
-numbers with arbitrary-precision rational real and imaginary parts.
-``fractions.Fraction`` supplies the rational substrate, so canonical form
-(reduced, positive denominator) is maintained automatically.
+Every coefficient in the package lives in Q(i).  A `GaussRational` stores
+three ints ``(n, m, den)`` for (n + m*i)/den, one numerator per part over a
+shared denominator as in FLINT's ``fmpq_poly``, in the canonical form den > 0
+and gcd(n, m, den) = 1 (zero is (0, 0, 1)), so equal values have equal
+parts.  One three-way gcd, skipped when den = 1, restores that form after
+each operation.  ``re`` and ``im`` read as reduced ``fractions.Fraction``s.
 
 All values are immutable; operations return fresh objects and never
 mutate their arguments.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
@@ -36,17 +39,50 @@ def as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _power(base, n: int, one):
+    """base**n by repeated squaring, for any value with a product."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("only nonnegative integer powers")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+def _parts(x: ScalarLike) -> tuple:
+    """(n, m, den) of any exact scalar, in canonical form."""
+    if isinstance(x, GaussRational):
+        return x.n, x.m, x.den
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
 class GaussRational:
-    """An exact complex number ``re + im*i`` with Fraction components."""
+    """An exact complex number (n + m*i)/den over ints in canonical form."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("n", "m", "den")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", as_fraction(re))
-        object.__setattr__(self, "im", as_fraction(im))
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0):
+        a, b = as_fraction(re), as_fraction(im)
+        return _gr(a.numerator * b.denominator, b.numerator * a.denominator,
+                   a.denominator * b.denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.n, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.m, self.den)
 
     # -- conversions ---------------------------------------------------
 
@@ -54,7 +90,7 @@ class GaussRational:
     def coerce(x: ScalarLike) -> "GaussRational":
         if isinstance(x, GaussRational):
             return x
-        return GaussRational(as_fraction(x))
+        return _gr(*_parts(x))
 
     @classmethod
     def parse(cls, text: str) -> "GaussRational":
@@ -62,126 +98,97 @@ class GaussRational:
         m = _LITERAL_RE.match(text)
         if m is None:
             raise ValueError(f"not an exact Gaussian-rational literal: {text!r}")
-        re_part = Fraction(0)
-        im_part = Fraction(0)
-        sgn1 = -1 if m.group("sign1") == "-" else 1
-        if m.group("lone1"):
-            im_part += sgn1
-        else:
-            val = Fraction(m.group("c1"))
-            if m.group("i1"):
-                im_part += sgn1 * val
-            else:
-                re_part += sgn1 * val
-        if m.group("sign2"):
-            sgn2 = -1 if m.group("sign2") == "-" else 1
-            if m.group("lone2"):
-                im_part += sgn2
-            else:
-                val = Fraction(m.group("c2"))
-                if m.group("i2"):
-                    im_part += sgn2 * val
-                else:
-                    re_part += sgn2 * val
-        return cls(re_part, im_part)
+        z = GR_ZERO
+        for k in "12":
+            if m["c" + k] is None and m["lone" + k] is None:
+                continue  # no second term
+            value = Fraction(m["c" + k] or 1)
+            if m["sign" + k] == "-":
+                value = -value
+            z = z + (value * GR_I if m["lone" + k] or m["i" + k] else value)
+        return z
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
     # -- arithmetic ----------------------------------------------------
     #
-    # Results are built by ``_gr`` from parts that are already Fractions,
-    # and int/Fraction operands never become a GaussRational first.  Most
-    # values in the package are real, so a zero imaginary part is passed
-    # through instead of being added or multiplied: a product with a real
-    # factor costs two Fraction products, and real x real costs one.
+    # Each operation works on the ints and ends in `_gr`.  Most values
+    # in the package are real, so a zero imaginary part skips its products.
 
     def __add__(self, other: ScalarLike) -> "GaussRational":
-        if isinstance(other, GaussRational):
-            im, oim = self.im, other.im
-            return _gr(self.re + other.re, im + oim if oim else im)
-        return _gr(self.re + as_fraction(other), self.im)
+        c, e, f = _parts(other)
+        a, b, den = self.n, self.m, self.den
+        if den == f:
+            return _gr(a + c, b + e, den)
+        return _gr(a * f + c * den, b * f + e * den, den * f)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussRational":
-        if isinstance(other, GaussRational):
-            im, oim = self.im, other.im
-            return _gr(self.re - other.re, im - oim if oim else im)
-        return _gr(self.re - as_fraction(other), self.im)
+        c, e, f = _parts(other)
+        a, b, den = self.n, self.m, self.den
+        if den == f:
+            return _gr(a - c, b - e, den)
+        return _gr(a * f - c * den, b * f - e * den, den * f)
 
     def __rsub__(self, other: ScalarLike) -> "GaussRational":
-        return _gr(as_fraction(other) - self.re, -self.im)
+        return GaussRational.coerce(other).__sub__(self)
 
     def __mul__(self, other: ScalarLike) -> "GaussRational":
-        re, im = self.re, self.im
-        if not isinstance(other, GaussRational):
-            other = as_fraction(other)
-            return _gr(re * other, im * other if im else im)
-        ore, oim = other.re, other.im
-        if not oim:
-            return _gr(re * ore, im * ore if im else im)
-        if not im:
-            return _gr(re * ore, re * oim)
-        return _gr(re * ore - im * oim, re * oim + im * ore)
+        c, e, f = _parts(other)
+        a, b = self.n, self.m
+        if not e:
+            return _gr(a * c, b * c, self.den * f)
+        return _gr(a * c - b * e, a * e + b * c, self.den * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "GaussRational":
-        other = GaussRational.coerce(other)
-        n = other.norm_squared()
-        if n == 0:
+        # (a + bi)/den / ((c + ei)/f) = f (a + bi)(c - ei) / (den (c^2 + e^2))
+        c, e, f = _parts(other)
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a, b = self.n, self.m
+        return _gr(f * (a * c + b * e), f * (b * c - a * e), self.den * norm)
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussRational":
         return GaussRational.coerce(other).__truediv__(self)
 
     def __neg__(self) -> "GaussRational":
-        return _gr(-self.re, -self.im)
+        return _gr(-self.n, -self.m, self.den)
 
     def __pow__(self, n: int) -> "GaussRational":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = GR_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, GR_ONE)
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return _gr(self.n, -self.m, self.den)
 
     def norm_squared(self) -> Fraction:
         """|z|^2 = re^2 + im^2, always a nonnegative Fraction."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.n * self.n + self.m * self.m, self.den * self.den)
 
     # -- structure -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.n and not self.m
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self.m
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.n or self.m)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GaussRational(other)
-        if not isinstance(other, GaussRational):
+        try:
+            c, e, f = _parts(other)
+        except TypeError:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.n == c and self.m == e and self.den == f
 
     def __hash__(self) -> int:
-        if not self.im:
+        if not self.m:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -193,15 +200,21 @@ class GaussRational:
 
 
 _new = object.__new__
-_set_re = GaussRational.re.__set__
-_set_im = GaussRational.im.__set__
+_set_n = GaussRational.n.__set__
+_set_m = GaussRational.m.__set__
+_set_den = GaussRational.den.__set__
 
 
-def _gr(re: Fraction, im: Fraction) -> GaussRational:
-    """Build a GaussRational from parts that are already Fractions."""
+def _gr(n: int, m: int, den: int) -> GaussRational:
+    """Build (n + m*i)/den in canonical form from any ints with den > 0."""
+    if den != 1:
+        g = gcd(n, m, den)
+        if g != 1:
+            n, m, den = n // g, m // g, den // g
     z = _new(GaussRational)
-    _set_re(z, re)
-    _set_im(z, im)
+    _set_n(z, n)
+    _set_m(z, m)
+    _set_den(z, den)
     return z
 
 
@@ -243,9 +256,15 @@ class UniPoly:
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [GaussRational.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _stripped(cs))
+
+    @staticmethod
+    def _trusted(cs: list) -> "UniPoly":
+        """Build from a list of GaussRationals made by internal arithmetic;
+        trailing zeros are stripped, nothing is coerced."""
+        p = _new(UniPoly)
+        _set_coeffs(p, _stripped(cs))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -293,7 +312,7 @@ class UniPoly:
         out = list(a)
         for k, c in enumerate(b):
             out[k] = out[k] + c
-        return UniPoly(out)
+        return UniPoly._trusted(out)
 
     __radd__ = __add__
 
@@ -304,12 +323,12 @@ class UniPoly:
         return UniPoly._coerce(other) - self
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return UniPoly._trusted([-c for c in self.coeffs])
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction, GaussRational)):
             c = GaussRational.coerce(other)
-            return UniPoly(tuple(a * c for a in self.coeffs))
+            return UniPoly._trusted([a * c for a in self.coeffs])
         other = UniPoly._coerce(other)
         if self.is_zero() or other.is_zero():
             return UP_ZERO
@@ -319,25 +338,16 @@ class UniPoly:
                 continue
             for k, b in enumerate(other.coeffs):
                 out[j + k] = out[j + k] + a * b
-        return UniPoly(out)
+        return UniPoly._trusted(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: ScalarLike) -> "UniPoly":
         c = GaussRational.coerce(scalar)
-        return UniPoly(tuple(a / c for a in self.coeffs))
+        return UniPoly._trusted([a / c for a in self.coeffs])
 
     def __pow__(self, n: int) -> "UniPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = UP_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, UP_ONE)
 
     # -- evaluation and composition --------------------------------------
 
@@ -373,7 +383,7 @@ class UniPoly:
             for k in range(1, n):
                 power = power * a
                 cs[k] = cs[k] * power
-        return UniPoly(cs)
+        return UniPoly._trusted(cs)
 
     def compose_shift(self, shift: ScalarLike) -> "UniPoly":
         """Return t |-> p(t + shift)."""
@@ -404,6 +414,16 @@ class UniPoly:
 
     def __str__(self) -> str:
         return format_unipoly(self)
+
+
+_set_coeffs = UniPoly.coeffs.__set__
+
+
+def _stripped(cs: list) -> tuple:
+    """The coefficient list without trailing zeros, as a tuple."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
 
 
 UP_ZERO = UniPoly()

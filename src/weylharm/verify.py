@@ -15,8 +15,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .ordering import OrderingContext, cal_E, cal_L, cal_R, order_q
 from .poly import (
@@ -136,10 +134,11 @@ def report_failed(report: dict) -> bool:
     return any(c["status"] != "PASS" for c in report["cases"])
 
 
-def _check_k_max(k_max: int) -> None:
-    # a negative top degree would empty every loop and pass vacuously
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+def _check_sizes(**sizes: int) -> None:
+    # a negative size would empty every loop and pass vacuously
+    for name, value in sizes.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +148,7 @@ def _check_k_max(k_max: int) -> None:
 
 def suite_sl2(d: int, q: Fraction, deg: int = 4, count: int = 20, seed: int = 0) -> dict:
     """Commutation relations of the triple, on both algebras."""
+    _check_sizes(deg=deg, count=count)
     rng = random.Random(seed)
     ctx = OrderingContext(d, q)
     ok_p = [True, True, True]
@@ -176,6 +176,7 @@ def suite_intertwine(
     d: int, q: Fraction, deg: int = 4, count: int = 20, seed: int = 0
 ) -> dict:
     """Ordering map commutes with the triple on homogeneous inputs."""
+    _check_sizes(deg=deg, count=count)
     rng = random.Random(seed)
     ctx = OrderingContext(d, q)
     ok = [True, True, True]
@@ -198,7 +199,7 @@ def suite_intertwine(
 
 
 def omega_table(d: int, q: Fraction, k_max: int) -> list:
-    _check_k_max(k_max)
+    _check_sizes(k_max=k_max)
     ctx = RadialContext(d, q)
     return [
         {"k": k, "coeffs": [str(c) for c in omega(ctx, k).coeffs]}
@@ -208,7 +209,7 @@ def omega_table(d: int, q: Fraction, k_max: int) -> list:
 
 def suite_radial(d: int, q: Fraction, k_max: int = 8, seed: int = 0) -> dict:
     """The radial tower: all computation routes and their certificates."""
-    _check_k_max(k_max)
+    _check_sizes(k_max=k_max)
     ctx = RadialContext(d, q)
     weyl_k = min(k_max, 6)
     ok_triple = all(
@@ -294,7 +295,7 @@ def suite_harmonics(
 ) -> dict:
     """q-independence of Weyl harmonics, dimensions, and the tensor
     decomposition round-trip."""
-    _check_k_max(k_max)
+    _check_sizes(k_max=k_max, count=count, deg=deg)
     rng = random.Random(seed)
     if q_pairs is None:
         q_pairs = [
@@ -371,7 +372,7 @@ def suite_harmonics(
 def suite_hahn(k_max: int = 8, d_max: int = 4, seed: int = 0) -> dict:
     """Identification of the symmetric radial family with the named
     hypergeometric families, plus the series-level identities."""
-    _check_k_max(k_max)
+    _check_sizes(k_max=k_max)
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     ok_hahn = True
@@ -421,9 +422,11 @@ def suite_hahn(k_max: int = 8, d_max: int = 4, seed: int = 0) -> dict:
 
 
 def suite_orthogonality(d: int, k_max: int = 8, tol: float = 1e-8, seed: int = 0) -> dict:
+    import numpy as np  # here, so that the exact CLI verbs never import it
+
     from .numerics import orthogonality_stable
 
-    _check_k_max(k_max)
+    _check_sizes(k_max=k_max)
     res = orthogonality_stable(d, k_max)
     off = np.array(res["normalized"], dtype=float).copy()
     np.fill_diagonal(off, 0.0)
@@ -458,6 +461,7 @@ def suite_genfun(
         unipoly_eval_float,
     )
 
+    _check_sizes(order=order)
     cases = []
     if q == Fraction(1, 2):
         worst = 0.0

@@ -22,7 +22,7 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
-from .scalars import GR_ONE, GR_ZERO, GaussRational, ScalarLike
+from .scalars import GR_ONE, GR_ZERO, GaussRational, ScalarLike, _power
 
 
 class ModeMismatchError(ValueError):
@@ -93,6 +93,16 @@ class TermMap:
                 clean[mono] = coeff
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "terms", MappingProxyType(clean))
+
+    @classmethod
+    def _trusted(cls, d: int, terms: dict):
+        """Build from an internal accumulator: GaussRational coefficients on
+        monomials of d modes.  Zeros are dropped; nothing is re-validated."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "d", d)
+        clean = {m: c for m, c in terms.items() if c}
+        object.__setattr__(x, "terms", MappingProxyType(clean))
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -177,7 +187,7 @@ class TermMap:
         for mono, c in other.terms.items():
             cur = out.get(mono)
             out[mono] = c if cur is None else cur + c
-        return type(self)(self.d, out)
+        return self._trusted(self.d, out)
 
     __radd__ = __add__
 
@@ -187,13 +197,13 @@ class TermMap:
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.d, {m: -c for m, c in self.terms.items()})
+        return self._trusted(self.d, {m: -c for m, c in self.terms.items()})
 
     def scale(self, coeff: ScalarLike):
         c = GaussRational.coerce(coeff)
         if c.is_zero():
             return self.zero(self.d)
-        return type(self)(self.d, {m: v * c for m, v in self.terms.items()})
+        return self._trusted(self.d, {m: v * c for m, v in self.terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):
@@ -201,16 +211,7 @@ class TermMap:
         return NotImplemented
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = self.one(self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, self.one(self.d))
 
     # -- serialization --------------------------------------------------------
 
@@ -311,7 +312,7 @@ def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
                 mono = NormalMonomial(beta, alpha)
                 cur = acc.get(mono)
                 acc[mono] = c12 * weight if cur is None else cur + c12 * weight
-    return WeylElement(d, acc)
+    return WeylElement._trusted(d, acc)
 
 
 def commutator(x: WeylElement, y: WeylElement) -> WeylElement:

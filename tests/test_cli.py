@@ -1,10 +1,15 @@
 """Command surface: subcommands, exit codes, deterministic JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from weylharm.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +79,14 @@ class TestElementCommands:
             (["verify", "harmonics", "--kmax", "-1"], "k_max must be >= 0"),
             (["verify", "hahn", "--kmax", "-1"], "k_max must be >= 0"),
             (["verify", "orthogonality", "--kmax", "-1"], "k_max must be >= 0"),
+            # nor a negative count, degree or order
+            (["verify", "sl2", "--count", "-1"], "count must be >= 0"),
+            (["verify", "intertwine", "--count", "-1"], "count must be >= 0"),
+            (["verify", "harmonics", "--count", "-1"], "count must be >= 0"),
+            (["verify", "genfun", "--order", "-1"], "order must be >= 0"),
+            (["verify", "sl2", "--deg", "-1"], "deg must be >= 0"),
+            (["verify", "intertwine", "--deg", "-1"], "deg must be >= 0"),
+            (["verify", "harmonics", "--deg", "-1"], "deg must be >= 0"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
@@ -98,6 +111,43 @@ class TestElementCommands:
             main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["order", "z1", "--q", "1/2", "--bogus"],
+             "weylharm: error: unrecognized arguments: --bogus"),
+            (["order", "z1", "--q", "1/2", "--js"],
+             "weylharm: error: unrecognized arguments: --js"),
+            (["order", "--q", "1/2"],
+             "weylharm order: error: the following arguments are required: expression"),
+            ([], "weylharm: error: the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv, line):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err == line + "\n"
+
+    def test_exact_verbs_never_import_numpy(self):
+        # numpy serves only the float suites; the exact verbs must not pay
+        # for importing it
+        script = (
+            "import sys\n"
+            "import weylharm.cli as cli\n"
+            "assert 'numpy' not in sys.modules, 'imported by weylharm.cli'\n"
+            "assert cli.main(['order', 'z1', '--q', '1/2']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'imported by the order verb'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "a1\n"
 
 
 class TestVerify:

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic tests."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -241,3 +242,136 @@ class TestComposeLinearAgainstHorner:
         assert p.compose_linear(0, c) == UniPoly.constant(p(c))
         assert p.compose_linear(c, 0) == horner_compose_linear(p, c, 0)
         assert p.compose_linear(1, 0) == p
+
+
+# ---------------------------------------------------------------------------
+# The (n, m, den) representation against the textbook formula
+# ---------------------------------------------------------------------------
+
+# Numerators of at least 2^64 next to small ones, and denominators that
+# differ, so that both the cross-product path and the same-denominator path
+# of every operation run.
+huge_ints = st.builds(lambda v, sign: sign * v,
+                      st.integers(min_value=2**64, max_value=2**90),
+                      st.sampled_from([1, -1]))
+wide_fractions = st.one_of(
+    small_fractions,
+    st.builds(Fraction, huge_ints, st.integers(min_value=1, max_value=2**70)),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9), huge_ints),
+)
+gauss_wide = st.one_of(
+    gauss_mixed,
+    st.builds(GaussRational, wide_fractions, ZERO),
+    st.builds(GaussRational, wide_fractions, wide_fractions),
+)
+# y = x or conj(x) plus an integer has exactly the denominator of x
+same_den_pairs = st.builds(
+    lambda x, conj, k: (x, (x.conjugate() if conj else x) + k),
+    gauss_wide, st.booleans(), st.integers(min_value=-9, max_value=9),
+)
+wide_operands = st.one_of(
+    st.tuples(gauss_wide, gauss_wide),
+    same_den_pairs,
+    st.tuples(gauss_wide, st.one_of(st.integers(min_value=-7, max_value=7),
+                                    huge_ints, wide_fractions)),
+    st.tuples(st.one_of(huge_ints, wide_fractions), gauss_wide),
+)
+
+
+def assert_canonical(z):
+    """den > 0, gcd(n, m, den) = 1, zero is (0, 0, 1), and re/im are the
+    reduced Fractions n/den and m/den."""
+    assert all(type(v) is int for v in (z.n, z.m, z.den))
+    assert z.den > 0 and gcd(z.n, z.m, z.den) == 1
+    if not z.n and not z.m:
+        assert (z.n, z.m, z.den) == (0, 0, 1)
+    for part, num in ((z.re, z.n), (z.im, z.m)):
+        assert type(part) is Fraction
+        assert gcd(part.numerator, part.denominator) == 1
+        assert part == Fraction(num, z.den)
+
+
+def textbook_div(x, y):
+    a, b = fraction_parts(x)
+    c, d = fraction_parts(y)
+    norm = c * c + d * d
+    return (a * c + b * d) / norm, (b * c - a * d) / norm
+
+
+WIDE_OPS = dict(OPS, **{"/": lambda x, y: x / y})
+
+
+class TestRepresentation:
+    @given(st.sampled_from(sorted(WIDE_OPS)), wide_operands)
+    @settings(max_examples=400)
+    def test_ops_canonical_and_match_textbook(self, op, operands):
+        x, y = operands
+        if op == "/":
+            if not fraction_parts(y)[0] and not fraction_parts(y)[1]:
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+                return
+            expected = textbook_div(x, y)
+        else:
+            expected = textbook(op, x, y)
+        z = WIDE_OPS[op](x, y)
+        assert_canonical(z)
+        assert_is(z, *expected)
+
+    @given(gauss_wide)
+    @settings(max_examples=150)
+    def test_unary_ops(self, x):
+        a, b = x.re, x.im
+        assert_canonical(x)
+        for z, expected in ((-x, (-a, -b)), (x.conjugate(), (a, -b))):
+            assert_canonical(z)
+            assert_is(z, *expected)
+        norm = x.norm_squared()
+        assert type(norm) is Fraction and norm == a * a + b * b
+
+    @given(gauss_wide, st.integers(min_value=0, max_value=7))
+    @settings(max_examples=100)
+    def test_power_matches_repeated_textbook_product(self, x, k):
+        expected = (Fraction(1), Fraction(0))
+        for _ in range(k):
+            expected = textbook("*", GaussRational(*expected), x)
+        z = x**k
+        assert_canonical(z)
+        assert_is(z, *expected)
+
+    @given(st.one_of(st.integers(min_value=-7, max_value=7), huge_ints,
+                     wide_fractions),
+           wide_fractions)
+    @settings(max_examples=150)
+    def test_eq_and_hash_against_int_and_fraction(self, r, im):
+        z = GaussRational(r)
+        assert_canonical(z)
+        assert z == r and r == z and hash(z) == hash(r) == hash(Fraction(r))
+        w = GaussRational(r, im)
+        assert_canonical(w)
+        if im:
+            assert w != r and r != w
+            assert hash(w) == hash((Fraction(r), im))
+        else:
+            assert w == r and hash(w) == hash(r)
+
+    @given(gauss_wide)
+    @settings(max_examples=150)
+    def test_parse_format_round_trip(self, x):
+        y = GaussRational.parse(format_gauss(x))
+        assert_canonical(y)
+        assert (y.n, y.m, y.den) == (x.n, x.m, x.den)
+        assert hash(y) == hash(x)
+
+    def test_cancellation_gives_canonical_zero(self):
+        x = gr(Fraction(2**70 + 1, 3), Fraction(-5, 9))
+        for z in (x - x, x * 0, x + (-x), GR_ZERO * x, GaussRational(Fraction(0, 7))):
+            assert (z.n, z.m, z.den) == (0, 0, 1)
+            assert z == 0 and z == GR_ZERO and not z
+
+    def test_parts_are_read_only(self):
+        x = gr(Fraction(1, 2), Fraction(1, 3))
+        assert (x.n, x.m, x.den) == (3, 2, 6)
+        for name in ("n", "m", "den", "re", "im"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
