@@ -4,8 +4,8 @@ Every coefficient in the package lives in Q(i).  A `GaussRational` stores
 three ints ``(n, m, den)`` for (n + m*i)/den, one numerator per part over a
 shared denominator as in FLINT's ``fmpq_poly``, in the canonical form den > 0
 and gcd(n, m, den) = 1 (zero is (0, 0, 1)), so equal values have equal
-parts.  One three-way gcd, skipped when den = 1, restores that form after
-each operation.  ``re`` and ``im`` read as reduced ``fractions.Fraction``s.
+parts.  One three-way gcd restores that form after each operation.
+``re`` and ``im`` read as reduced ``fractions.Fraction``s.
 
 All values are immutable; operations return fresh objects and never
 mutate their arguments.
@@ -29,14 +29,6 @@ _LITERAL_RE = re.compile(
     rf"(?P<c2>{_RAT})\s*(?P<i2>\*\s*i)?|(?P<lone2>i)"
     rf")\s*)?$"
 )
-
-
-def as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 def _power(base, n: int, one):
@@ -69,9 +61,11 @@ class GaussRational:
     __slots__ = ("n", "m", "den")
 
     def __new__(cls, re: RationalLike = 0, im: RationalLike = 0):
-        a, b = as_fraction(re), as_fraction(im)
-        return _gr(a.numerator * b.denominator, b.numerator * a.denominator,
-                   a.denominator * b.denominator)
+        if isinstance(re, GaussRational) or isinstance(im, GaussRational):
+            raise TypeError("the parts of a GaussRational must be int or Fraction")
+        a, _, f = _parts(re)
+        b, _, g = _parts(im)
+        return _gr(a * g, b * f, f * g)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
@@ -119,8 +113,6 @@ class GaussRational:
     def __add__(self, other: ScalarLike) -> "GaussRational":
         c, e, f = _parts(other)
         a, b, den = self.n, self.m, self.den
-        if den == f:
-            return _gr(a + c, b + e, den)
         return _gr(a * f + c * den, b * f + e * den, den * f)
 
     __radd__ = __add__
@@ -128,8 +120,6 @@ class GaussRational:
     def __sub__(self, other: ScalarLike) -> "GaussRational":
         c, e, f = _parts(other)
         a, b, den = self.n, self.m, self.den
-        if den == f:
-            return _gr(a - c, b - e, den)
         return _gr(a * f - c * den, b * f - e * den, den * f)
 
     def __rsub__(self, other: ScalarLike) -> "GaussRational":
@@ -188,9 +178,8 @@ class GaussRational:
         return self.n == c and self.m == e and self.den == f
 
     def __hash__(self) -> int:
-        if not self.m:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        real = self.re
+        return hash((real, self.im)) if self.m else hash(real)
 
     def __repr__(self) -> str:
         return f"GaussRational({self.re!r}, {self.im!r})"
@@ -207,10 +196,9 @@ _set_den = GaussRational.den.__set__
 
 def _gr(n: int, m: int, den: int) -> GaussRational:
     """Build (n + m*i)/den in canonical form from any ints with den > 0."""
-    if den != 1:
-        g = gcd(n, m, den)
-        if g != 1:
-            n, m, den = n // g, m // g, den // g
+    g = gcd(n, m, den)
+    if g != 1:
+        n, m, den = n // g, m // g, den // g
     z = _new(GaussRational)
     _set_n(z, n)
     _set_m(z, m)
@@ -225,23 +213,13 @@ GR_I = GaussRational(0, 1)
 
 def format_gauss(z: GaussRational) -> str:
     """Render in the ``p/q+r/s*i`` literal grammar (parse-compatible)."""
-    if z.is_zero():
-        return "0"
-    parts = []
-    if z.re:
-        parts.append(str(z.re))
-    if z.im:
-        if z.im == 1:
-            imtxt = "i"
-        elif z.im == -1:
-            imtxt = "-i"
-        else:
-            imtxt = f"{z.im}*i"
-        if parts and not imtxt.startswith("-"):
-            parts.append("+" + imtxt)
-        else:
-            parts.append(imtxt)
-    return "".join(parts)
+    real, imag = z.re, z.im
+    if not imag:
+        return str(real)
+    imtxt = {1: "i", -1: "-i"}.get(imag, f"{imag}*i")
+    if not real:
+        return imtxt
+    return f"{real}{imtxt}" if imtxt.startswith("-") else f"{real}+{imtxt}"
 
 
 class UniPoly:
@@ -254,16 +232,17 @@ class UniPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [GaussRational.coerce(c) for c in coeffs]
-        object.__setattr__(self, "coeffs", _stripped(cs))
+    def __new__(cls, coeffs: Iterable = ()):
+        return UniPoly._trusted([GaussRational.coerce(c) for c in coeffs])
 
     @staticmethod
     def _trusted(cs: list) -> "UniPoly":
         """Build from a list of GaussRationals made by internal arithmetic;
         trailing zeros are stripped, nothing is coerced."""
+        while cs and not cs[-1]:
+            cs.pop()
         p = _new(UniPoly)
-        _set_coeffs(p, _stripped(cs))
+        _set_coeffs(p, tuple(cs))
         return p
 
     def __setattr__(self, name, value):
@@ -417,13 +396,6 @@ class UniPoly:
 
 
 _set_coeffs = UniPoly.coeffs.__set__
-
-
-def _stripped(cs: list) -> tuple:
-    """The coefficient list without trailing zeros, as a tuple."""
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
 
 
 UP_ZERO = UniPoly()

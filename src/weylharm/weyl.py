@@ -77,22 +77,15 @@ class TermMap:
     __slots__ = ("d", "terms")
     _mono: type
 
-    def __init__(self, d: int, terms: dict | None = None):
+    def __new__(cls, d: int, terms: dict | None = None):
         if d < 1:
             raise ValueError("mode count d must be >= 1")
         clean: dict = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = GaussRational.coerce(coeff)
-                if coeff.is_zero():
-                    continue
-                if len(mono.beta) != d or len(mono.alpha) != d:
-                    raise ModeMismatchError(
-                        f"monomial {mono} does not have {d} modes"
-                    )
-                clean[mono] = coeff
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        for mono, coeff in (terms or {}).items():
+            clean[mono] = GaussRational.coerce(coeff)
+            if clean[mono] and (len(mono.beta) != d or len(mono.alpha) != d):
+                raise ModeMismatchError(f"monomial {mono} does not have {d} modes")
+        return cls._trusted(d, clean)
 
     @classmethod
     def _trusted(cls, d: int, terms: dict):

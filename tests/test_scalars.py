@@ -249,8 +249,8 @@ class TestComposeLinearAgainstHorner:
 # ---------------------------------------------------------------------------
 
 # Numerators of at least 2^64 next to small ones, and denominators that
-# differ, so that both the cross-product path and the same-denominator path
-# of every operation run.
+# differ or agree, so that the gcd of every result meets both coprime
+# denominators and a shared factor to cancel.
 huge_ints = st.builds(lambda v, sign: sign * v,
                       st.integers(min_value=2**64, max_value=2**90),
                       st.sampled_from([1, -1]))
