@@ -80,17 +80,14 @@ class QuadratureSpec:
 
     ``half_width`` is the truncation point T; the weight's exponential
     decay makes the tail O(T^(d-1) e^(-pi T/2)), reported by
-    `tail_bound`.  Schemes: "gauss-legendre-composite" (panels of equal
-    width, 20-point rule) or "adaptive-simpson".
+    `tail_bound`.  The rule is composite Gauss-Legendre: ``panel_count``
+    panels of equal width, 20 points each.
     """
 
     half_width: float
     panel_count: int
-    scheme: str = "gauss-legendre-composite"
 
     def __post_init__(self):
-        if self.scheme not in ("gauss-legendre-composite", "adaptive-simpson"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.half_width <= 0 or self.panel_count < 1:
             raise ValueError("need positive half_width and panel_count")
 
@@ -107,7 +104,7 @@ class QuadratureSpec:
         )
 
     def doubled(self) -> "QuadratureSpec":
-        return QuadratureSpec(self.half_width * 1.25, self.panel_count * 2, self.scheme)
+        return QuadratureSpec(self.half_width * 1.25, self.panel_count * 2)
 
 
 def _gauss_nodes(spec: QuadratureSpec):
@@ -120,34 +117,10 @@ def _gauss_nodes(spec: QuadratureSpec):
     return nodes, weights
 
 
-def _adaptive_simpson(f, a, b, tol, depth=40):
-    def simpson(x0, x2):
-        x1 = 0.5 * (x0 + x2)
-        return (x2 - x0) / 6.0 * (f(x0) + 4.0 * f(x1) + f(x2)), x1
-
-    def rec(x0, x2, whole, level):
-        s_left, x1 = simpson(x0, 0.5 * (x0 + x2))
-        s_right, _ = simpson(0.5 * (x0 + x2), x2)
-        if level <= 0:
-            raise RuntimeError("adaptive Simpson recursion limit hit")
-        if abs(s_left + s_right - whole) < 15.0 * tol:
-            return s_left + s_right + (s_left + s_right - whole) / 15.0
-        mid = 0.5 * (x0 + x2)
-        return rec(x0, mid, s_left, level - 1) + rec(mid, x2, s_right, level - 1)
-
-    whole, _ = simpson(a, b)
-    return rec(a, b, whole, depth)
-
-
-def integrate(f, spec: QuadratureSpec, tol: float = 1e-12) -> float:
+def integrate(f, spec: QuadratureSpec) -> float:
     """Integrate a vectorizable real function over [-T, T]."""
-    if spec.scheme == "gauss-legendre-composite":
-        nodes, weights = _gauss_nodes(spec)
-        return float(np.sum(weights * f(nodes)))
-    return float(
-        _adaptive_simpson(lambda x: float(f(np.asarray(x))), -spec.half_width,
-                          spec.half_width, tol)
-    )
+    nodes, weights = _gauss_nodes(spec)
+    return float(np.sum(weights * f(nodes)))
 
 
 def unipoly_eval_float(p: UniPoly, x) -> complex:
@@ -168,23 +141,11 @@ def orthogonality_matrix(d: int, k_max: int, spec: QuadratureSpec | None = None)
         spec = QuadratureSpec.for_orthogonality(d, k_max)
     polys = [g_poly_symmetric(d, k) for k in range(k_max + 1)]
     coeffs = [np.array([float(c.re) for c in p.coeffs]) for p in polys]
-    if spec.scheme == "gauss-legendre-composite":
-        nodes, weights = _gauss_nodes(spec)
-        rho = weight_rho(nodes, d)
-        values = np.stack([np.polyval(cs[::-1], nodes) for cs in coeffs])
-        weighted = values * (weights * rho)[None, :]
-        gram = weighted @ values.T
-    else:
-        gram = np.empty((k_max + 1, k_max + 1))
-        for m in range(k_max + 1):
-            for n in range(m + 1):
-                def f(x, cm=coeffs[m], cn=coeffs[n]):
-                    return (
-                        np.polyval(cm[::-1], x)
-                        * np.polyval(cn[::-1], x)
-                        * weight_rho(x, d)
-                    )
-                gram[m, n] = gram[n, m] = integrate(f, spec)
+    nodes, weights = _gauss_nodes(spec)
+    rho = weight_rho(nodes, d)
+    values = np.stack([np.polyval(cs[::-1], nodes) for cs in coeffs])
+    weighted = values * (weights * rho)[None, :]
+    gram = weighted @ values.T
     diag = np.diag(gram)
     normalized = np.abs(gram) / np.sqrt(np.outer(diag, diag))
     return {

@@ -190,7 +190,6 @@ def harmonic_decompose(p: CPolynomial) -> list:
     d = p.d
     m = p.degree()
     jmax = m // 2
-    r2 = CPolynomial.radius_squared(d)
     parts = [CPolynomial.zero(d)] * (jmax + 1)
     residual = p
     for j in range(jmax, -1, -1):
@@ -204,7 +203,9 @@ def harmonic_decompose(p: CPolynomial) -> list:
         h = lj.scale(Fraction(1, 1) / c) if c != 1 else lj
         parts[j] = h
         if j > 0:
-            residual = residual - (r2**j) * h
+            for _ in range(j):
+                h = op_R(h)
+            residual = residual - h
     return parts
 
 

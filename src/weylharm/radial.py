@@ -12,13 +12,12 @@ Quantities involving the irrational scale alpha = (q(1-q))^(-1/2) are
 never materialized: identities containing alpha are verified after
 pulling them back to Q with alpha^2 = 1/(q(1-q)).
 
-Five chains are memoised for the life of the process, each grown on
+Four chains are memoised for the life of the process, each grown on
 demand by one helper (`_chain_level`) and never rebuilt: `eta`, `omega`
 and `omega_by_raising` per (d, q), and per d the symmetric family
-`g_poly_symmetric` and the powers of the number operator that
-`express_in_N` peels with.  The three UniPoly chains hold only immutable
-values, so handing out a cached level cannot change a later result.  The
-WeylElements of the other two expose their `terms` as read-only
+`g_poly_symmetric`.  The three UniPoly chains hold only immutable values,
+so handing out a cached level cannot change a later result.  The
+WeylElements of `eta` expose their `terms` as read-only
 `MappingProxyType`s, so they cannot be changed either.
 """
 
@@ -26,12 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial, prod
 
 from .ordering import OrderingContext, cal_L, cal_R, order_q, unorder_q
 from .poly import harmonic_decompose
-from .scalars import GR_ONE, GaussRational, UniPoly
+from .scalars import GR_ONE, GR_ZERO, GaussRational, UniPoly
 from .specfun import hyp2F1_terminating_poly
-from .weyl import NormalMonomial, WeylElement, number_operator, weyl_mul
+from .weyl import WeylElement
 
 
 class NotRadialError(ValueError):
@@ -95,7 +95,6 @@ def _chain_level(cache: dict, key, seed: list, step, k: int):
 
 
 _eta_cache: dict = {}
-_n_power_cache: dict = {}
 
 
 def eta(ctx: RadialContext, k: int) -> WeylElement:
@@ -107,35 +106,39 @@ def eta(ctx: RadialContext, k: int) -> WeylElement:
                         lambda chain: cal_R(octx, chain[-1]), k)
 
 
-def _number_power(d: int, m: int) -> WeylElement:
-    return _chain_level(_n_power_cache, d, [WeylElement.unit(d), number_operator(d)],
-                        lambda chain: weyl_mul(chain[-1], chain[1]), m)
-
-
 def express_in_N(w: WeylElement) -> UniPoly:
     """Write w as a polynomial of the number operator, exactly.
 
-    Peels by total degree: the degree-2m part of p(N) comes only from the
-    N^m term, whose coefficient can be read off the normal monomial with
-    all m quanta in the first mode.  Raises NotRadialError when the
-    subtraction fails to exhaust a level.
+    The normal-ordered powers of N are its falling factorials:
+
+        :N^k: = sum_{|beta|=k} (k!/beta!) (a+)^beta a^beta = N(N-1)...(N-k+1),
+
+    because (a_j+)^m a_j^m acts on |n> as n_j(n_j-1)...(n_j-m+1) and the
+    multinomial Vandermonde identity sums the modes.  So w is radial exactly
+    when every term is diagonal and, at each level k = |beta|, all
+    C(k+d-1, d-1) diagonal monomials carry c_k k!/beta!; then w = omega(N)
+    with omega(t) = sum_k c_k t(t-1)...(t-k+1).  Raises NotRadialError
+    otherwise.
     """
     d = w.d
+    levels: dict = {}
+    for (beta, alpha), coeff in w.terms.items():
+        if beta != alpha:
+            raise NotRadialError("off-diagonal term cannot come from C[N]")
+        levels.setdefault(sum(beta), []).append((beta, coeff))
+    c = [GR_ZERO] * (max(levels, default=-1) + 1)
+    for k, terms in levels.items():
+        if len(terms) != comb(k + d - 1, d - 1):
+            raise NotRadialError(f"level {k} lacks diagonal monomials of :N^{k}:")
+        lead = (k,) + (0,) * (d - 1)
+        c[k] = w.coefficient(lead, lead)
+        for beta, coeff in terms:
+            if coeff != c[k] * (factorial(k) // prod(map(factorial, beta))):
+                raise NotRadialError(f"level {k} is not a multiple of :N^{k}:")
+    t = UniPoly.x()
     out = UniPoly()
-    residual = w
-    while not residual.is_zero():
-        deg = residual.degree()
-        if deg % 2:
-            raise NotRadialError("odd total degree cannot come from C[N]")
-        m = deg // 2
-        lead_mode = tuple(m if i == 0 else 0 for i in range(d))
-        c = residual.terms.get(NormalMonomial(lead_mode, lead_mode))
-        if c is None:
-            raise NotRadialError("missing diagonal leading monomial")
-        out = out + UniPoly([0] * m + [1]) * c
-        residual = residual - _number_power(d, m).scale(c)
-        if not residual.is_zero() and residual.degree() >= deg:
-            raise NotRadialError("element is not a polynomial of N")
+    for k in range(len(c) - 1, -1, -1):
+        out = out * (t - k) + c[k]
     return out
 
 

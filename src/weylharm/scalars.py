@@ -70,6 +70,9 @@ class GaussRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
 
+    def __reduce__(self):
+        return GaussRational, (self.re, self.im)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self.n, self.den)
@@ -247,6 +250,9 @@ class UniPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
+
+    def __reduce__(self):
+        return UniPoly, (self.coeffs,)
 
     @classmethod
     def constant(cls, c: ScalarLike) -> "UniPoly":

@@ -100,6 +100,9 @@ class TermMap:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.d, dict(self.terms))
+
     # -- constructors ----------------------------------------------------
 
     @classmethod

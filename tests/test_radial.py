@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from weylharm.radial import (
 )
 from weylharm.scalars import GR_ONE, GaussRational, UniPoly
 from weylharm.verify import Q_GRID, random_weyl
-from weylharm.weyl import WeylElement, number_operator, weyl_mul
+from weylharm.weyl import NormalMonomial, WeylElement, number_operator, weyl_mul
 
 T = UniPoly.x()
 RAISING_CONTEXTS = [(1, Fraction(1, 3)), (2, Fraction(1, 3)), (2, Fraction(2, 3))]
@@ -44,6 +45,64 @@ def poly_of_N(p: UniPoly, d: int) -> WeylElement:
     for k in range(p.degree, -1, -1):
         acc = weyl_mul(acc, n) + WeylElement.unit(d).scale(p[k])
     return acc
+
+
+@lru_cache(maxsize=None)
+def number_power(d: int, m: int) -> WeylElement:
+    """N^m over d modes as a Weyl product."""
+    if m == 0:
+        return WeylElement.unit(d)
+    return weyl_mul(number_power(d, m - 1), number_operator(d))
+
+
+def express_in_N_by_peeling(w: WeylElement) -> UniPoly:
+    """The Weyl-product route to `express_in_N`, kept as its oracle.
+
+    Peels by total degree: the degree-2m part of p(N) comes only from the
+    N^m term, whose coefficient can be read off the normal monomial with
+    all m quanta in the first mode.  Raises NotRadialError when the
+    subtraction fails to exhaust a level.
+    """
+    d = w.d
+    out = UniPoly()
+    residual = w
+    while not residual.is_zero():
+        deg = residual.degree()
+        if deg % 2:
+            raise NotRadialError("odd total degree cannot come from C[N]")
+        m = deg // 2
+        lead_mode = tuple(m if i == 0 else 0 for i in range(d))
+        c = residual.terms.get(NormalMonomial(lead_mode, lead_mode))
+        if c is None:
+            raise NotRadialError("missing diagonal leading monomial")
+        out = out + UniPoly([0] * m + [1]) * c
+        residual = residual - number_power(d, m).scale(c)
+        if not residual.is_zero() and residual.degree() >= deg:
+            raise NotRadialError("element is not a polynomial of N")
+    return out
+
+
+def diagonal(d: int, terms: dict) -> WeylElement:
+    """The Weyl element sum_beta c_beta (a+)^beta a^beta."""
+    return WeylElement(d, {NormalMonomial(b, b): c for b, c in terms.items()})
+
+
+N2_NORMAL = {(2, 0): 1, (1, 1): 2, (0, 2): 1}  # :N^2: at d = 2
+NOT_RADIAL = [
+    WeylElement.monomial(2, (1, 0), (0, 1)),  # off-diagonal
+    # an off-diagonal term that fills the count and weights of level 1
+    WeylElement.monomial(2, (1, 0), (1, 0)) + WeylElement.monomial(2, (0, 1), (1, 0)),
+    WeylElement.monomial(1, (2,), (1,)) + number_operator(1),  # odd level
+    diagonal(2, {(2, 0): 1, (1, 1): 2}),  # a diagonal monomial missing
+    diagonal(2, {**N2_NORMAL, (1, 1): 1}),  # wrong multinomial weight
+    diagonal(2, {**N2_NORMAL, (1, 0): 1}),  # :N^2: over a bad lower level
+]
+
+gauss = st.builds(
+    GaussRational,
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
 
 
 class TestEta:
@@ -93,11 +152,12 @@ class TestExpressInN:
         assert express_in_N(weyl_mul(n, n)) == T**2
 
     def test_matches_omega(self):
-        for q in Q_GRID:
+        for q in Q_GRID + (Fraction(1, 3), Fraction(5, 2), Fraction(-2, 3)):
             for d in (1, 2, 3):
                 ctx = RadialContext(d, q)
-                for k in range(7):
-                    assert express_in_N(eta(ctx, k)) == omega(ctx, k)
+                for k in range(9):
+                    w = eta(ctx, k)
+                    assert express_in_N(w) == express_in_N_by_peeling(w) == omega(ctx, k)
 
     def test_not_radial(self):
         w = WeylElement.creator(1, 1)
@@ -107,6 +167,11 @@ class TestExpressInN:
         # diagonal total degree but unequal cross-mode weights
         bad = WeylElement.monomial(2, (1, 0), (1, 0))
         assert not is_radial(bad)
+        for w in NOT_RADIAL:
+            with pytest.raises(NotRadialError):
+                express_in_N(w)
+            with pytest.raises(NotRadialError):
+                express_in_N_by_peeling(w)
 
     def test_round_trip_through_N(self):
         rng = random.Random(0)
@@ -114,6 +179,13 @@ class TestExpressInN:
             coeffs = [GaussRational(Fraction(rng.randint(-3, 3), 2)) for _ in range(5)]
             p = UniPoly(coeffs)
             assert express_in_N(poly_of_N(p, d)) == p
+
+    @given(st.lists(gauss, max_size=7), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_random_polynomials_of_N(self, coeffs, d):
+        p = UniPoly(coeffs)
+        w = poly_of_N(p, d)
+        assert express_in_N(w) == p == express_in_N_by_peeling(w)
 
 
 class TestUnivariateRaising:

@@ -1,12 +1,15 @@
 """Weyl algebra core: CCR rewriting and the truncated matrix oracle."""
 
+import copy
+import pickle
 import random
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
 from weylharm.poly import CPolynomial
-from weylharm.scalars import GR_ONE, GaussRational
+from weylharm.scalars import GR_ONE, GaussRational, UniPoly
 from weylharm.verify import random_cpoly, random_weyl
 from weylharm.weyl import (
     ModeMismatchError,
@@ -278,6 +281,30 @@ def test_immutability_error_names_class(cls):
     x = cls.one(1)
     with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
         x.d = 2
+
+
+VALUES = [
+    (GaussRational(Fraction(1, 3), -2), "n"),
+    (UniPoly([1, GaussRational(0, Fraction(-1, 2))]), "coeffs"),
+    (random_weyl(random.Random(14), 2, 4, 5), "d"),
+    (random_cpoly(random.Random(15), 2, 4, 5), "d"),
+]
+ROUND_TRIPS = [copy.copy, copy.deepcopy] + [
+    lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p)) for p in range(2, 6)
+]
+
+
+@pytest.mark.parametrize("value, attr", VALUES)
+def test_copy_and_pickle_round_trip(value, attr):
+    for round_trip in ROUND_TRIPS:
+        out = round_trip(value)
+        assert type(out) is type(value)
+        assert out == value and hash(out) == hash(value)
+        with pytest.raises(AttributeError, match="is immutable$"):
+            setattr(out, attr, getattr(out, attr))
+        if hasattr(out, "terms"):
+            with pytest.raises(TypeError):
+                out.terms[next(iter(out.terms))] = GR_ONE
 
 
 def test_term_maps_of_different_types_do_not_mix():
