@@ -67,15 +67,12 @@ from .specfun import (
     pochhammer,
 )
 from .weyl import (
-    FockMatrix,
     ModeMismatchError,
     NormalMonomial,
     WeylElement,
     ad,
     anticommutator,
     commutator,
-    fock_product_block_agrees,
-    fock_represent,
     number_operator,
     weyl_mul,
 )
@@ -85,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CMonomial",
     "CPolynomial",
-    "FockMatrix",
     "GaussRational",
     "InvalidParameterError",
     "ModeMismatchError",
@@ -115,8 +111,6 @@ __all__ = [
     "difference_triple",
     "eta",
     "express_in_N",
-    "fock_product_block_agrees",
-    "fock_represent",
     "g_poly_symmetric",
     "gauss_contiguous_check",
     "harmonic_decompose",

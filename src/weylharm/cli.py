@@ -26,10 +26,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import verify as V
 from .expr import format_cpoly, format_weyl, parse_poly, parse_weyl
 from .ordering import OrderingContext, order_q, unorder_q
-from .radial import RadialContext, decompose_weyl, eta
+from .radial import RadialContext, decompose_weyl, eta, omega_table
 
 SUITES = ("sl2", "intertwine", "radial", "harmonics", "hahn",
           "orthogonality", "genfun", "all")
@@ -186,7 +185,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "omega":
-        table = V.omega_table(args.d, args.q, args.kmax)
+        table = omega_table(args.d, args.q, args.kmax)
         payload = {"d": args.d, "q": str(args.q), "omegas": table}
         lines = [" k : coefficients (ascending degree)"]
         lines += [f"{row['k']:>2} : {', '.join(row['coeffs'])}" for row in table]
@@ -199,16 +198,21 @@ def _dispatch(args) -> int:
         _emit(w.to_json_dict(), args.json, format_weyl(w))
         return 0
 
-    # verify
+    # verify; the battery is imported here only, so the exact verbs above
+    # never load it
+    from .verify import report_failed
+
     reports = _run_suite(args)
     failed = False
     for report in reports:
         _print_report(report, args.json)
-        failed |= V.report_failed(report)
+        failed |= report_failed(report)
     return 1 if failed else 0
 
 
 def _run_suite(args) -> list:
+    from . import verify as V
+
     name = args.suite
     kmax = args.kmax
     if kmax is None:

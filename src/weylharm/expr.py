@@ -18,8 +18,8 @@ printing a parsed expression yields its canonical form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import CPolynomial
 from .scalars import GR_I, GR_ONE, GaussRational, format_gauss
@@ -43,8 +43,7 @@ _TOKEN_RE = re.compile(
 _VAR_RE = re.compile(r"^(zb|z|a|c)(\d+)$")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "name" | "op" | "end"
     text: str
     position: int
@@ -71,35 +70,29 @@ def tokenize(text: str) -> list:
 # -- AST ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: GaussRational
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     kind: str  # "z" | "zb" | "a" | "c"
     index: int
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(NamedTuple):
     items: tuple
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(NamedTuple):
     items: tuple
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exponent: int
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     item: object
 
 

@@ -9,8 +9,8 @@ float64/complex128 with explicit accuracy targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +74,12 @@ def weight_rho(lam, d: int):
     return np.exp(2.0 * np.real(loggamma(z)))
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class _QuadratureFields(NamedTuple):
+    half_width: float
+    panel_count: int
+
+
+class QuadratureSpec(_QuadratureFields):
     """Truncated-line quadrature plan.
 
     ``half_width`` is the truncation point T; the weight's exponential
@@ -84,12 +88,12 @@ class QuadratureSpec:
     panels of equal width, 20 points each.
     """
 
-    half_width: float
-    panel_count: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.half_width <= 0 or self.panel_count < 1:
+    def __new__(cls, half_width: float, panel_count: int):
+        if half_width <= 0 or panel_count < 1:
             raise ValueError("need positive half_width and panel_count")
+        return super().__new__(cls, half_width, panel_count)
 
     @staticmethod
     def for_orthogonality(d: int, k_max: int) -> "QuadratureSpec":

@@ -44,8 +44,8 @@ tests as the independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import CMonomial, CPolynomial, op_E, op_L, op_R
 from .weyl import (
@@ -59,21 +59,25 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
-class OrderingContext:
-    """Mode count and exact ordering parameter.
-
-    q may be any rational; values outside [0, 1] are accepted but the
-    standard verification grids only sample inside.
-    """
-
+class _ContextFields(NamedTuple):
     d: int
     q: Fraction
 
-    def __post_init__(self):
-        if self.d < 1:
+
+class OrderingContext(_ContextFields):
+    """Mode count and exact ordering parameter.
+
+    q may be any rational; values outside [0, 1] are accepted but the
+    standard verification grids only sample inside.  A named tuple, so
+    equal to the plain tuple ``(d, q)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, q):
+        if d < 1:
             raise ValueError("mode count d must be >= 1")
-        object.__setattr__(self, "q", Fraction(self.q))
+        return super().__new__(cls, d, Fraction(q))
 
     @property
     def q_complement(self) -> Fraction:

@@ -113,8 +113,11 @@ def _shift_diagonal(p: TermMap, step: int, weight) -> TermMap:
                 u[:j] + (u[j] + step,) + u[j + 1 :],
                 v[:j] + (v[j] + step,) + v[j + 1 :],
             )
+            # R's weight is always 1: keep the (immutable) coefficient
+            # instead of building an equal one
+            cw = c if w == 1 else c * w
             cur = acc.get(mono)
-            acc[mono] = c * w if cur is None else cur + c * w
+            acc[mono] = cw if cur is None else cur + cw
     return cls._trusted(p.d, acc)
 
 

@@ -23,7 +23,6 @@ WeylElements of `eta` expose their `terms` as read-only
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -38,23 +37,16 @@ class NotRadialError(ValueError):
     """Raised when an element is not a polynomial of the number operator."""
 
 
-@dataclass(frozen=True)
-class RadialContext:
+class RadialContext(OrderingContext):
     """Mode count and ordering parameter with the derived rational data.
 
     ``t0`` = d(1-q) is the constant offset appearing throughout the radial
     theory; ``alpha_squared`` and ``s0_squared_times_minus4`` keep the
     lambda-substitution bookkeeping rational (both exist only for q not in
-    {0, 1}).
+    {0, 1}).  Fields and validation are those of `OrderingContext`.
     """
 
-    d: int
-    q: Fraction
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("mode count d must be >= 1")
-        object.__setattr__(self, "q", Fraction(self.q))
+    __slots__ = ()
 
     @property
     def t0(self) -> Fraction:
@@ -208,6 +200,18 @@ def omega(ctx: RadialContext, k: int) -> UniPoly:
         return linear * chain[n] + prev * (q * (1 - q) * n * (n + ctx.d - 1))
 
     return _chain_level(_omega_cache, (ctx.d, ctx.q), [UniPoly((GR_ONE,))], step, k)
+
+
+def omega_table(d: int, q: Fraction, k_max: int) -> list:
+    """omega_0 .. omega_{k_max} as rows ``{"k": k, "coeffs": [...]}``, the
+    coefficients as exact strings in ascending degree."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    ctx = RadialContext(d, q)
+    return [
+        {"k": k, "coeffs": [str(c) for c in omega(ctx, k).coeffs]}
+        for k in range(k_max + 1)
+    ]
 
 
 def omega_closed_form(ctx: RadialContext, k: int) -> UniPoly:

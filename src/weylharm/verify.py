@@ -39,6 +39,7 @@ from .radial import (
     omega,
     omega_by_raising,
     omega_closed_form,
+    omega_table,
     reassemble_weyl,
     weyl_harmonics_check,
 )
@@ -198,15 +199,6 @@ def suite_intertwine(
     )
 
 
-def omega_table(d: int, q: Fraction, k_max: int) -> list:
-    _check_sizes(k_max=k_max)
-    ctx = RadialContext(d, q)
-    return [
-        {"k": k, "coeffs": [str(c) for c in omega(ctx, k).coeffs]}
-        for k in range(k_max + 1)
-    ]
-
-
 def suite_radial(d: int, q: Fraction, k_max: int = 8, seed: int = 0) -> dict:
     """The radial tower: all computation routes and their certificates."""
     _check_sizes(k_max=k_max)
@@ -236,11 +228,13 @@ def suite_radial(d: int, q: Fraction, k_max: int = 8, seed: int = 0) -> dict:
             check_fg_recurrence(ctx, k_max),
             f"k <= {k_max}",
         )
+    # -q(1-q)k(k+d-1) is <= 0 for q in [0, 1] and > 0 outside it
+    q_in_unit = 0 <= q <= 1
     ok_cert = True
     for k in range(1, k_max + 1):
         cert = nonorthogonality_certificate(ctx, k)
         expected = GaussRational(-q * (1 - q) * k * (k + d - 1))
-        ok_cert &= cert == expected and Fraction(cert.re) <= 0
+        ok_cert &= cert == expected and (cert.re <= 0) == q_in_unit
     cases = [
         _case("eta -> polynomial-of-N == recurrence == closed form", ok_triple,
               f"full Weyl route, k <= {weyl_k}"),
@@ -249,7 +243,8 @@ def suite_radial(d: int, q: Fraction, k_max: int = 8, seed: int = 0) -> dict:
         _case("weight-basis relations (univariate)", ok_weight, f"k <= {k_max}"),
         fg_case,
         _case("non-orthogonality certificate", ok_cert,
-              "equals -q(1-q)k(k+d-1) and <= 0"),
+              "equals -q(1-q)k(k+d-1) and "
+              + ("<= 0" if q_in_unit else "> 0 for q outside [0, 1]")),
     ]
     report = _report(
         "radial", {"d": d, "q": str(q), "kmax": k_max}, seed, cases

@@ -52,12 +52,9 @@ from weylharm.verify import (
     random_homogeneous_cpoly,
     random_weyl,
 )
-from weylharm.weyl import (
-    WeylElement,
-    fock_product_block_agrees,
-    number_operator,
-    weyl_mul,
-)
+from weylharm.weyl import WeylElement, number_operator, weyl_mul
+
+from fock_oracle import fock_product_block_agrees
 
 T = UniPoly.x()
 SEED = 0

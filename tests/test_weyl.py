@@ -19,12 +19,11 @@ from weylharm.weyl import (
     anticommutator,
     commutator,
     contractions,
-    fock_product_block_agrees,
-    fock_represent,
     number_operator,
-    occupation_states,
     weyl_mul,
 )
+
+from fock_oracle import fock_product_block_agrees, fock_represent, occupation_states
 
 # ---------------------------------------------------------------------------
 # Independent oracle: single-swap rewriting on words of generators
