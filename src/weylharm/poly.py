@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalars import GR_ZERO, GaussRational
+from .scalars import GR_ZERO
 from .weyl import _SCALARS, TermMap, _check_mode
 
 
@@ -75,14 +75,6 @@ class CPolynomial(TermMap):
             buckets.setdefault(m.degree, {})[m] = c
         return {deg: CPolynomial(self.d, t) for deg, t in sorted(buckets.items())}
 
-    def substitute_scaled(self, lam: GaussRational) -> "CPolynomial":
-        """p(lam*z, conj(lam)*zbar), the bi-degree scaling action."""
-        lamc = lam.conjugate()
-        out = {}
-        for m, c in self.terms.items():
-            out[m] = c * lam ** sum(m.alpha) * lamc ** sum(m.beta)
-        return CPolynomial(self.d, out)
-
     def __repr__(self) -> str:
         from .expr import format_cpoly
 
@@ -134,11 +126,6 @@ def op_L(p: TermMap) -> TermMap:
 def op_E(p: TermMap) -> TermMap:
     """Symmetrized Euler operator: degree + d on each monomial."""
     return p._trusted(p.d, {m: c * (m.degree + p.d) for m, c in p.terms.items()})
-
-
-def op_euler(p: CPolynomial) -> CPolynomial:
-    """Plain Euler operator: multiplies each monomial by its degree."""
-    return CPolynomial(p.d, {m: c * m.degree for m, c in p.terms.items()})
 
 
 def deriv_z(p: CPolynomial, j: int) -> CPolynomial:

@@ -7,6 +7,13 @@ and gcd(n, m, den) = 1 (zero is (0, 0, 1)), so equal values have equal
 parts.  One three-way gcd restores that form after each operation.
 ``re`` and ``im`` read as reduced ``fractions.Fraction``s.
 
+A `UniPoly` stores the same shape for a whole polynomial: two int tuples
+``_re`` and ``_im`` of numerators over one int ``_den``, with den > 0,
+gcd(den, *re, *im) = 1, no trailing zero coefficient, and ``_im == ()``
+exactly when the polynomial is real; zero is ((), (), 1).  Its ring
+operations, evaluation and Taylor shift run on the ints and take one gcd
+per result, not one per coefficient.
+
 All values are immutable; operations return fresh objects and never
 mutate their arguments.
 """
@@ -112,16 +119,24 @@ class GaussRational:
     #
     # Each operation works on the ints and ends in `_gr`.  Most values
     # in the package are real, so a zero imaginary part skips its products.
+    # An operand that is not a scalar gets NotImplemented, so a UniPoly on
+    # the right takes over through its reflected method.
 
     def __add__(self, other: ScalarLike) -> "GaussRational":
-        c, e, f = _parts(other)
+        try:
+            c, e, f = _parts(other)
+        except TypeError:
+            return NotImplemented
         a, b, den = self.n, self.m, self.den
         return _gr(a * f + c * den, b * f + e * den, den * f)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussRational":
-        c, e, f = _parts(other)
+        try:
+            c, e, f = _parts(other)
+        except TypeError:
+            return NotImplemented
         a, b, den = self.n, self.m, self.den
         return _gr(a * f - c * den, b * f - e * den, den * f)
 
@@ -129,7 +144,10 @@ class GaussRational:
         return GaussRational.coerce(other).__sub__(self)
 
     def __mul__(self, other: ScalarLike) -> "GaussRational":
-        c, e, f = _parts(other)
+        try:
+            c, e, f = _parts(other)
+        except TypeError:
+            return NotImplemented
         a, b = self.n, self.m
         if not e:
             return _gr(a * c, b * c, self.den * f)
@@ -139,7 +157,10 @@ class GaussRational:
 
     def __truediv__(self, other: ScalarLike) -> "GaussRational":
         # (a + bi)/den / ((c + ei)/f) = f (a + bi)(c - ei) / (den (c^2 + e^2))
-        c, e, f = _parts(other)
+        try:
+            c, e, f = _parts(other)
+        except TypeError:
+            return NotImplemented
         norm = c * c + e * e
         if not norm:
             raise ZeroDivisionError("division by zero in Q(i)")
@@ -226,27 +247,26 @@ def format_gauss(z: GaussRational) -> str:
 
 
 class UniPoly:
-    """A univariate polynomial over Q(i), dense coefficient tuple.
+    """A univariate polynomial over Q(i): Gaussian-integer numerators over
+    one common denominator, as in FLINT's ``fmpq_poly``.
 
-    ``coeffs[k]`` is the coefficient of t^k; trailing zeros are stripped so
-    equality of canonical values is structural.  The zero polynomial has an
-    empty coefficient tuple and degree -1.
+    Coefficient k is (_re[k] + _im[k]*i)/_den.  The canonical form has
+    _den > 0, gcd(_den, *_re, *_im) = 1, no trailing zero coefficient, and
+    _im = () exactly when the polynomial is real (otherwise it is as long
+    as _re); zero is ((), (), 1) with degree -1.  Equal values therefore
+    have equal parts.  ``coeffs[k]`` reads coefficient k as a GaussRational.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_re", "_im", "_den")
 
     def __new__(cls, coeffs: Iterable = ()):
-        return UniPoly._trusted([GaussRational.coerce(c) for c in coeffs])
-
-    @staticmethod
-    def _trusted(cs: list) -> "UniPoly":
-        """Build from a list of GaussRationals made by internal arithmetic;
-        trailing zeros are stripped, nothing is coerced."""
-        while cs and not cs[-1]:
-            cs.pop()
-        p = _new(UniPoly)
-        _set_coeffs(p, tuple(cs))
-        return p
+        parts = [_parts(c) for c in coeffs]
+        den = 1
+        for _, _, f in parts:
+            den = den // gcd(den, f) * f
+        re = [n * (den // f) for n, _, f in parts]
+        im = [m * (den // f) for _, m, f in parts]
+        return _up(re, im, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -256,32 +276,39 @@ class UniPoly:
 
     @classmethod
     def constant(cls, c: ScalarLike) -> "UniPoly":
-        return cls((GaussRational.coerce(c),))
+        return cls((c,))
 
     @classmethod
     def x(cls) -> "UniPoly":
         """The monomial t."""
-        return cls((GR_ZERO, GR_ONE))
+        return _up([0, 1], (), 1)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients, constant term first, as GaussRationals."""
+        return tuple(self[k] for k in range(len(self._re)))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._re) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._re
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._re)
 
     def __getitem__(self, k: int) -> GaussRational:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._re):
+            return _gr(self._re[k], self._im[k] if self._im else 0, self._den)
         return GR_ZERO
 
     def leading_coefficient(self) -> GaussRational:
-        return self.coeffs[-1] if self.coeffs else GR_ZERO
+        return self[len(self._re) - 1]
 
     # -- ring operations -----------------------------------------------
+    #
+    # Each operation works on the numerators and ends in `_up`.
 
     @staticmethod
     def _coerce(other) -> "UniPoly":
@@ -289,47 +316,67 @@ class UniPoly:
             return other
         return UniPoly.constant(other)
 
+    def _sum(self, other: "UniPoly", sign: int) -> "UniPoly":
+        """self + sign*other over the lcm of the two denominators."""
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        re = _combine(self._re, sa, other._re, sb)
+        im = ()
+        if self._im or other._im:
+            im = _combine(self._im, sa, other._im, sb)
+            im += [0] * (len(re) - len(im))
+        return _up(re, im, da // g * db)
+
     def __add__(self, other) -> "UniPoly":
-        other = UniPoly._coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return UniPoly._trusted(out)
+        return self._sum(UniPoly._coerce(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "UniPoly":
-        return self + (-UniPoly._coerce(other))
+        return self._sum(UniPoly._coerce(other), -1)
 
     def __rsub__(self, other) -> "UniPoly":
-        return UniPoly._coerce(other) - self
+        return UniPoly._coerce(other)._sum(self, -1)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly._trusted([-c for c in self.coeffs])
+        return _up([-n for n in self._re], [-m for m in self._im], self._den)
+
+    def _scale(self, c: int, e: int, f: int) -> "UniPoly":
+        """self * (c + e*i)/f for ints with f > 0."""
+        re, im = self._re, self._im
+        if not e:
+            return _up([n * c for n in re], [m * c for m in im], self._den * f)
+        im = im or (0,) * len(re)
+        return _up([n * c - m * e for n, m in zip(re, im)],
+                   [n * e + m * c for n, m in zip(re, im)], self._den * f)
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction, GaussRational)):
-            c = GaussRational.coerce(other)
-            return UniPoly._trusted([a * c for a in self.coeffs])
+            return self._scale(*_parts(other))
         other = UniPoly._coerce(other)
-        if self.is_zero() or other.is_zero():
+        if not self._re or not other._re:
             return UP_ZERO
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for k, b in enumerate(other.coeffs):
-                out[j + k] = out[j + k] + a * b
-        return UniPoly._trusted(out)
+        ar, ai, br, bi = self._re, self._im, other._re, other._im
+        re = [0] * (len(ar) + len(br) - 1)
+        _convolve_into(re, ar, br, 1)
+        im = ()
+        if ai or bi:  # an empty part adds nothing
+            im = [0] * len(re)
+            _convolve_into(re, ai, bi, -1)
+            _convolve_into(im, ar, bi, 1)
+            _convolve_into(im, ai, br, 1)
+        return _up(re, im, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: ScalarLike) -> "UniPoly":
-        c = GaussRational.coerce(scalar)
-        return UniPoly._trusted([a / c for a in self.coeffs])
+        # divide by (c + ei)/f: multiply by f(c - ei)/(c^2 + e^2)
+        c, e, f = _parts(scalar)
+        norm = c * c + e * e
+        if not norm:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return self._scale(f * c, -f * e, norm)
 
     def __pow__(self, n: int) -> "UniPoly":
         return _power(self, n, UP_ONE)
@@ -337,38 +384,78 @@ class UniPoly:
     # -- evaluation and composition --------------------------------------
 
     def __call__(self, x: ScalarLike) -> GaussRational:
-        """Exact Horner evaluation."""
-        acc = GR_ZERO
-        xg = GaussRational.coerce(x)
-        for c in reversed(self.coeffs):
-            acc = acc * xg + c
-        return acc
+        """Exact Horner evaluation on the numerators.
+
+        With x = (c + e*i)/f, the sum of (re_k + im_k*i) (c + e*i)^k
+        f^(n-1-k) is a Gaussian integer; one division by den*f^(n-1) ends.
+        """
+        re, im = self._re, self._im
+        if not re:
+            return GR_ZERO
+        c, e, f = _parts(x)
+        if not im:
+            im = (0,) * len(re)
+        n = len(re)
+        acc_re, acc_im, scale = re[-1], im[-1], 1
+        for k in range(n - 2, -1, -1):
+            scale *= f
+            acc_re, acc_im = (acc_re * c - acc_im * e + re[k] * scale,
+                              acc_re * e + acc_im * c + im[k] * scale)
+        return _gr(acc_re, acc_im, self._den * scale)
 
     def compose_linear(self, a: ScalarLike, b: ScalarLike) -> "UniPoly":
-        """Return t |-> p(a*t + b), exactly, in O(n^2) scalar operations.
+        """Return t |-> p(a*t + b), exactly, in O(n^2) integer operations.
 
-        First a synthetic Taylor shift by b: sweeping the coefficient list
-        from the top, c_j += b * c_{j+1}, once for each of the n - 1 levels,
-        turns p(t) into p(t + b) in place.  Then coefficient k is scaled by
-        a^k.  This is the classical shift of von zur Gathen and Gerhard,
-        "Fast algorithms for Taylor shifts and certain difference
-        equations" (ISSAC 1997); Horner's rule over UniPoly products would
-        cost O(n^3).
+        With b = B/bd for a Gaussian integer B, p(t + b) is bd^(1-n) r(bd*t)
+        where r(s) = sum_j c_j bd^(n-1-j) (s + B)^j.  A synthetic Taylor
+        shift by B makes r from the prescaled numerators: sweeping the list
+        from the top, c_j += B * c_{j+1}, once for each of the n - 1 levels.
+        Coefficient k of the result is then r_k a^k / bd^(n-1-k), put over
+        the common denominator den (bd*ad)^(n-1) for a = A/ad.  This is the
+        classical shift of von zur Gathen and Gerhard, "Fast algorithms for
+        Taylor shifts and certain difference equations" (ISSAC 1997);
+        Horner's rule over UniPoly products would cost O(n^3).
         """
-        a = GaussRational.coerce(a)
-        b = GaussRational.coerce(b)
-        cs = list(self.coeffs)
-        n = len(cs)
-        if b:
+        an, am, ad = _parts(a)
+        bn, bm, bd = _parts(b)
+        re, im = list(self._re), list(self._im)
+        n = len(re)
+        if n < 2:
+            return self
+        if (bm or am) and not im:
+            im = [0] * n
+        if bd != 1:  # prescale c_j by bd^(n-1-j)
+            power = 1
+            for j in range(n - 1, -1, -1):
+                re[j] *= power
+                if im:
+                    im[j] *= power
+                power *= bd
+        if bn or bm:  # Taylor shift by B = bn + bm*i
             for i in range(n - 1):
                 for j in range(n - 2, i - 1, -1):
-                    cs[j] = cs[j] + b * cs[j + 1]
-        if a != GR_ONE:
-            power = GR_ONE
-            for k in range(1, n):
-                power = power * a
-                cs[k] = cs[k] * power
-        return UniPoly._trusted(cs)
+                    x = re[j + 1]
+                    if im:
+                        y = im[j + 1]
+                        re[j] += bn * x - bm * y
+                        im[j] += bn * y + bm * x
+                    else:
+                        re[j] += bn * x
+        if (an, am, ad, bd) != (1, 0, 1, 1):
+            # coefficient k times (A bd)^k ad^(n-1-k)
+            sr, si = an * bd, am * bd
+            pr, pi, lower = 1, 0, ad ** (n - 1)
+            for k in range(n):
+                x = re[k]
+                if im:
+                    y = im[k]
+                    re[k] = (x * pr - y * pi) * lower
+                    im[k] = (x * pi + y * pr) * lower
+                else:
+                    re[k] = x * pr * lower
+                pr, pi = pr * sr - pi * si, pr * si + pi * sr
+                lower //= ad
+        return _up(re, im, self._den * (bd * ad) ** (n - 1))
 
     def compose_shift(self, shift: ScalarLike) -> "UniPoly":
         """Return t |-> p(t + shift)."""
@@ -389,10 +476,15 @@ class UniPoly:
             other = UniPoly.constant(other)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self._re == other._re and self._im == other._im
+                and self._den == other._den)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant hashes as its coefficient, so it matches the scalar
+        # it compares equal to
+        if len(self._re) <= 1:
+            return hash(self[0])
+        return hash((self._re, self._im, self._den))
 
     def __repr__(self) -> str:
         return f"UniPoly({list(map(str, self.coeffs))})"
@@ -401,11 +493,60 @@ class UniPoly:
         return format_unipoly(self)
 
 
-_set_coeffs = UniPoly.coeffs.__set__
+_set_up_re = UniPoly._re.__set__
+_set_up_im = UniPoly._im.__set__
+_set_up_den = UniPoly._den.__set__
+
+
+def _up(re: list, im, den: int) -> UniPoly:
+    """Build a UniPoly in canonical form from numerator lists over den > 0.
+
+    ``im`` is empty for a real polynomial and otherwise as long as ``re``;
+    trailing zero coefficients are stripped and one gcd reduces the rest.
+    """
+    if im:
+        while re and not re[-1] and not im[-1]:
+            re.pop()
+            im.pop()
+        if not any(im):
+            im = ()
+    else:
+        im = ()
+        while re and not re[-1]:
+            re.pop()
+    g = gcd(den, *re, *im)
+    if g != 1:
+        re = [n // g for n in re]
+        im = [m // g for m in im]
+        den //= g
+    p = _new(UniPoly)
+    _set_up_re(p, tuple(re))
+    _set_up_im(p, tuple(im))
+    _set_up_den(p, den)
+    return p
+
+
+def _combine(a, sa: int, b, sb: int) -> list:
+    """sa*a + sb*b for int sequences of any lengths."""
+    if len(a) < len(b):
+        a, sa, b, sb = b, sb, a, sa
+    out = [x * sa for x in a] if sa != 1 else list(a)
+    for k, y in enumerate(b):
+        out[k] += y * sb
+    return out
+
+
+def _convolve_into(out: list, a, b, sign: int) -> None:
+    """Add sign * (the product of int coefficient sequences a and b) to out."""
+    for j, x in enumerate(a):
+        if x:
+            x *= sign
+            for k, y in enumerate(b, j):
+                out[k] += x * y
 
 
 UP_ZERO = UniPoly()
-UP_ONE = UniPoly((GR_ONE,))
+UP_ONE = UniPoly((1,))
 
 
 def format_unipoly(p: UniPoly, var: str = "t") -> str:

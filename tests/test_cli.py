@@ -1,5 +1,6 @@
 """Command surface: subcommands, exit codes, deterministic JSON reports."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -259,3 +260,19 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["params"]["kmax"] == 6
+
+
+class TestExactOutputPinned:
+    # sha256 of the exact output bytes, recorded before UniPoly moved onto
+    # numerators over one common denominator; any change to an exact result
+    # or to the report layout changes the digest
+    @pytest.mark.parametrize("argv, digest", [
+        (["verify", "all", "--json", "--seed", "1"],
+         "9d0fc5b2c0bac68f5dbc2aff138320a455a6d6951040aec824a9cc1cb15baf91"),
+        (["omega", "--d", "3", "--q=2/7", "--kmax", "60", "--json"],
+         "8265168c519431bb6c2f87dbf9ad090fc183785a1660d50e10f89f0b005e1d8a"),
+    ], ids=["verify-all-seed-1", "omega-d3-q2/7"])
+    def test_output_digest(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

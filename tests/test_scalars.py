@@ -1,5 +1,7 @@
 """Exact scalar arithmetic tests."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -375,3 +377,204 @@ class TestRepresentation:
         for name in ("n", "m", "den", "re", "im"):
             with pytest.raises(AttributeError):
                 setattr(x, name, 1)
+
+
+# ---------------------------------------------------------------------------
+# UniPoly's numerators over one denominator against per-coefficient arithmetic
+# ---------------------------------------------------------------------------
+
+
+class CoeffPoly:
+    """The oracle: a polynomial as a tuple of GaussRationals, constant term
+    first, where every coefficient operation builds and reduces its own
+    scalar.  This is how UniPoly computed before its numerators moved onto
+    one common denominator."""
+
+    def __init__(self, cs):
+        cs = [GaussRational.coerce(c) for c in cs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.cs = tuple(cs)
+
+    def __eq__(self, other):
+        return self.cs == other.cs
+
+    def __add__(self, other):
+        a, b = self.cs, other.cs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, c in enumerate(b):
+            out[k] = out[k] + c
+        return CoeffPoly(out)
+
+    def __neg__(self):
+        return CoeffPoly([-c for c in self.cs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, CoeffPoly):
+            c = GaussRational.coerce(other)
+            return CoeffPoly([a * c for a in self.cs])
+        if not self.cs or not other.cs:
+            return CoeffPoly(())
+        out = [GR_ZERO] * (len(self.cs) + len(other.cs) - 1)
+        for j, a in enumerate(self.cs):
+            for k, b in enumerate(other.cs):
+                out[j + k] = out[j + k] + a * b
+        return CoeffPoly(out)
+
+    def __truediv__(self, scalar):
+        c = GaussRational.coerce(scalar)
+        if not c:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return CoeffPoly([a / c for a in self.cs])
+
+    def __call__(self, x):
+        acc = GR_ZERO
+        for c in reversed(self.cs):
+            acc = acc * x + c
+        return acc
+
+    def compose_linear(self, a, b):
+        """The Taylor shift by b, then coefficient k times a^k."""
+        a = GaussRational.coerce(a)
+        b = GaussRational.coerce(b)
+        cs = list(self.cs)
+        n = len(cs)
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                cs[j] = cs[j] + b * cs[j + 1]
+        power = GR_ONE
+        for k in range(1, n):
+            power = power * a
+            cs[k] = cs[k] * power
+        return CoeffPoly(cs)
+
+
+def assert_canonical_poly(p):
+    """den > 0, gcd(den, *re, *im) = 1, no trailing zero coefficient, and
+    im = () exactly when p is real (else as long as re); zero is ((), (), 1)."""
+    re, im, den = p._re, p._im, p._den
+    assert type(re) is tuple and type(im) is tuple
+    assert all(type(v) is int for v in re + im + (den,))
+    assert den > 0 and gcd(den, *re, *im) == 1
+    if im:
+        assert len(im) == len(re) and any(im)
+    if re:
+        assert re[-1] or (im and im[-1])
+    else:
+        assert (im, den) == ((), 1)
+    assert p.degree == len(re) - 1
+
+
+def shared_den_coeffs(nums, ims, den):
+    return [GaussRational(Fraction(n, den), Fraction(m, den))
+            for n, m in zip(nums, ims)]
+
+
+small_or_huge = st.one_of(st.integers(min_value=-9, max_value=9), huge_ints)
+# coefficient lists with their own (mostly coprime) denominators, or
+# numerators over one shared denominator; zeros, trailing zeros, purely
+# imaginary and huge values included
+poly_coeffs = st.one_of(
+    st.lists(st.one_of(gauss_wide, st.just(GR_ZERO)), max_size=6),
+    st.builds(shared_den_coeffs,
+              st.lists(small_or_huge, max_size=6),
+              st.lists(st.one_of(st.just(0), small_or_huge), min_size=6, max_size=6),
+              st.sampled_from([1, 2, 6, 12, 2**65 + 3])),
+    st.builds(lambda cs: [c * GR_I for c in cs],
+              st.lists(st.one_of(small_fractions, wide_fractions), max_size=5)),
+)
+scalar_operands = st.one_of(st.integers(min_value=-7, max_value=7), huge_ints,
+                            wide_fractions, gauss_wide)
+
+POLY_OPS = {
+    "+": lambda p, q: p + q,
+    "-": lambda p, q: p - q,
+    "*": lambda p, q: p * q,
+}
+
+
+class TestUniPolyAgainstCoeffOracle:
+    @staticmethod
+    def agree(p, oracle):
+        assert_canonical_poly(p)
+        assert p.coeffs == oracle.cs
+        assert p == UniPoly(oracle.cs) and hash(p) == hash(UniPoly(oracle.cs))
+
+    @given(st.sampled_from(sorted(POLY_OPS)), poly_coeffs, poly_coeffs)
+    @settings(max_examples=150)
+    def test_polynomial_ops(self, op, xs, ys):
+        p, q = UniPoly(xs), UniPoly(ys)
+        assert_canonical_poly(p)
+        assert p.coeffs == CoeffPoly(xs).cs
+        self.agree(POLY_OPS[op](p, q), POLY_OPS[op](CoeffPoly(xs), CoeffPoly(ys)))
+        self.agree(-p, -CoeffPoly(xs))
+        assert (p == q) == (CoeffPoly(xs) == CoeffPoly(ys))
+
+    @given(st.sampled_from(["+", "-", "*", "r+", "r-", "r*", "/"]), poly_coeffs,
+           st.one_of(scalar_operands, st.just(0)))
+    @settings(max_examples=150)
+    def test_scalar_ops(self, op, xs, c):
+        p, o, oc = UniPoly(xs), CoeffPoly(xs), CoeffPoly((c,))
+        if op == "/":
+            if not GaussRational.coerce(c):
+                with pytest.raises(ZeroDivisionError):
+                    p / c
+                return
+            self.agree(p / c, o / c)
+        elif op.startswith("r"):
+            self.agree(POLY_OPS[op[1]](c, p), POLY_OPS[op[1]](oc, o))
+        else:
+            self.agree(POLY_OPS[op](p, c), POLY_OPS[op](o, oc))
+
+    @given(poly_coeffs, st.one_of(st.just(0), st.just(1), scalar_operands),
+           st.one_of(st.just(0), st.just(1), st.just(-1), scalar_operands))
+    @settings(max_examples=150)
+    def test_compose_linear(self, xs, a, b):
+        self.agree(UniPoly(xs).compose_linear(a, b), CoeffPoly(xs).compose_linear(a, b))
+
+    @given(poly_coeffs, scalar_operands)
+    @settings(max_examples=100)
+    def test_evaluation(self, xs, x):
+        value = UniPoly(xs)(x)
+        assert_canonical(value)
+        assert value == CoeffPoly(xs)(GaussRational.coerce(x))
+
+    @given(poly_coeffs)
+    @settings(max_examples=100)
+    def test_eq_hash_pickle_copy(self, xs):
+        p = UniPoly(xs)
+        for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p),
+                      UniPoly(p.coeffs)):
+            assert (clone._re, clone._im, clone._den) == (p._re, p._im, p._den)
+            assert clone == p and hash(clone) == hash(p)
+        if p.degree <= 0:
+            c = p[0]
+            assert p == c and hash(p) == hash(c)
+            assert len({p, c}) == 1
+        else:
+            assert p != p[0]
+        with pytest.raises(AttributeError):
+            p._re = ()
+
+
+class TestUniPolyMixedWithScalars:
+    def test_constants_hash_as_their_scalar(self):
+        # equal values must share a hash, so a set holds them once
+        assert len({UniPoly.constant(5), 5}) == 1
+        assert len({UniPoly(), 0, GR_ZERO, Fraction(0)}) == 1
+        half = Fraction(1, 2)
+        assert UniPoly.constant(half) in {half}
+        assert {GR_I: 1}[UniPoly.constant(GR_I)] == 1
+
+    def test_gauss_rational_on_the_left(self):
+        t = UniPoly.x()
+        assert GR_I + t == UniPoly((GR_I, 1))
+        assert GR_I - t == UniPoly((GR_I, -1))
+        assert GR_I * t == UniPoly((0, GR_I))
+        with pytest.raises(TypeError):
+            GR_I / t
