@@ -11,8 +11,12 @@ Grammar (whitespace-insensitive)::
              | ('a' | 'c') INT    -- Weyl context (c = creation)
 
 Division appears only inside rational literals; there are no decimals.
-Weyl products are evaluated in written order and then normal-ordered, so
-printing a parsed expression yields its canonical form.
+One recursive-descent parser reads the tokens once and evaluates as it
+reads: each atom becomes an element (the unit scaled by a literal, or a
+generator), and the operators combine elements in written order.  Weyl
+products are therefore normal-ordered as they are formed, and printing a
+parsed expression yields its canonical form.  Errors are reported in
+reading order: the first bad token or foreign generator is the one named.
 """
 
 from __future__ import annotations
@@ -67,200 +71,107 @@ def tokenize(text: str) -> list:
     return tokens
 
 
-# -- AST ---------------------------------------------------------------------
-
-
-class Num(NamedTuple):
-    value: GaussRational
-
-
-class Var(NamedTuple):
-    kind: str  # "z" | "zb" | "a" | "c"
-    index: int
-
-
-class Add(NamedTuple):
-    items: tuple
-
-
-class Mul(NamedTuple):
-    items: tuple
-
-
-class Pow(NamedTuple):
-    base: object
-    exponent: int
-
-
-class Neg(NamedTuple):
-    item: object
-
-
 class _Parser:
-    def __init__(self, text: str):
+    """Recursive descent over the tokens of one expression, returning its
+    value in the `TermMap` subclass ``cls``.
+
+    ``generators`` maps a variable kind to its constructor ``(d, j)``, and
+    ``foreign`` words the error for any other kind.  Without an explicit d,
+    d is the largest variable index among the tokens, and at least 1.
+    """
+
+    def __init__(self, text: str, d: int | None, cls, generators: dict, foreign: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        if d is None:
+            d = max([1] + [int(m.group(2)) for tok in self.tokens
+                           if (m := _VAR_RE.match(tok.text))])
+        self.d, self.cls, self.generators, self.foreign = d, cls, generators, foreign
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
+    def accept(self, ops: str) -> str:
+        """Consume the next token and return its text if it is one of the
+        operators ``ops``; otherwise return ''."""
         tok = self.tokens[self.pos]
+        if tok.kind == "op" and tok.text in ops:
+            self.pos += 1
+            return tok.text
+        return ""
+
+    def expect_int(self, message: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "int":
+            raise ParseError(message, tok.position)
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}", tok.position)
-        return self.advance()
-
     def parse(self):
-        node = self.expr()
-        tok = self.peek()
+        value = self.expr()
+        tok = self.tokens[self.pos]
         if tok.kind != "end":
             raise ParseError(f"unexpected {tok.text!r}", tok.position)
-        return node
+        return value
 
     def expr(self):
-        items = [self.term()]
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                nxt = self.term()
-                items.append(Neg(nxt) if tok.text == "-" else nxt)
-            else:
-                break
-        return items[0] if len(items) == 1 else Add(tuple(items))
+        value = self.term()
+        while op := self.accept("+-"):
+            value = value + self.term() if op == "+" else value - self.term()
+        return value
 
     def term(self):
-        items = [self.factor()]
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                items.append(self.factor())
-            else:
-                break
-        return items[0] if len(items) == 1 else Mul(tuple(items))
+        value = self.factor()
+        while self.accept("*"):
+            value = value * self.factor()
+        return value
 
     def factor(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Neg(self.factor())
-        node = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            etok = self.peek()
-            if etok.kind != "int":
-                raise ParseError("exponent must be a nonnegative integer",
-                                 etok.position)
-            self.advance()
-            return Pow(node, int(etok.text))
-        return node
+        if self.accept("-"):
+            return -self.factor()
+        value = self.atom()
+        if self.accept("^"):
+            etok = self.expect_int("exponent must be a nonnegative integer")
+            return value ** int(etok.text)
+        return value
 
     def atom(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
+        self.pos += 1
         if tok.kind == "int":
-            self.advance()
-            numerator = int(tok.text)
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "/":
-                self.advance()
-                dtok = self.peek()
-                if dtok.kind != "int":
-                    raise ParseError("expected integer denominator", dtok.position)
-                self.advance()
-                if int(dtok.text) == 0:
+            den = 1
+            if self.accept("/"):
+                dtok = self.expect_int("expected integer denominator")
+                den = int(dtok.text)
+                if den == 0:
                     raise ParseError("zero denominator", dtok.position)
-                return Num(GaussRational(Fraction(numerator, int(dtok.text))))
-            return Num(GaussRational(numerator))
+            return self.cls.one(self.d).scale(Fraction(int(tok.text), den))
         if tok.kind == "name":
-            self.advance()
             if tok.text == "i":
-                return Num(GR_I)
+                return self.cls.one(self.d).scale(GR_I)
             m = _VAR_RE.match(tok.text)
             if m is None:
                 raise ParseError(f"unknown symbol {tok.text!r}", tok.position)
-            index = int(m.group(2))
+            kind, index = m.group(1), int(m.group(2))
             if index < 1:
                 raise ParseError("variable indices start at 1", tok.position)
-            return Var(m.group(1), index)
+            if kind not in self.generators:
+                raise MixedContextError(self.foreign.format(f"{kind}{index}"))
+            return self.generators[kind](self.d, index)
         if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            value = self.expr()
+            if not self.accept(")"):
+                raise ParseError("expected ')'", self.tokens[self.pos].position)
+            return value
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.position)
 
 
-def parse_ast(text: str):
-    return _Parser(text).parse()
-
-
-def _max_index(node) -> int:
-    if isinstance(node, Var):
-        return node.index
-    if isinstance(node, (Add, Mul)):
-        return max((_max_index(x) for x in node.items), default=0)
-    if isinstance(node, Pow):
-        return _max_index(node.base)
-    if isinstance(node, Neg):
-        return _max_index(node.item)
-    return 0
-
-
-def _eval(node, d: int, mode: str):
-    """mode is 'poly' or 'weyl'; products respect written order."""
-    if isinstance(node, Num):
-        base = CPolynomial.one(d) if mode == "poly" else WeylElement.unit(d)
-        return base.scale(node.value)
-    if isinstance(node, Var):
-        if mode == "poly":
-            if node.kind == "z":
-                return CPolynomial.z(d, node.index)
-            if node.kind == "zb":
-                return CPolynomial.zbar(d, node.index)
-            raise MixedContextError(
-                f"generator {node.kind}{node.index} is not a polynomial variable"
-            )
-        if node.kind == "a":
-            return WeylElement.annihilator(d, node.index)
-        if node.kind == "c":
-            return WeylElement.creator(d, node.index)
-        raise MixedContextError(
-            f"variable {node.kind}{node.index} is not a Weyl generator"
-        )
-    if isinstance(node, Add):
-        acc = _eval(node.items[0], d, mode)
-        for item in node.items[1:]:
-            acc = acc + _eval(item, d, mode)
-        return acc
-    if isinstance(node, Mul):
-        acc = _eval(node.items[0], d, mode)
-        for item in node.items[1:]:
-            acc = acc * _eval(item, d, mode)
-        return acc
-    if isinstance(node, Pow):
-        return _eval(node.base, d, mode) ** node.exponent
-    if isinstance(node, Neg):
-        return -_eval(node.item, d, mode)
-    raise TypeError(f"not an AST node: {node!r}")
-
-
 def parse_poly(text: str, d: int | None = None) -> CPolynomial:
-    ast = parse_ast(text)
-    d = d if d is not None else max(1, _max_index(ast))
-    return _eval(ast, d, "poly")
+    return _Parser(text, d, CPolynomial, {"z": CPolynomial.z, "zb": CPolynomial.zbar},
+                   "generator {} is not a polynomial variable").parse()
 
 
 def parse_weyl(text: str, d: int | None = None) -> WeylElement:
-    ast = parse_ast(text)
-    d = d if d is not None else max(1, _max_index(ast))
-    return _eval(ast, d, "weyl")
+    return _Parser(text, d, WeylElement,
+                   {"a": WeylElement.annihilator, "c": WeylElement.creator},
+                   "variable {} is not a Weyl generator").parse()
 
 
 # -- printing ------------------------------------------------------------------

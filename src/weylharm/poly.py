@@ -73,7 +73,9 @@ class CPolynomial(TermMap):
         buckets: dict = {}
         for m, c in self.terms.items():
             buckets.setdefault(m.degree, {})[m] = c
-        return {deg: CPolynomial(self.d, t) for deg, t in sorted(buckets.items())}
+        return {
+            deg: CPolynomial._trusted(self.d, t) for deg, t in sorted(buckets.items())
+        }
 
     def __repr__(self) -> str:
         from .expr import format_cpoly

@@ -29,7 +29,7 @@ from math import comb, factorial, prod
 from .ordering import OrderingContext, cal_L, cal_R, order_q, unorder_q
 from .poly import harmonic_decompose
 from .scalars import GR_ONE, GR_ZERO, GaussRational, UniPoly
-from .specfun import hyp2F1_terminating_poly
+from .specfun import hyp2F1_terminating_poly, pochhammer
 from .weyl import WeylElement
 
 
@@ -41,9 +41,10 @@ class RadialContext(OrderingContext):
     """Mode count and ordering parameter with the derived rational data.
 
     ``t0`` = d(1-q) is the constant offset appearing throughout the radial
-    theory; ``alpha_squared`` and ``s0_squared_times_minus4`` keep the
-    lambda-substitution bookkeeping rational (both exist only for q not in
-    {0, 1}).  Fields and validation are those of `OrderingContext`.
+    theory; ``alpha_squared`` keeps the lambda-substitution bookkeeping
+    rational (it exists only for q not in {0, 1}).  Fields and validation
+    are those of `OrderingContext`, so a RadialContext is passed to the
+    ordering maps as it is.
     """
 
     __slots__ = ()
@@ -58,15 +59,6 @@ class RadialContext(OrderingContext):
         if self.q in (0, 1):
             raise ValueError("alpha is undefined for q in {0, 1}")
         return 1 / (self.q * (1 - self.q))
-
-    @property
-    def s0_squared_times_minus4(self) -> Fraction:
-        """-4 s0^2 = (1-2q)^2 / (q(1-q)), a nonnegative rational."""
-        return (1 - 2 * self.q) ** 2 * self.alpha_squared
-
-    @property
-    def ordering(self) -> OrderingContext:
-        return OrderingContext(self.d, self.q)
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +85,8 @@ def eta(ctx: RadialContext, k: int) -> WeylElement:
     """The k-th iterate of the raising operator on the unit."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    octx = ctx.ordering
     return _chain_level(_eta_cache, (ctx.d, ctx.q), [WeylElement.unit(ctx.d)],
-                        lambda chain: cal_R(octx, chain[-1]), k)
+                        lambda chain: cal_R(ctx, chain[-1]), k)
 
 
 def express_in_N(w: WeylElement) -> UniPoly:
@@ -230,11 +221,8 @@ def omega_closed_form(ctx: RadialContext, k: int) -> UniPoly:
             out = out * (t - m)
         return out
     qc = 1 - ctx.q
-    poch = Fraction(1)
-    for i in range(k):
-        poch *= ctx.d + i
     series = hyp2F1_terminating_poly(k, Fraction(ctx.d), 1 / qc)
-    return series * (poch * qc**k)
+    return series * (pochhammer(Fraction(ctx.d), k) * qc**k)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +368,7 @@ def check_fg_recurrence(ctx: RadialContext, k_max: int) -> bool:
 def weyl_harmonics_check(ctx: RadialContext, w: WeylElement) -> bool:
     """True iff w is in the (q-independent) space of Weyl harmonics,
     i.e. sum_j [a_j, [a_j+, w]] = 0."""
-    return cal_L(ctx.ordering, w).is_zero()
+    return cal_L(ctx, w).is_zero()
 
 
 def decompose_weyl(ctx: RadialContext, w: WeylElement) -> list:
@@ -390,8 +378,7 @@ def decompose_weyl(ctx: RadialContext, w: WeylElement) -> list:
     layer, and regroups by radial power.  Returns [(k, h_k)] with zero
     parts dropped.
     """
-    octx = ctx.ordering
-    p = unorder_q(octx, w)
+    p = unorder_q(ctx, w)
     by_power: dict = {}
     for _, comp in p.homogeneous_components().items():
         for j, h in enumerate(harmonic_decompose(comp)):
@@ -404,11 +391,10 @@ def decompose_weyl(ctx: RadialContext, w: WeylElement) -> list:
 
 def reassemble_weyl(ctx: RadialContext, parts) -> WeylElement:
     """Inverse of `decompose_weyl`: sum_k R^k O(h_k)."""
-    octx = ctx.ordering
     out = WeylElement.zero(ctx.d)
     for k, h in parts:
-        w = order_q(octx, h)
+        w = order_q(ctx, h)
         for _ in range(k):
-            w = cal_R(octx, w)
+            w = cal_R(ctx, w)
         out = out + w
     return out

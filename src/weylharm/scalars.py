@@ -20,22 +20,12 @@ mutate their arguments.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "GaussRational"]
-
-_RAT = r"(?:\d+(?:/\d+)?)"
-_LITERAL_RE = re.compile(
-    rf"^\s*(?P<sign1>[+-]?)\s*(?:"
-    rf"(?P<c1>{_RAT})\s*(?P<i1>\*\s*i)?|(?P<lone1>i)"
-    rf")\s*(?:(?P<sign2>[+-])\s*(?:"
-    rf"(?P<c2>{_RAT})\s*(?P<i2>\*\s*i)?|(?P<lone2>i)"
-    rf")\s*)?$"
-)
 
 
 def _power(base, n: int, one):
@@ -95,22 +85,6 @@ class GaussRational:
         if isinstance(x, GaussRational):
             return x
         return _gr(*_parts(x))
-
-    @classmethod
-    def parse(cls, text: str) -> "GaussRational":
-        """Parse the exact literal grammar: ``p/q``, ``p/q*i``, ``p/q+r/s*i``, ``i``."""
-        m = _LITERAL_RE.match(text)
-        if m is None:
-            raise ValueError(f"not an exact Gaussian-rational literal: {text!r}")
-        z = GR_ZERO
-        for k in "12":
-            if m["c" + k] is None and m["lone" + k] is None:
-                continue  # no second term
-            value = Fraction(m["c" + k] or 1)
-            if m["sign" + k] == "-":
-                value = -value
-            z = z + (value * GR_I if m["lone" + k] or m["i" + k] else value)
-        return z
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -236,7 +210,7 @@ GR_I = GaussRational(0, 1)
 
 
 def format_gauss(z: GaussRational) -> str:
-    """Render in the ``p/q+r/s*i`` literal grammar (parse-compatible)."""
+    """Render in the ``p/q+r/s*i`` literal grammar that `expr` reads back."""
     real, imag = z.re, z.im
     if not imag:
         return str(real)

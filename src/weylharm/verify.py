@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 from . import linalg
 from .ordering import OrderingContext, cal_E, cal_L, cal_R, order_q
@@ -301,10 +302,10 @@ def suite_harmonics(
         ]
     cases = []
 
+    bases = [harmonic_basis(d, k) for k in range(k_max + 1)]
     ok_dim = True
     detail_dims = []
-    for k in range(k_max + 1):
-        basis = harmonic_basis(d, k)
+    for k, basis in enumerate(bases):
         expected = harmonic_dim(2 * d, k)
         detail_dims.append(f"k={k}:{len(basis)}")
         ok_dim &= len(basis) == expected
@@ -316,8 +317,7 @@ def suite_harmonics(
     ok_span = True
     for q1, q2 in q_pairs:
         c1, c2 = OrderingContext(d, q1), OrderingContext(d, q2)
-        for k in range(k_max + 1):
-            basis = harmonic_basis(d, k)
+        for basis in bases:
             rows1 = [_weyl_vector(order_q(c1, h)) for h in basis]
             rows2 = [_weyl_vector(order_q(c2, h)) for h in basis]
             ok_span &= linalg.same_row_space(rows1, rows2)
@@ -332,10 +332,9 @@ def suite_harmonics(
     ok_member = True
     for q1, _ in q_pairs:
         ctx = RadialContext(d, q1)
-        octx = ctx.ordering
-        for k in range(k_max + 1):
-            for h in harmonic_basis(d, k)[:3]:
-                ok_member &= weyl_harmonics_check(ctx, order_q(octx, h))
+        for basis in bases:
+            for h in basis[:3]:
+                ok_member &= weyl_harmonics_check(ctx, order_q(ctx, h))
     cases.append(
         _case("ordered harmonics pass the kernel membership test", ok_member, "")
     )
@@ -386,9 +385,7 @@ def suite_hahn(k_max: int = 8, d_max: int = 4, seed: int = 0) -> dict:
             mp = meixner_pollaczek_poly(k, Fraction(d, 2)).compose_linear(
                 Fraction(1, 2), 0
             )
-            fall = Fraction(1)
-            for i in range(k):
-                fall *= Fraction(d + i, i + 1)
+            fall = pochhammer(Fraction(d), k) / factorial(k)
             ok_mp &= mp * fall == g
     ok_conn = all(
         hyp2f1_3f2_connection_check(n, Fraction(d, 2))
@@ -448,8 +445,6 @@ def suite_genfun(
     tol: float = 1e-10,
     seed: int = 0,
 ) -> dict:
-    from math import factorial
-
     from .numerics import (
         genfun_ode_residual,
         genfun_taylor_coefficients,

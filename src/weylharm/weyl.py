@@ -40,8 +40,9 @@ class NormalMonomial(NamedTuple):
 def check_exponents(*vectors) -> None:
     """Raise ValueError unless every entry of every vector is an int >= 0.
 
-    Called where exponents enter from outside (constructors, JSON); the
-    internal hot paths only ever produce valid vectors.
+    Called where exponents enter from outside (the public `TermMap`
+    constructor, which `monomial` and JSON go through); the internal hot
+    paths only ever produce valid vectors and build through `_trusted`.
     """
     for vec in vectors:
         if not all(isinstance(e, int) and e >= 0 for e in vec):
@@ -79,6 +80,7 @@ class TermMap:
             raise ValueError("mode count d must be >= 1")
         clean: dict = {}
         for mono, coeff in (terms or {}).items():
+            check_exponents(*mono)
             clean[mono] = GaussRational.coerce(coeff)
             if clean[mono] and (len(mono.beta) != d or len(mono.alpha) != d):
                 raise ModeMismatchError(f"monomial {mono} does not have {d} modes")
@@ -113,9 +115,7 @@ class TermMap:
 
     @classmethod
     def monomial(cls, d: int, first, second, coeff: ScalarLike = 1):
-        first, second = tuple(first), tuple(second)
-        check_exponents(first, second)
-        return cls(d, {cls._mono(first, second): coeff})
+        return cls(d, {cls._mono(tuple(first), tuple(second)): coeff})
 
     @classmethod
     def _generator(cls, d: int, j: int, field: int):
@@ -225,7 +225,6 @@ class TermMap:
         terms = {}
         for t in data["terms"]:
             vectors = [tuple(t[f]) for f in cls._mono._fields]
-            check_exponents(*vectors)
             terms[cls._mono(*vectors)] = GaussRational(
                 Fraction(t["re"]), Fraction(t["im"])
             )

@@ -276,3 +276,30 @@ class TestExactOutputPinned:
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # the element verbs read their input through the expression parser;
+    # digests recorded before the parser evaluated as it read, for the
+    # human form and then the JSON form of each call
+    @pytest.mark.parametrize("argv, digests", [
+        (["normal-order", "--", "(a1+c1)^3*a2 - 1/2*i"],
+         ("f7995d4f0762a44a8c3df72a4b237f77cc3eb3a8579a2bc8dad599757ae1a4ce",
+          "049c4e099637ec4d9efca70fbf737ba2f47aab3a6edd15e410d13257f69e6e01")),
+        (["order", "--q=1/3", "--", "(z1+zb1)^4 - 1/2*i*z1"],
+         ("da064d2bcfab6b5d1f731ecd0f900348b783e1e01ad785c8465bd409e05a44c3",
+          "491f2e51278044f9463252f7dc5e2de7b5684d13cdf45796f22c32745d3e2f04")),
+        (["unorder", "--q=1/3", "--", "(a1+c1)^3*a2 - 1/2*i"],
+         ("93af37e67fdb2e097788c3347d722a64ee204ccdd73a68bee29e4db255881604",
+          "7a2db250d472f264a0fed46bc07273b2cf0ead3c402c3ed6a6a7aaf3bbbb0d0d")),
+        (["decompose", "--q=1/2", "--", "c1^2*a1^2"],
+         ("97f8519adf817b69f726fd9d530cdc0d8438567504d4c4550a38ea5e825354cd",
+          "927b777237a171a29ac90491e26bb03e44000b5edf55afacf41f61de45acc5ff")),
+        (["decompose", "--q=1/3", "--", "(a1+c1)^2*(a2+c2)^2 - 2/3*i*c1*a2"],
+         ("cb3dab2be305a1a00c762fff5af9b5cd5bcefacd207200c05e4fda7bffb2a014",
+          "21dddcb33502ad3ce3395649e20857768a5bc7bb96d85e3137a35e17b1871c18")),
+    ], ids=["normal-order", "order-q1/3", "unorder-q1/3", "decompose-q1/2",
+            "decompose-d2-q1/3"])
+    def test_parsed_output_digest(self, capsys, argv, digests):
+        for extra, digest in zip(([], ["--json"]), digests):
+            code, out = run_cli(capsys, *argv[:-2], *extra, *argv[-2:])
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest

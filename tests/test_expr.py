@@ -99,6 +99,18 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_poly("z1^z1")
 
+    def test_first_error_in_reading_order(self):
+        # a foreign generator read before a syntax error is the one reported
+        with pytest.raises(MixedContextError, match="variable z1 is not a Weyl generator"):
+            parse_weyl("z1 + (")
+        with pytest.raises(MixedContextError,
+                           match="generator a1 is not a polynomial variable"):
+            parse_poly("a1 + z1^")
+        # and a syntax error read first wins over a later foreign generator
+        with pytest.raises(ParseError) as err:
+            parse_weyl("a1 + ) + z1")
+        assert err.value.position == 5
+
 
 class TestRoundTrips:
     def test_weyl_print_parse(self):

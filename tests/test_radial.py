@@ -414,12 +414,11 @@ class TestWeylWeightBasis:
         for q in Q_GRID:
             for d in (1, 2, 3):
                 ctx = RadialContext(d, q)
-                octx = ctx.ordering
                 for k in range(6):
                     ek = eta(ctx, k)
-                    assert cal_R(octx, ek) == eta(ctx, k + 1)
-                    assert cal_E(octx, ek) == ek.scale(2 * k + d)
-                    lowered = cal_L(octx, ek)
+                    assert cal_R(ctx, ek) == eta(ctx, k + 1)
+                    assert cal_E(ctx, ek) == ek.scale(2 * k + d)
+                    lowered = cal_L(ctx, ek)
                     if k == 0:
                         assert lowered.is_zero()
                     else:
@@ -435,7 +434,7 @@ class TestWeylHarmonics:
         p = CPolynomial.z(1, 1) ** 2  # z^2 is harmonic
         for q in Q_GRID:
             ctx = RadialContext(1, q)
-            assert weyl_harmonics_check(ctx, order_q(ctx.ordering, p))
+            assert weyl_harmonics_check(ctx, order_q(ctx, p))
 
     def test_number_operator_is_not(self):
         ctx = RadialContext(1, Fraction(1, 2))

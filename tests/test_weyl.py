@@ -8,7 +8,7 @@ from math import comb, factorial
 
 import pytest
 
-from weylharm.poly import CPolynomial
+from weylharm.poly import CMonomial, CPolynomial
 from weylharm.scalars import GR_ONE, GaussRational, UniPoly
 from weylharm.verify import random_cpoly, random_weyl
 from weylharm.weyl import (
@@ -322,3 +322,18 @@ def test_monomial_rejects_bad_exponents(beta, alpha):
                                "re": "1", "im": "0"}]}
     with pytest.raises(ValueError):
         WeylElement.from_json_dict(data)
+
+
+@pytest.mark.parametrize("cls, mono", [
+    (WeylElement, NormalMonomial((-1,), (0,))),
+    (WeylElement, NormalMonomial((0,), (2.0,))),
+    (CPolynomial, CMonomial((1.5,), (0,))),
+    (CPolynomial, CMonomial((0,), (-2,))),
+])
+def test_constructor_rejects_bad_exponents(cls, mono):
+    # the public constructor is where exponents from outside are validated;
+    # before it was, a^2 * (a+)^-1 silently multiplied to 0
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        cls(1, {mono: 1})
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        cls(1, {mono: 0})
