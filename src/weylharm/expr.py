@@ -77,10 +77,13 @@ class _Parser:
 
     ``generators`` maps a variable kind to its constructor ``(d, j)``, and
     ``foreign`` words the error for any other kind.  Without an explicit d,
-    d is the largest variable index among the tokens, and at least 1.
+    d is the largest variable index among the tokens, and at least 1; an
+    explicit d below 1 is refused before any token is read.
     """
 
     def __init__(self, text: str, d: int | None, cls, generators: dict, foreign: str):
+        if d is not None and d < 1:
+            raise ValueError("mode count d must be >= 1")
         self.tokens = tokenize(text)
         self.pos = 0
         if d is None:

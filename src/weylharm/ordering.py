@@ -47,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .poly import CMonomial, CPolynomial, op_E, op_L, op_R
+from .poly import CMonomial, CPolynomial, _triple, op_L
 from .weyl import (
     ModeMismatchError,
     NormalMonomial,
@@ -176,14 +176,14 @@ def cal_L(ctx: OrderingContext, w: WeylElement) -> WeylElement:
 def cal_E(ctx: OrderingContext, w: WeylElement) -> WeylElement:
     """The transferred grading operator E + 2(1-q) L."""
     _check_w(ctx, w)
-    return op_E(w) + op_L(w).scale(2 * ctx.q_complement)
+    return _triple(w, 0, 1, 2 * ctx.q_complement)
 
 
 def cal_R(ctx: OrderingContext, w: WeylElement) -> WeylElement:
     """The transferred raising operator R + (1-q) E + (1-q)^2 L."""
     _check_w(ctx, w)
     t = ctx.q_complement
-    return op_R(w) + op_E(w).scale(t) + op_L(w).scale(t * t)
+    return _triple(w, 1, t, t * t)
 
 
 def _check_w(ctx: OrderingContext, w: WeylElement):

@@ -88,46 +88,58 @@ class CPolynomial(TermMap):
 # ---------------------------------------------------------------------------
 
 
-def _shift_diagonal(p: TermMap, step: int, weight) -> TermMap:
-    """sum_j weight(u_j, v_j) * (the monomial with both exponents at mode j
-    moved by ``step``), over every term of p.
+def _triple(p: TermMap, r, e, l) -> TermMap:
+    """r*R(p) + e*E(p) + l*L(p) for exact scalars r, e, l, in one accumulator.
 
-    The triple only ever touches the two exponent vectors of a monomial
-    together and symmetrically, so the field order of ``_mono`` does not
-    matter: one body serves `CPolynomial` and `weyl.WeylElement`.
+    R raises and L lowers both exponents at one mode together, with weights
+    1 and u_j*v_j; E keeps each monomial and weighs it by degree + d.  The
+    triple only ever touches the two exponent vectors of a monomial together
+    and symmetrically, so the field order of ``_mono`` does not matter: one
+    body serves `CPolynomial` and `weyl.WeylElement`.
     """
-    cls = type(p)
+    cls, d, terms = type(p), p.d, p.terms
     acc: dict = {}
-    for (u, v), c in p.terms.items():
-        for j in range(p.d):
-            w = weight(u[j], v[j])
-            if not w:
-                continue
-            mono = cls._mono(
-                u[:j] + (u[j] + step,) + u[j + 1 :],
-                v[:j] + (v[j] + step,) + v[j + 1 :],
-            )
-            # R's weight is always 1: keep the (immutable) coefficient
-            # instead of building an equal one
-            cw = c if w == 1 else c * w
-            cur = acc.get(mono)
-            acc[mono] = cw if cur is None else cur + cw
-    return cls._trusted(p.d, acc)
+    if e:  # E maps monomials one to one, so its part seeds the accumulator
+        acc = {m: c * (e * (sum(m[0]) + sum(m[1]) + d)) for m, c in terms.items()}
+    for (u, v), c in terms.items():
+        # a weight of 1 keeps the (immutable) coefficient instead of
+        # building an equal one
+        if r:
+            cr = c if r == 1 else c * r
+            for j in range(d):
+                up = cls._mono(u[:j] + (u[j] + 1,) + u[j + 1 :],
+                               v[:j] + (v[j] + 1,) + v[j + 1 :])
+                cur = acc.get(up)
+                acc[up] = cr if cur is None else cur + cr
+        if l:
+            cl = None
+            for j in range(d):
+                w = u[j] * v[j]
+                if not w:
+                    continue
+                if cl is None:
+                    cl = c if l == 1 else c * l
+                down = cls._mono(u[:j] + (u[j] - 1,) + u[j + 1 :],
+                                 v[:j] + (v[j] - 1,) + v[j + 1 :])
+                cw = cl if w == 1 else cl * w
+                cur = acc.get(down)
+                acc[down] = cw if cur is None else cur + cw
+    return cls._trusted(d, acc)
 
 
 def op_R(p: TermMap) -> TermMap:
     """Multiplication by the squared radius sum_j z_j zbar_j."""
-    return _shift_diagonal(p, 1, lambda a, b: 1)
+    return _triple(p, 1, 0, 0)
 
 
 def op_L(p: TermMap) -> TermMap:
     """Quarter-Laplacian sum_j d^2/(dz_j dzbar_j)."""
-    return _shift_diagonal(p, -1, lambda a, b: a * b)
+    return _triple(p, 0, 0, 1)
 
 
 def op_E(p: TermMap) -> TermMap:
     """Symmetrized Euler operator: degree + d on each monomial."""
-    return p._trusted(p.d, {m: c * (m.degree + p.d) for m, c in p.terms.items()})
+    return _triple(p, 0, 1, 0)
 
 
 def deriv_z(p: CPolynomial, j: int) -> CPolynomial:

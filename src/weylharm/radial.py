@@ -28,7 +28,7 @@ from math import comb, factorial, prod
 
 from .ordering import OrderingContext, cal_L, cal_R, order_q, unorder_q
 from .poly import harmonic_decompose
-from .scalars import GR_ONE, GR_ZERO, GaussRational, UniPoly
+from .scalars import GR_ONE, GR_ZERO, UP_ONE, GaussRational, UniPoly
 from .specfun import hyp2F1_terminating_poly, pochhammer
 from .weyl import WeylElement
 
@@ -118,10 +118,9 @@ def express_in_N(w: WeylElement) -> UniPoly:
         for beta, coeff in terms:
             if coeff != c[k] * (factorial(k) // prod(map(factorial, beta))):
                 raise NotRadialError(f"level {k} is not a multiple of :N^{k}:")
-    t = UniPoly.x()
     out = UniPoly()
     for k in range(len(c) - 1, -1, -1):
-        out = out * (t - k) + c[k]
+        out = out._recur(-k, c[k], UP_ONE)  # out*(t - k) + c_k
     return out
 
 
@@ -182,13 +181,12 @@ def omega(ctx: RadialContext, k: int) -> UniPoly:
     if k < 0:
         raise ValueError("k must be >= 0")
     q = ctx.q
-    t = UniPoly.x()
 
     def step(chain):
         n = len(chain) - 1
         prev = chain[n - 1] if n >= 1 else UniPoly()
-        linear = t + (1 - q) * ctx.d - (2 * q - 1) * n
-        return linear * chain[n] + prev * (q * (1 - q) * n * (n + ctx.d - 1))
+        return chain[n]._recur((1 - q) * ctx.d - (2 * q - 1) * n,
+                               q * (1 - q) * n * (n + ctx.d - 1), prev)
 
     return _chain_level(_omega_cache, (ctx.d, ctx.q), [UniPoly((GR_ONE,))], step, k)
 

@@ -11,8 +11,8 @@ A `UniPoly` stores the same shape for a whole polynomial: two int tuples
 ``_re`` and ``_im`` of numerators over one int ``_den``, with den > 0,
 gcd(den, *re, *im) = 1, no trailing zero coefficient, and ``_im == ()``
 exactly when the polynomial is real; zero is ((), (), 1).  Its ring
-operations, evaluation and Taylor shift run on the ints and take one gcd
-per result, not one per coefficient.
+operations, evaluation, Taylor shift and three-term recurrence step run on
+the ints and take one gcd per result, not one per coefficient.
 
 All values are immutable; operations return fresh objects and never
 mutate their arguments.
@@ -29,14 +29,24 @@ ScalarLike = Union[int, Fraction, "GaussRational"]
 
 
 def _power(base, n: int, one):
-    """base**n by repeated squaring, for any value with a product."""
+    """base**n by repeated squaring, for any value with a product.
+
+    Starts from the lowest set bit and squares only while bits remain, so
+    it takes floor(log2 n) squarings and popcount(n) - 1 other products.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError("only nonnegative integer powers")
-    out = one
+    if not n:
+        return one
+    while not n & 1:
+        base = base * base
+        n >>= 1
+    out = base
+    n >>= 1
     while n:
+        base = base * base
         if n & 1:
             out = out * base
-        base = base * base
         n >>= 1
     return out
 
@@ -331,15 +341,7 @@ class UniPoly:
         other = UniPoly._coerce(other)
         if not self._re or not other._re:
             return UP_ZERO
-        ar, ai, br, bi = self._re, self._im, other._re, other._im
-        re = [0] * (len(ar) + len(br) - 1)
-        _convolve_into(re, ar, br, 1)
-        im = ()
-        if ai or bi:  # an empty part adds nothing
-            im = [0] * len(re)
-            _convolve_into(re, ai, bi, -1)
-            _convolve_into(im, ar, bi, 1)
-            _convolve_into(im, ai, br, 1)
+        re, im = _mul_parts(self._re, self._im, other._re, other._im)
         return _up(re, im, self._den * other._den)
 
     __rmul__ = __mul__
@@ -354,6 +356,36 @@ class UniPoly:
 
     def __pow__(self, n: int) -> "UniPoly":
         return _power(self, n, UP_ONE)
+
+    def _recur(self, a: ScalarLike, s: ScalarLike, r: "UniPoly") -> "UniPoly":
+        """(t + a)*self + s*r on the numerators, with one gcd: the step of a
+        three-term recurrence.
+
+        With a = A/ad, s = S/sd, self = P/pd and r = R/rd, the result is
+        u(ad*t + A)P + vSR over the lcm ad*pd*u = sd*rd*v of the two
+        denominators.
+        """
+        an, am, ad = _parts(a)
+        sn, sm, sd = _parts(s)
+        left, right = ad * self._den, sd * r._den
+        g = gcd(left, right)
+        u, v = right // g, left // g
+        pre, pim, rre, rim = self._re, self._im, r._re, r._im
+        lin_re, lin_im = (u * an, u * ad), (u * am,)
+        sn, sm = v * sn, v * sm
+        re = [0] * max(len(pre) + 1 if pre else 0, len(rre))
+        _convolve_into(re, lin_re, pre, 1)
+        _convolve_into(re, lin_im, pim, -1)
+        _convolve_into(re, (sn,), rre, 1)
+        _convolve_into(re, (sm,), rim, -1)
+        im = ()
+        if pim or rim or am or sm:
+            im = [0] * len(re)
+            _convolve_into(im, lin_re, pim, 1)
+            _convolve_into(im, lin_im, pre, 1)
+            _convolve_into(im, (sn,), rim, 1)
+            _convolve_into(im, (sm,), rre, 1)
+        return _up(re, im, left * u)
 
     # -- evaluation and composition --------------------------------------
 
@@ -508,6 +540,20 @@ def _combine(a, sa: int, b, sb: int) -> list:
     for k, y in enumerate(b):
         out[k] += y * sb
     return out
+
+
+def _mul_parts(ar, ai, br, bi) -> tuple:
+    """Numerator lists (re, im) of the product of two nonzero polynomials
+    with numerators ar + ai*i and br + bi*i; im is () when both are real."""
+    re = [0] * (len(ar) + len(br) - 1)
+    _convolve_into(re, ar, br, 1)
+    im = ()
+    if ai or bi:  # an empty part adds nothing
+        im = [0] * len(re)
+        _convolve_into(re, ai, bi, -1)
+        _convolve_into(im, ar, bi, 1)
+        _convolve_into(im, ai, br, 1)
+    return re, im
 
 
 def _convolve_into(out: list, a, b, sign: int) -> None:

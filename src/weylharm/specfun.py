@@ -6,14 +6,29 @@ exact scalars or polynomials (e.g. the -t upper parameter that makes a
 Gauss series a polynomial of t, or a + i*x for the complex-argument
 families); lower parameters must be scalars and are pole-checked over the
 finitely many terms actually used.
+
+`terminating_series` sums on ints in the layout of `UniPoly`: the running
+term and the running total are each a list of Gaussian-integer numerators
+over one int denominator.  All scalar parameters of a term fold into one
+integer ratio, so a term costs one short polynomial product and one gcd,
+and the result is built once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
-from .scalars import GR_I, GR_ONE, GaussRational, UniPoly
+from .scalars import (
+    GR_I,
+    GR_ONE,
+    GaussRational,
+    UniPoly,
+    _combine,
+    _mul_parts,
+    _parts,
+    _up,
+)
 
 
 class InvalidParameterError(ValueError):
@@ -39,37 +54,75 @@ def minus_t_poly() -> UniPoly:
 
 
 def _check_lower(lower, nterms: int):
+    """Raise unless (lower)_j is nonzero for every j < nterms: lower + m
+    vanishes for some 0 <= m < nterms - 1 exactly when lower is the integer
+    -m."""
     value = lower if isinstance(lower, Fraction) else Fraction(lower)
-    for m in range(nterms - 1):
-        if value + m == 0:
-            raise InvalidParameterError(
-                f"lower parameter {lower} hits zero at term {m + 1}"
-            )
+    m = -value
+    if m.denominator == 1 and 0 <= m < nterms - 1:
+        raise InvalidParameterError(f"lower parameter {lower} hits zero at term {m + 1}")
 
 
 def terminating_series(uppers, lowers, arg, nterms: int) -> UniPoly:
     """sum_{j<nterms} prod(u)_j / (prod(l)_j j!) * arg^j as a UniPoly.
 
-    ``uppers`` may mix scalars and UniPoly factors; ``lowers`` and ``arg``
-    must be exact scalars.  The result is a polynomial (a constant one
-    when no upper factor is a polynomial).
+    ``uppers`` may mix scalars and UniPoly factors of any degree; ``lowers``
+    and ``arg`` must be exact scalars.  The result is a polynomial (a
+    constant one when no upper factor is a polynomial).
+
+    The running term and the running total are Gaussian-integer numerator
+    lists over one int denominator each, the layout of `UniPoly`.  Going
+    from term j to term j+1, the scalar uppers, the lowers, j+1 and ``arg``
+    fold into one ratio (rn + rm*i)/rd; that ratio times the numerators of
+    every polynomial factor (u + j) gives one short factor, which multiplies
+    the term's numerators.  One gcd reduces the term, and the total moves
+    onto the lcm of the two denominators.  The sum stops at the first zero
+    ratio, the term past a -k upper; one `_up` builds the result.
     """
     if nterms < 1:
         raise ValueError("series needs at least one term")
     for lower in lowers:
         _check_lower(lower, nterms)
-    argc = GaussRational.coerce(arg)
-    term = UniPoly((GR_ONE,))
-    total = term
+    polys = [(u._re or (0,), u._im, u._den) for u in uppers if isinstance(u, UniPoly)]
+    scalars = [_parts(u) for u in uppers if not isinstance(u, UniPoly)]
+    lower_parts = [_parts(low) for low in lowers]
+    an, am, ad = _parts(arg)
+    re, im, den = [1], (), 1
+    total_re, total_im, total_den = [1], [], 1
     for j in range(nterms - 1):
-        for u in uppers:
-            term = term * (u + j)
-        denom = GaussRational.coerce(j + 1)
-        for low in lowers:
-            denom = denom * GaussRational.coerce(low + j)
-        term = term * (argc / denom)
-        total = total + term
-    return total
+        # u + j = (c + j*f + e*i)/f for u = (c + e*i)/f
+        rn, rm, rd = an, am, ad * (j + 1)
+        for c, e, f in scalars:
+            c += j * f
+            rn, rm, rd = rn * c - rm * e, rn * e + rm * c, rd * f
+        if not rn and not rm:
+            break
+        for c, _, f in lower_parts:
+            c += j * f
+            rn, rm, rd = rn * f, rm * f, rd * c
+        if rd < 0:
+            rn, rm, rd = -rn, -rm, -rd
+        factor_re, factor_im = [rn], ([rm] if rm else ())
+        for u_re, u_im, u_den in polys:
+            shifted = list(u_re)
+            shifted[0] += j * u_den
+            factor_re, factor_im = _mul_parts(factor_re, factor_im, shifted, u_im)
+            rd *= u_den
+        re, im = _mul_parts(re, im, factor_re, factor_im)
+        den *= rd
+        g = gcd(den, *re, *im)
+        if g != 1:
+            re = [n // g for n in re]
+            im = [m // g for m in im]
+            den //= g
+        g = gcd(total_den, den)
+        scale_total, scale_term = den // g, total_den // g
+        total_re = _combine(total_re, scale_total, re, scale_term)
+        total_im = _combine(total_im, scale_total, im, scale_term)
+        total_den = scale_total * total_den
+    if total_im:
+        total_im += [0] * (len(total_re) - len(total_im))
+    return _up(total_re, total_im, total_den)
 
 
 def hyp2F1_terminating_poly(k: int, c, x) -> UniPoly:

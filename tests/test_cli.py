@@ -89,6 +89,11 @@ class TestElementCommands:
             (["verify", "sl2", "--deg", "-1"], "deg must be >= 0"),
             (["verify", "intertwine", "--deg", "-1"], "deg must be >= 0"),
             (["verify", "harmonics", "--deg", "-1"], "deg must be >= 0"),
+            # d is checked before the expression is read, whatever its atoms
+            (["normal-order", "--d", "0", "--", "a1"], "mode count d must be >= 1"),
+            (["normal-order", "--d", "-2", "--", "c1^2"], "mode count d must be >= 1"),
+            (["order", "--d", "0", "--q", "1/2", "--", "z1*zb1"],
+             "mode count d must be >= 1"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):

@@ -16,6 +16,7 @@ from weylharm.scalars import (
     GR_ZERO,
     GaussRational,
     UniPoly,
+    _power,
     format_gauss,
 )
 
@@ -347,6 +348,27 @@ class TestRepresentation:
         assert_canonical(z)
         assert_is(z, *expected)
 
+    def test_power_product_count(self):
+        # x**n takes floor(log2 n) squarings and popcount(n) - 1 other
+        # products; an unused square after the last bit costs as much as
+        # all the rest for a dense base
+        class Counted:
+            def __init__(self, exponent, log):
+                self.exponent, self.log = exponent, log
+
+            def __mul__(self, other):
+                self.log.append("square" if other is self else "other")
+                return Counted(self.exponent + other.exponent, self.log)
+
+        for n in range(65):
+            log = []
+            one = Counted(0, log)
+            out = _power(Counted(1, log), n, one)
+            assert out.exponent == n
+            assert log.count("square") == max(n.bit_length() - 1, 0)
+            assert log.count("other") == max(bin(n).count("1") - 1, 0)
+            assert n or out is one
+
     @given(st.one_of(st.integers(min_value=-7, max_value=7), huge_ints,
                      wide_fractions),
            wide_fractions)
@@ -542,6 +564,18 @@ class TestUniPolyAgainstCoeffOracle:
     @settings(max_examples=150)
     def test_compose_linear(self, xs, a, b):
         self.agree(UniPoly(xs).compose_linear(a, b), CoeffPoly(xs).compose_linear(a, b))
+
+    @given(poly_coeffs, st.one_of(st.just(0), scalar_operands),
+           st.one_of(st.just(0), scalar_operands), poly_coeffs)
+    @settings(max_examples=150)
+    def test_recurrence_step(self, xs, a, s, ys):
+        p, r = UniPoly(xs), UniPoly(ys)
+        step = p._recur(a, s, r)
+        expected = (UniPoly.x() + a) * p + r * s
+        assert_canonical_poly(step)
+        assert (step._re, step._im, step._den) == (
+            expected._re, expected._im, expected._den)
+        self.agree(step, CoeffPoly((a, 1)) * CoeffPoly(xs) + CoeffPoly(ys) * s)
 
     @given(poly_coeffs, scalar_operands)
     @settings(max_examples=100)

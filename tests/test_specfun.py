@@ -1,11 +1,12 @@
 """Terminating hypergeometric machinery and the named families."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from weylharm.radial import RadialContext, g_poly_symmetric, omega_closed_form
-from weylharm.scalars import GR_ONE, UniPoly
+from weylharm.scalars import GR_I, GR_ONE, GaussRational, UniPoly
 from weylharm.specfun import (
     InvalidParameterError,
     continuous_hahn_poly,
@@ -15,7 +16,9 @@ from weylharm.specfun import (
     krawtchouk_meixner_check,
     meixner_pollaczek_poly,
     meixner_poly,
+    minus_t_poly,
     pochhammer,
+    terminating_series,
 )
 
 T = UniPoly.x()
@@ -177,11 +180,95 @@ class TestKrawtchoukMeixner:
             krawtchouk_meixner_check(2, Fraction(0), 1)
 
 
+# ---------------------------------------------------------------------------
+# The integer-numerator series against the per-term UniPoly series
+# ---------------------------------------------------------------------------
+
+
+def per_term_series(uppers, lowers, arg, nterms):
+    """The oracle: the series summed one UniPoly term at a time, every
+    factor applied as its own UniPoly or GaussRational operation.  This is
+    how `terminating_series` computed before it moved onto one integer
+    numerator list per result."""
+    if nterms < 1:
+        raise ValueError("series needs at least one term")
+    for lower in lowers:
+        for m in range(nterms - 1):
+            if Fraction(lower) + m == 0:
+                raise InvalidParameterError(
+                    f"lower parameter {lower} hits zero at term {m + 1}")
+    argc = GaussRational.coerce(arg)
+    term = UniPoly((GR_ONE,))
+    total = term
+    for j in range(nterms - 1):
+        for u in uppers:
+            term = term * (u + j)
+        denom = GaussRational.coerce(j + 1)
+        for low in lowers:
+            denom = denom * GaussRational.coerce(low + j)
+        term = term * (argc / denom)
+        total = total + term
+    return total
+
+
+def parts(p):
+    """The canonical parts of a UniPoly."""
+    return p._re, p._im, p._den
+
+
+def random_series_case(rng):
+    """Uppers, lowers, arg and nterms for one random terminating series."""
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    def scalar():
+        if rng.random() < 0.3:
+            return GaussRational(rational(), rational())
+        return rational()
+
+    k = rng.randint(0, 6)
+    uppers = [Fraction(-k)] if rng.random() < 0.8 else []
+    uppers += [scalar() for _ in range(rng.randint(0, 2))]
+    uppers += [UniPoly([scalar() for _ in range(rng.randint(1, 3))])
+               for _ in range(rng.randint(0, 2))]
+    rng.shuffle(uppers)
+    lowers = [rational() for _ in range(rng.randint(0, 2))]
+    arg = scalar() if rng.random() < 0.9 else 0
+    return uppers, lowers, arg, rng.randint(1, k + 4)
+
+
+def test_series_matches_per_term_oracle():
+    rng = random.Random(11)
+    cases = 0
+    while cases < 600:
+        uppers, lowers, arg, nterms = random_series_case(rng)
+        try:
+            expected = per_term_series(uppers, lowers, arg, nterms)
+        except InvalidParameterError as exc:
+            with pytest.raises(InvalidParameterError) as got:
+                terminating_series(uppers, lowers, arg, nterms)
+            assert str(got.value) == str(exc)
+            continue
+        assert parts(terminating_series(uppers, lowers, arg, nterms)) == parts(expected)
+        cases += 1
+
+
+def test_series_named_families_match_per_term_oracle():
+    # the parameter sets the package's families and the radial closed form use
+    for k in range(12):
+        for c, x in ((Fraction(3), Fraction(4, 3)), (Fraction(1, 2), Fraction(-2))):
+            args = ([minus_t_poly(), Fraction(-k)], [c], x, k + 1)
+            assert parts(terminating_series(*args)) == parts(per_term_series(*args))
+        a = Fraction(3, 4)
+        args = ([Fraction(-k), k + 4 * a - 1, UniPoly((GaussRational(a), GR_I))],
+                [2 * a, 2 * a + Fraction(1, 2)], 1, k + 1)
+        assert parts(terminating_series(*args)) == parts(per_term_series(*args))
+
+
 def test_series_is_exact_sum_of_k_plus_one_terms():
     # structurally terminating: the (-k) upper factor zeroes everything
     # past term k, so adding more requested terms changes nothing
-    from weylharm.specfun import terminating_series, minus_t_poly
-
     base = terminating_series(
         [minus_t_poly(), Fraction(-3)], [Fraction(2)], Fraction(5, 7), 4
     )
