@@ -22,6 +22,12 @@ whose weights are the Wick contraction weights of the product kernel
 with -(1-q) in place of 1-q.  `apply_M` and `apply_Mplus` keep the
 defining operator form as an independent check of both.
 
+Both sums run on integers, in the layout of `GaussRational` and `UniPoly`:
+every contribution is a pair of Gaussian-integer numerators over one common
+denominator (the lcm of the input denominators times a power of the
+denominator of 1-q), collisions add ints, and each output term takes one
+gcd.  The transferred triple below does the same in `poly._triple`.
+
 The transferred sl2 triple (`cal_R`, `cal_L`, `cal_E`) is the classical
 triple of `poly` (R = r^2, L the quarter-Laplacian, E = degree + d) pushed
 through the ordering map, so that the map intertwines the two.  In
@@ -45,9 +51,12 @@ tests as the independent check.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import sub
 from typing import NamedTuple
 
 from .poly import CMonomial, CPolynomial, _triple, op_L
+from .scalars import GR_ONE, _gr
 from .weyl import (
     ModeMismatchError,
     NormalMonomial,
@@ -98,46 +107,61 @@ def apply_Mplus(ctx: OrderingContext, j: int, w: WeylElement) -> WeylElement:
     return weyl_mul(c, w).scale(ctx.q) + weyl_mul(w, c).scale(ctx.q_complement)
 
 
-def _contracted(alpha: tuple, beta: tuple, t: Fraction):
-    """(alpha - i, beta - i, weight * t^|i|) over the contractions i of
-    a^alpha (a+)^beta, with the Wick weights of `contractions`."""
-    for ivec, weight in contractions(alpha, beta):
-        yield (
-            tuple(a - i for a, i in zip(alpha, ivec)),
-            tuple(b - i for b, i in zip(beta, ivec)),
-            weight * t ** sum(ivec),
-        )
+def _normal(alpha: tuple, beta: tuple) -> NormalMonomial:
+    """The normal monomial (a+)^beta a^alpha, the image key of z^alpha zbar^beta."""
+    return NormalMonomial(beta, alpha)
 
 
 def ordered_monomial(ctx: OrderingContext, alpha, beta) -> WeylElement:
     """Image of z^alpha zbar^beta under the ordering map, in closed form."""
     alpha, beta = tuple(alpha), tuple(beta)
     check_exponents(alpha, beta)
-    return WeylElement(ctx.d, {
-        NormalMonomial(b, a): c
-        for a, b, c in _contracted(alpha, beta, ctx.q_complement)
-    })
+    if len(alpha) != ctx.d or len(beta) != ctx.d:
+        raise ModeMismatchError(
+            f"exponent vectors have {len(alpha)} and {len(beta)} modes, context d={ctx.d}")
+    return WeylElement._wrap(ctx.d, _closed_form(
+        {CMonomial(alpha, beta): GR_ONE}, ctx.q_complement, _normal))
 
 
 def _closed_form(terms, t: Fraction, key) -> dict:
     """sum over terms of coeff * (the closed form of its monomial with 1-q
-    replaced by t), as a dict keyed by ``key(alpha, beta)``."""
+    replaced by t), as a dict of nonzero coefficients keyed by
+    ``key(alpha - i, beta - i)``.
+
+    The sum runs on Gaussian-integer numerators over one common
+    denominator.  With L the lcm of the input denominators, t = tn/td and
+    S the largest contraction order |i|, a contraction of weight w and
+    order s adds (n, m) * (L/den) * w * tn^s * td^(S-s) to its key's pair;
+    each nonzero pair then becomes one (N + M*i)/(L * td^S), one gcd per
+    output term.
+    """
+    tn, td = t.numerator, t.denominator
+    lcd = lcm(*(c.den for c in terms.values()))
+    top = max((sum(map(min, mono.alpha, mono.beta)) for mono in terms), default=0)
+    scale = [tn**s * td ** (top - s) for s in range(top + 1)]
     acc: dict = {}
-    for mono, coeff in terms.items():
-        for a, b, c in _contracted(mono.alpha, mono.beta, t):
-            k = key(a, b)
+    for mono, c in terms.items():
+        f = lcd // c.den
+        n, m = c.n * f, c.m * f
+        alpha, beta = mono.alpha, mono.beta
+        for ivec, weight in contractions(alpha, beta):
+            w = weight * scale[sum(ivec)]
+            k = key(tuple(map(sub, alpha, ivec)), tuple(map(sub, beta, ivec)))
             cur = acc.get(k)
-            acc[k] = coeff * c if cur is None else cur + coeff * c
-    return acc
+            if cur is None:
+                acc[k] = [n * w, m * w]
+            else:
+                cur[0] += n * w
+                cur[1] += m * w
+    den = lcd * td**top
+    return {k: _gr(re, im, den) for k, (re, im) in acc.items() if re or im}
 
 
 def order_q(ctx: OrderingContext, p: CPolynomial) -> WeylElement:
     """The ordering map, linear over Q(i)."""
     if p.d != ctx.d:
         raise ModeMismatchError(f"polynomial has d={p.d}, context d={ctx.d}")
-    return WeylElement._trusted(ctx.d, _closed_form(
-        p.terms, ctx.q_complement, lambda a, b: NormalMonomial(b, a)
-    ))
+    return WeylElement._wrap(ctx.d, _closed_form(p.terms, ctx.q_complement, _normal))
 
 
 def b_element(ctx: OrderingContext, l: int, j: int, k: int) -> WeylElement:
@@ -158,7 +182,7 @@ def b_element(ctx: OrderingContext, l: int, j: int, k: int) -> WeylElement:
 def unorder_q(ctx: OrderingContext, w: WeylElement) -> CPolynomial:
     """Inverse of the ordering map: the closed form with -(1-q) for 1-q."""
     _check_w(ctx, w)
-    return CPolynomial._trusted(
+    return CPolynomial._wrap(
         ctx.d, _closed_form(w.terms, -ctx.q_complement, CMonomial))
 
 

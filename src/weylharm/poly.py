@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalars import GR_ZERO
+from .scalars import GR_ZERO, _gr
 from .weyl import _SCALARS, TermMap, _check_mode
 
 
@@ -89,42 +89,59 @@ class CPolynomial(TermMap):
 
 
 def _triple(p: TermMap, r, e, l) -> TermMap:
-    """r*R(p) + e*E(p) + l*L(p) for exact scalars r, e, l, in one accumulator.
+    """r*R(p) + e*E(p) + l*L(p) for rationals r, e, l, in one accumulator.
 
     R raises and L lowers both exponents at one mode together, with weights
     1 and u_j*v_j; E keeps each monomial and weighs it by degree + d.  The
     triple only ever touches the two exponent vectors of a monomial together
     and symmetrically, so the field order of ``_mono`` does not matter: one
     body serves `CPolynomial` and `weyl.WeylElement`.
+
+    The sum runs on Gaussian-integer numerators over one common
+    denominator: r, e and l become integers over their lcm D, each
+    coefficient (n + m*i)/den becomes (n, m) * (L/den) over the lcm L of
+    the input denominators, and each output monomial keeps one [re, im]
+    pair of ints.  Each nonzero pair then becomes one (re + im*i)/(L * D),
+    one gcd per output term.
     """
     cls, d, terms = type(p), p.d, p.terms
+    lcd = math.lcm(*(c.den for c in terms.values()))
+    dr = math.lcm(r.denominator, e.denominator, l.denominator)
+    rn, en, ln = (x.numerator * (dr // x.denominator) for x in (r, e, l))
     acc: dict = {}
-    if e:  # E maps monomials one to one, so its part seeds the accumulator
-        acc = {m: c * (e * (sum(m[0]) + sum(m[1]) + d)) for m, c in terms.items()}
+    if en:  # E maps monomials one to one, so its part seeds the accumulator
+        for m, c in terms.items():
+            f = lcd // c.den * en * (sum(m[0]) + sum(m[1]) + d)
+            acc[m] = [c.n * f, c.m * f]
     for (u, v), c in terms.items():
-        # a weight of 1 keeps the (immutable) coefficient instead of
-        # building an equal one
-        if r:
-            cr = c if r == 1 else c * r
+        f = lcd // c.den
+        n, m = c.n * f, c.m * f
+        if rn:
+            nr, mr = n * rn, m * rn
             for j in range(d):
                 up = cls._mono(u[:j] + (u[j] + 1,) + u[j + 1 :],
                                v[:j] + (v[j] + 1,) + v[j + 1 :])
                 cur = acc.get(up)
-                acc[up] = cr if cur is None else cur + cr
-        if l:
-            cl = None
+                if cur is None:
+                    acc[up] = [nr, mr]
+                else:
+                    cur[0] += nr
+                    cur[1] += mr
+        if ln:
             for j in range(d):
-                w = u[j] * v[j]
+                w = u[j] * v[j] * ln
                 if not w:
                     continue
-                if cl is None:
-                    cl = c if l == 1 else c * l
                 down = cls._mono(u[:j] + (u[j] - 1,) + u[j + 1 :],
                                  v[:j] + (v[j] - 1,) + v[j + 1 :])
-                cw = cl if w == 1 else cl * w
                 cur = acc.get(down)
-                acc[down] = cw if cur is None else cur + cw
-    return cls._trusted(d, acc)
+                if cur is None:
+                    acc[down] = [n * w, m * w]
+                else:
+                    cur[0] += n * w
+                    cur[1] += m * w
+    den = lcd * dr
+    return cls._wrap(d, {k: _gr(re, im, den) for k, (re, im) in acc.items() if re or im})
 
 
 def op_R(p: TermMap) -> TermMap:

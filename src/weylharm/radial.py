@@ -296,12 +296,9 @@ def nonorthogonality_certificate(ctx: RadialContext, k: int) -> GaussRational:
     if k < 1:
         raise ValueError("k must be >= 1")
     a_k, _, c_k = three_term_coefficients(ctx, k)
-    if k == 1:
-        w0 = omega_by_raising(ctx, 0)
-        w1 = omega_by_raising(ctx, 1)
-        a_prev = w1.leading_coefficient() / w0.leading_coefficient()
-    else:
-        a_prev, _, _ = three_term_coefficients(ctx, k - 1)
+    # A_{k-1} is the ratio of leading coefficients, as in the extraction
+    a_prev = (omega_by_raising(ctx, k).leading_coefficient()
+              / omega_by_raising(ctx, k - 1).leading_coefficient())
     return a_prev * a_k * c_k
 
 

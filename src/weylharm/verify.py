@@ -157,13 +157,15 @@ def suite_sl2(d: int, q: Fraction, deg: int = 4, count: int = 20, seed: int = 0)
     ok_w = [True, True, True]
     for _ in range(count):
         p = random_cpoly(rng, d, deg)
-        ok_p[0] &= (op_R(op_L(p)) - op_L(op_R(p))) == -op_E(p)
-        ok_p[1] &= (op_E(op_R(p)) - op_R(op_E(p))) == 2 * op_R(p)
-        ok_p[2] &= (op_E(op_L(p)) - op_L(op_E(p))) == -2 * op_L(p)
+        r, low, e = op_R(p), op_L(p), op_E(p)
+        ok_p[0] &= (op_R(low) - op_L(r)) == -e
+        ok_p[1] &= (op_E(r) - op_R(e)) == 2 * r
+        ok_p[2] &= (op_E(low) - op_L(e)) == -2 * low
         w = random_weyl(rng, d, deg)
-        ok_w[0] &= (cal_R(ctx, cal_L(ctx, w)) - cal_L(ctx, cal_R(ctx, w))) == -cal_E(ctx, w)
-        ok_w[1] &= (cal_E(ctx, cal_R(ctx, w)) - cal_R(ctx, cal_E(ctx, w))) == cal_R(ctx, w).scale(2)
-        ok_w[2] &= (cal_E(ctx, cal_L(ctx, w)) - cal_L(ctx, cal_E(ctx, w))) == cal_L(ctx, w).scale(-2)
+        r, low, e = cal_R(ctx, w), cal_L(ctx, w), cal_E(ctx, w)
+        ok_w[0] &= (cal_R(ctx, low) - cal_L(ctx, r)) == -e
+        ok_w[1] &= (cal_E(ctx, r) - cal_R(ctx, e)) == r.scale(2)
+        ok_w[2] &= (cal_E(ctx, low) - cal_L(ctx, e)) == low.scale(-2)
     detail = f"{count} random elements, degree <= {deg}"
     names = ("[raise,lower]=-grade", "[grade,raise]=2raise", "[grade,lower]=-2lower")
     cases = [

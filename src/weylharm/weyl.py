@@ -90,9 +90,14 @@ class TermMap:
     def _trusted(cls, d: int, terms: dict):
         """Build from an internal accumulator: GaussRational coefficients on
         monomials of d modes.  Zeros are dropped; nothing is re-validated."""
+        return cls._wrap(d, {m: c for m, c in terms.items() if c})
+
+    @classmethod
+    def _wrap(cls, d: int, clean: dict):
+        """Build from a fresh dict of nonzero GaussRational coefficients on
+        monomials of d modes, which becomes the terms as it is."""
         x = object.__new__(cls)
         object.__setattr__(x, "d", d)
-        clean = {m: c for m, c in terms.items() if c}
         object.__setattr__(x, "terms", MappingProxyType(clean))
         return x
 
