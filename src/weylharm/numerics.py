@@ -4,74 +4,75 @@ Exact identities live elsewhere; this module checks the analytic claims
 that involve transcendental objects: the orthogonality of the symmetric
 radial family against |Gamma(d/2 + i*lambda/2)|^2, and the generating
 function of the renormalized radial polynomials.  Everything is plain
-float64/complex128 with explicit accuracy targets.
+float/complex arithmetic on the standard library's `math` and `cmath`,
+with explicit accuracy targets.  No sum goes through the builtin `sum`,
+whose float rounding changed in Python 3.12: the Gram entries are
+correctly rounded `math.fsum` sums and the DFT adds in sample order, so
+the reported digits are the same on every supported Python.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 from typing import NamedTuple
-
-import numpy as np
 
 from .radial import g_poly_symmetric
 from .scalars import UniPoly
 
-# Lanczos approximation, g = 7, 9 coefficients: relative error below
-# 1e-13 on Re(z) >= 0.5 (checked against 50-digit reference values in the
-# test suite, including |Im| up to 60 as used by the quadrature).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
-_HALF_LOG_2PI = 0.9189385332046727
+def _gamma_weight(d: int, lams: list) -> list:
+    """|Gamma(d/2 + i*lam/2)|^2 at every lam, by the classical forms.
 
-
-def loggamma(z):
-    """Principal log-gamma via Lanczos, with reflection for Re(z) < 1/2.
-
-    Accepts complex scalars or numpy arrays.
+    With b = |lam|/2 and e = exp(-pi*b): |Gamma(1/2 + ib)|^2 = pi/cosh(pi b)
+    = 2 pi e/(1 + e^2) and |Gamma(1 + ib)|^2 = pi b/sinh(pi b)
+    = 2 pi b e/(1 - e^2); each step up the ladder multiplies by a^2 + b^2,
+    as |Gamma(a + 1 + ib)|^2 = (a^2 + b^2) |Gamma(a + ib)|^2.  Nothing
+    grows like exp(pi*b), so no lambda overflows.
     """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    small = z.real < 0.5
-    if np.any(small):
-        zr = z[small]
-        # log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
-        out[small] = np.log(np.pi / np.sin(np.pi * zr)) - loggamma(1.0 - zr)
-    rest = ~small
-    if np.any(rest):
-        zz = z[rest] - 1.0
-        x = np.full(zz.shape, _LANCZOS_COEFFS[0], dtype=complex)
-        for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-            x = x + c / (zz + i)
-        t = zz + _LANCZOS_G + 0.5
-        out[rest] = _HALF_LOG_2PI + (zz + 0.5) * np.log(t) - t + np.log(x)
-    return out[0] if scalar else out
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    pi, exp, expm1 = math.pi, math.exp, math.expm1
+    bs = [0.5 * abs(lam) for lam in lams]
+    if d % 2:
+        es = [exp(-pi * b) for b in bs]
+        values = [2.0 * pi * e / (1.0 + e * e) for e in es]
+    else:  # 1 - e^2 through expm1, which keeps its digits as b -> 0
+        values = [2.0 * pi * b * exp(-pi * b) / -expm1(-2.0 * pi * b) if b else 1.0
+                  for b in bs]
+    for j in range((d - 1) // 2):
+        a2 = (j + (0.5 if d % 2 else 1.0)) ** 2
+        values = [v * (a2 + b * b) for v, b in zip(values, bs)]
+    return values
 
 
-def weight_rho(lam, d: int):
+def weight_rho(lam: float, d: int) -> float:
     """The orthogonality weight |Gamma(d/2 + i*lambda/2)|^2.
 
     Positive on the whole real line for d >= 1 and decaying like
     |lambda|^(d-1) exp(-pi |lambda| / 2).
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    lam = np.asarray(lam, dtype=float)
-    z = d / 2.0 + 0.5j * lam
-    return np.exp(2.0 * np.real(loggamma(z)))
+    return _gamma_weight(d, [lam])[0]
+
+
+# The nonnegative half of 20-point Gauss-Legendre on [-1, 1], bit for bit
+# as numpy.polynomial.legendre.leggauss(20) gives it.  The rule is exactly
+# symmetric, so each node stands for +-x.
+_GL_NODES = (
+    0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+    0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+    0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+    0.993128599185095,
+)
+_GL_WEIGHTS = (
+    0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+    0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+    0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+    0.017614007139150893,
+)
 
 
 class _QuadratureFields(NamedTuple):
@@ -101,30 +102,48 @@ class QuadratureSpec(_QuadratureFields):
         return QuadratureSpec(half_width, panel_count=int(4 * half_width))
 
     def tail_bound(self, d: int, poly_degree: int = 0) -> float:
-        """Crude bound on the neglected tail of p(lambda) * rho(lambda)."""
+        """Crude bound on the neglected tail of p(lambda) * rho(lambda),
+        4 T^(d-1+deg) e^(-pi T/2), formed in logs so that the power alone
+        cannot overflow; infinite only where the bound itself is."""
         t = self.half_width
-        return float(
-            4.0 * t ** (d - 1 + poly_degree) * np.exp(-np.pi * t / 2.0)
-        )
+        try:
+            return 4.0 * math.exp((d - 1 + poly_degree) * math.log(t) - math.pi * t / 2.0)
+        except OverflowError:
+            return math.inf
 
     def doubled(self) -> "QuadratureSpec":
         return QuadratureSpec(self.half_width * 1.25, self.panel_count * 2)
 
 
-def _gauss_nodes(spec: QuadratureSpec):
-    base_x, base_w = np.polynomial.legendre.leggauss(20)
-    edges = np.linspace(-spec.half_width, spec.half_width, spec.panel_count + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    return nodes, weights
+def _folded_rule(spec: QuadratureSpec) -> tuple:
+    """Nodes x > 0 and weights w such that sum w (f(x) + f(-x)) is the
+    composite rule for f on [-T, T].
+
+    Each panel on the positive side pairs up with its mirror image; with
+    an odd panel count the middle panel is its own mirror and keeps its
+    positive half.
+    """
+    t, panels = spec
+    h = 2.0 * t / panels
+    half = 0.5 * h
+    offsets = [-half * x for x in _GL_NODES] + [half * x for x in _GL_NODES]
+    weights = [half * w for w in _GL_WEIGHTS]
+    nodes, node_weights = [], []
+    if panels % 2:
+        nodes += offsets[len(_GL_NODES):]
+        node_weights += weights
+    # outward from 0, where the weight is largest: math.fsum keeps fewer
+    # partials when its terms come roughly in decreasing size
+    start = (panels % 2 + 1) * half
+    nodes += [start + i * h + o for i in range(panels // 2) for o in offsets]
+    node_weights += weights * (panels // 2 * 2)
+    return nodes, node_weights
 
 
 def integrate(f, spec: QuadratureSpec) -> float:
-    """Integrate a vectorizable real function over [-T, T]."""
-    nodes, weights = _gauss_nodes(spec)
-    return float(np.sum(weights * f(nodes)))
+    """Integrate a real function of one float over [-T, T]."""
+    nodes, weights = _folded_rule(spec)
+    return math.fsum(w * (f(x) + f(-x)) for x, w in zip(nodes, weights))
 
 
 def unipoly_eval_float(p: UniPoly, x) -> complex:
@@ -135,27 +154,58 @@ def unipoly_eval_float(p: UniPoly, x) -> complex:
     return acc
 
 
+def _horner(coeffs: list, ts: list) -> list:
+    """Values of sum coeffs[j] t^j at every t, two Horner steps per pass."""
+    if len(coeffs) % 2:
+        values = [coeffs[-1]] * len(ts)
+    else:
+        values = [coeffs[-1] * t + coeffs[-2] for t in ts]
+    for j in range((len(coeffs) - 1) // 2 * 2 - 2, -1, -2):
+        c1, c0 = coeffs[j + 1], coeffs[j]
+        values = [(v * t + c1) * t + c0 for v, t in zip(values, ts)]
+    return values
+
+
 def orthogonality_matrix(d: int, k_max: int, spec: QuadratureSpec | None = None) -> dict:
     """Gram matrix of g_0..g_kmax against the gamma-square weight.
 
-    Returns {"gram", "normalized", "diagonal_positive", "tail_bound"};
-    ``normalized[m, n]`` is |I_mn| / sqrt(I_mm I_nn) with unit diagonal.
+    Returns {"gram", "normalized", "diagonal_positive", "tail_bound",
+    "spec"}, the matrices as lists of rows; ``normalized[m][n]`` is
+    |I_mn| / sqrt(I_mm I_nn) with unit diagonal.
+
+    The recurrence gives g_k the parity of k, so g_k is E(lambda^2) for
+    even k and lambda O(lambda^2) for odd k, and on the folded rule
+    g_m g_n at +-x sums to 2 E_m E_n or 2 x^2 O_m O_n; entries of mixed
+    parity vanish.  E and O are evaluated by Horner in x^2 from the float
+    values of the exact coefficients, and each entry is one correctly
+    rounded sum.
     """
     if spec is None:
         spec = QuadratureSpec.for_orthogonality(d, k_max)
-    polys = [g_poly_symmetric(d, k) for k in range(k_max + 1)]
-    coeffs = [np.array([float(c.re) for c in p.coeffs]) for p in polys]
-    nodes, weights = _gauss_nodes(spec)
-    rho = weight_rho(nodes, d)
-    values = np.stack([np.polyval(cs[::-1], nodes) for cs in coeffs])
-    weighted = values * (weights * rho)[None, :]
-    gram = weighted @ values.T
-    diag = np.diag(gram)
-    normalized = np.abs(gram) / np.sqrt(np.outer(diag, diag))
+    nodes, weights = _folded_rule(spec)
+    squares = [x * x for x in nodes]
+    weighted = list(map(mul, weights, _gamma_weight(d, nodes)))
+    weighted_sq = list(map(mul, weighted, squares))
+    parts, left = [], []
+    for k in range(k_max + 1):
+        cs = [float(c.re) for c in g_poly_symmetric(d, k).coeffs]
+        part = _horner(cs[k % 2::2], squares)
+        parts.append(part)
+        left.append(list(map(mul, weighted_sq if k % 2 else weighted, part)))
+    size = k_max + 1
+    gram = [[0.0] * size for _ in range(size)]
+    for m in range(size):
+        for n in range(m, size, 2):
+            gram[m][n] = gram[n][m] = 2.0 * math.fsum(map(mul, left[m], parts[n]))
+    diag = [gram[m][m] for m in range(size)]
+    normalized = [
+        [abs(x) / math.sqrt(diag[m] * diag[n]) for n, x in enumerate(row)]
+        for m, row in enumerate(gram)
+    ]
     return {
         "gram": gram,
         "normalized": normalized,
-        "diagonal_positive": bool(np.all(diag > 0)),
+        "diagonal_positive": all(x > 0 for x in diag),
         "tail_bound": spec.tail_bound(d, 2 * k_max),
         "spec": spec,
     }
@@ -173,10 +223,12 @@ def orthogonality_stable(d: int, k_max: int, spec: QuadratureSpec | None = None,
         spec = QuadratureSpec.for_orthogonality(d, k_max)
     first = orthogonality_matrix(d, k_max, spec)
     second = orthogonality_matrix(d, k_max, spec.doubled())
-    scale = np.sqrt(
-        np.outer(np.diag(second["gram"]), np.diag(second["gram"]))
+    diag = [row[m] for m, row in enumerate(second["gram"])]
+    drift = max(
+        abs(a - b) / math.sqrt(diag[m] * diag[n])
+        for m, (row1, row2) in enumerate(zip(first["gram"], second["gram"]))
+        for n, (a, b) in enumerate(zip(row1, row2))
     )
-    drift = float(np.max(np.abs(first["gram"] - second["gram"]) / scale))
     out = dict(second)
     out["stable"] = drift < rel_tol
     out["drift"] = drift
@@ -197,36 +249,57 @@ class StepSizeError(RuntimeError):
     """Numerical differentiation failed its internal consistency check."""
 
 
-def _float_params(q, d: int):
+def _float_params(q) -> tuple:
     qf = float(Fraction(q))
     if not 0.0 < qf < 1.0:
         raise ValueError("generating function needs q strictly inside (0, 1)")
-    alpha = 1.0 / np.sqrt(qf * (1.0 - qf))
+    alpha = 1.0 / math.sqrt(qf * (1.0 - qf))
     s0 = 1j * alpha * (qf - 0.5)
     return qf, alpha, s0
 
 
 def genfun_singularity_radius(q) -> float:
     """Distance from s = 0 to the nearest branch point."""
-    qf = float(Fraction(q))
-    if not 0.0 < qf < 1.0:
-        raise ValueError("generating function needs q strictly inside (0, 1)")
-    alpha = 1.0 / np.sqrt(qf * (1.0 - qf))
-    return float(min(alpha * qf, alpha * (1.0 - qf)))
+    qf, alpha, _ = _float_params(q)
+    return min(alpha * qf, alpha * (1.0 - qf))
 
 
-def _arctan_principal(z):
-    return 0.5j * (np.log(1.0 - 1j * z) - np.log(1.0 + 1j * z))
+def _genfun(q, d: int, lam, guard: float):
+    """s -> G(s)/G(0) with the parameters bound once (see `genfun_eval`).
+
+    G is exp(log G) with log G(s) = (2/a)(lam + d s0) arctan(u)
+    - (d/2) log[(s+s0)^2 + a^2/4], u = (2/a)(s + s0), and the principal
+    arctan(u) = (i/2)[log(1 - iu) - log(1 + iu)]; the normalization is
+    subtracted from the logarithm.
+    """
+    _, alpha, s0 = _float_params(q)
+    radius = genfun_singularity_radius(q)
+    i_scale = 2j / alpha
+    coeff = 0.5j * (2.0 / alpha) * (lam + d * s0)  # (i/2)(2/a)(lam + d s0)
+    quarter = alpha * alpha / 4.0
+    half_d = d / 2.0
+    log = cmath.log
+
+    def log_g(s):
+        w = s + s0
+        iu = i_scale * w
+        return coeff * (log(1.0 - iu) - log(1.0 + iu)) - half_d * log(w * w + quarter)
+
+    log_g0 = log_g(0.0)
+    limit = guard * radius
+    exp = cmath.exp
+
+    def value(s):
+        if abs(s) >= limit:
+            raise BranchCutProximityError(
+                f"|s| too close to the branch-point radius {radius:.6f}"
+            )
+        return exp(log_g(s) - log_g0)
+
+    return value
 
 
-def _genfun_raw(q, d, lam, s):
-    _, alpha, s0 = _float_params(q, d)
-    u = (2.0 / alpha) * (s + s0)
-    numerator = np.exp((2.0 / alpha) * (lam + d * s0) * _arctan_principal(u))
-    base = (s + s0) ** 2 + alpha**2 / 4.0
-    return numerator / np.exp((d / 2.0) * np.log(base))
-
-def genfun_eval(q, d: int, lam, s, guard: float = 0.9):
+def genfun_eval(q, d: int, lam, s, guard: float = 0.9) -> complex:
     """The generating function of the renormalized radial family.
 
     Closed form: exp[(2/a)(lam + d s0) arctan((2/a)(s + s0))] divided by
@@ -236,48 +309,48 @@ def genfun_eval(q, d: int, lam, s, guard: float = 0.9):
     exp(lam*arctan s) / sqrt(s^2+1)^d.)  Points within ``guard`` of the
     branch-point radius are rejected.
     """
-    radius = genfun_singularity_radius(q)
-    if np.any(np.abs(np.asarray(s)) >= guard * radius):
-        raise BranchCutProximityError(
-            f"|s| too close to the branch-point radius {radius:.6f}"
-        )
-    return _genfun_raw(q, d, lam, s) / _genfun_raw(q, d, lam, 0.0)
+    return _genfun(q, d, lam, guard)(s)
 
 
 def genfun_taylor_coefficients(q, d: int, lam, order: int,
                                radius: float | None = None,
-                               num_nodes: int = 256) -> np.ndarray:
-    """Taylor coefficients of the generating function at s = 0.
+                               num_nodes: int = 256) -> list:
+    """Taylor coefficients 0..order of the generating function at s = 0.
 
     Cauchy-integral extraction on a circle well inside the branch-point
-    radius, evaluated by FFT; uniform accuracy across orders, unlike
-    iterated numerical differentiation.
+    radius: a direct discrete Fourier transform of ``num_nodes`` samples,
+    for the order + 1 coefficients wanted only, each summed in sample
+    order.  Uniform accuracy across orders, unlike iterated numerical
+    differentiation.
     """
     r_sing = genfun_singularity_radius(q)
     r = radius if radius is not None else 0.5 * r_sing
     if r >= 0.9 * r_sing:
         raise BranchCutProximityError("extraction circle too large")
-    theta = 2.0 * np.pi * np.arange(num_nodes) / num_nodes
-    svals = r * np.exp(1j * theta)
-    gvals = genfun_eval(q, d, lam, svals)
-    coeffs = np.fft.fft(gvals) / num_nodes
-    ks = np.arange(order + 1)
-    return coeffs[: order + 1] / r**ks
+    g = _genfun(q, d, lam, 0.9)
+    roots = [cmath.exp(2j * math.pi * j / num_nodes) for j in range(num_nodes)]
+    values = [g(r * z) for z in roots]
+    twiddles = [z.conjugate() for z in roots]
+    coeffs = []
+    for k in range(order + 1):
+        # sample j meets exp(-2 pi i jk/N), the conjugate root jk mod N
+        tk = (twiddles * k)[::k] if k else [1.0] * num_nodes
+        coeffs.append(reduce(add, map(mul, values, tk)) / num_nodes / r**k)
+    return coeffs
 
 
-def genfun_ode_residual(q, d: int, lam, s, step: float = 1e-3):
+def genfun_ode_residual(q, d: int, lam, s, step: float = 1e-3) -> complex:
     """Residual of (1 + 2 s0 s + s^2) dG/ds - (lam - d s) G at one point.
 
     The derivative uses the 5-point fourth-order stencil; the step is
     halved once and the two estimates must agree, otherwise
     StepSizeError is raised.
     """
-    _, _, s0 = _float_params(q, d)
+    _, _, s0 = _float_params(q)
+    g = _genfun(q, d, lam, 0.9)
 
     def deriv(h):
-        pts = np.array([s - 2 * h, s - h, s + h, s + 2 * h], dtype=complex)
-        g = genfun_eval(q, d, lam, pts)
-        return (g[0] - 8.0 * g[1] + 8.0 * g[2] - g[3]) / (12.0 * h)
+        return (g(s - 2 * h) - 8.0 * g(s - h) + 8.0 * g(s + h) - g(s + 2 * h)) / (12.0 * h)
 
     d1 = deriv(step)
     d2 = deriv(step / 2.0)
@@ -286,5 +359,4 @@ def genfun_ode_residual(q, d: int, lam, s, step: float = 1e-3):
         raise StepSizeError(
             f"derivative estimates disagree: {abs(d1 - d2):.3e} at step {step}"
         )
-    g0 = genfun_eval(q, d, lam, s)
-    return (1.0 + 2.0 * s0 * s + s * s) * d2 - (lam - d * s) * g0
+    return (1.0 + 2.0 * s0 * s + s * s) * d2 - (lam - d * s) * g(s)

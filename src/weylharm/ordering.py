@@ -51,7 +51,7 @@ tests as the independent check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import sub
 from typing import NamedTuple
 
@@ -200,14 +200,18 @@ def cal_L(ctx: OrderingContext, w: WeylElement) -> WeylElement:
 def cal_E(ctx: OrderingContext, w: WeylElement) -> WeylElement:
     """The transferred grading operator E + 2(1-q) L."""
     _check_w(ctx, w)
-    return _triple(w, 0, 1, 2 * ctx.q_complement)
+    b = ctx.q.denominator
+    c = b - ctx.q.numerator  # 1 - q = c/b
+    g = gcd(2, b)  # 2(1-q) = (2c/g)/(b/g) in lowest terms
+    return _triple(w, 0, b // g, 2 * c // g, b // g)
 
 
 def cal_R(ctx: OrderingContext, w: WeylElement) -> WeylElement:
     """The transferred raising operator R + (1-q) E + (1-q)^2 L."""
     _check_w(ctx, w)
-    t = ctx.q_complement
-    return _triple(w, 1, t, t * t)
+    b = ctx.q.denominator
+    c = b - ctx.q.numerator  # 1 - q = c/b
+    return _triple(w, b * b, b * c, c * c, b * b)
 
 
 def _check_w(ctx: OrderingContext, w: WeylElement):

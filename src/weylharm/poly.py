@@ -88,8 +88,9 @@ class CPolynomial(TermMap):
 # ---------------------------------------------------------------------------
 
 
-def _triple(p: TermMap, r, e, l) -> TermMap:
-    """r*R(p) + e*E(p) + l*L(p) for rationals r, e, l, in one accumulator.
+def _triple(p: TermMap, rn: int, en: int, ln: int, dr: int = 1) -> TermMap:
+    """(rn*R(p) + en*E(p) + ln*L(p)) / dr for ints rn, en, ln and dr > 0,
+    in one accumulator.
 
     R raises and L lowers both exponents at one mode together, with weights
     1 and u_j*v_j; E keeps each monomial and weighs it by degree + d.  The
@@ -98,16 +99,13 @@ def _triple(p: TermMap, r, e, l) -> TermMap:
     body serves `CPolynomial` and `weyl.WeylElement`.
 
     The sum runs on Gaussian-integer numerators over one common
-    denominator: r, e and l become integers over their lcm D, each
-    coefficient (n + m*i)/den becomes (n, m) * (L/den) over the lcm L of
-    the input denominators, and each output monomial keeps one [re, im]
-    pair of ints.  Each nonzero pair then becomes one (re + im*i)/(L * D),
-    one gcd per output term.
+    denominator: each coefficient (n + m*i)/den becomes (n, m) * (L/den)
+    over the lcm L of the input denominators, and each output monomial
+    keeps one [re, im] pair of ints.  Each nonzero pair then becomes one
+    (re + im*i)/(L * dr), one gcd per output term.
     """
     cls, d, terms = type(p), p.d, p.terms
     lcd = math.lcm(*(c.den for c in terms.values()))
-    dr = math.lcm(r.denominator, e.denominator, l.denominator)
-    rn, en, ln = (x.numerator * (dr // x.denominator) for x in (r, e, l))
     acc: dict = {}
     if en:  # E maps monomials one to one, so its part seeds the accumulator
         for m, c in terms.items():

@@ -97,7 +97,8 @@ class GaussRational:
         return _gr(*_parts(x))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int rounds correctly, as float(Fraction) does
+        return complex(self.n / self.den, self.m / self.den)
 
     # -- arithmetic ----------------------------------------------------
     #

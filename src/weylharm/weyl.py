@@ -191,8 +191,15 @@ class TermMap:
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
-            other = GaussRational.coerce(other)
-        return self + (-other)
+            return self + (-GaussRational.coerce(other))
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_same(other)
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            cur = out.get(mono)
+            out[mono] = -c if cur is None else cur - c
+        return self._trusted(self.d, out)
 
     def __neg__(self):
         return self._trusted(self.d, {m: -c for m, c in self.terms.items()})

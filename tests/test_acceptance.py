@@ -11,8 +11,6 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from weylharm import linalg
 from weylharm.ordering import (
     OrderingContext,
@@ -286,9 +284,9 @@ def test_criterion_10_orthogonality_numeric():
     ok = True
     for d in (1, 2, 3):
         res = orthogonality_stable(d, 8)
-        off = np.array(res["normalized"]).copy()
-        np.fill_diagonal(off, 0.0)
-        ok &= float(off.max()) < 1e-8
+        off = [x for m, row in enumerate(res["normalized"])
+               for n, x in enumerate(row) if m != n]
+        ok &= max(off) < 1e-8
         ok &= res["diagonal_positive"]
         ok &= res["stable"]
     elapsed = time.monotonic() - start

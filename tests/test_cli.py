@@ -141,9 +141,9 @@ class TestElementCommands:
         assert captured.err == line + "\n"
 
     def test_exact_verbs_import_budget(self):
-        # A cold CLI process pays only for what its verb runs: numpy serves
-        # only the float suites, `verify` and `linalg` only the verify verb,
-        # and `dataclasses` (which imports `inspect`) is not used at all.
+        # A cold CLI process pays only for what its verb runs: `verify` and
+        # `linalg` serve only the verify verb, and neither numpy nor
+        # `dataclasses` (which imports `inspect`) is used at all.
         script = textwrap.dedent("""
             import sys
             import weylharm.cli as cli
@@ -268,12 +268,15 @@ class TestVerify:
 
 
 class TestExactOutputPinned:
-    # sha256 of the exact output bytes, recorded before UniPoly moved onto
-    # numerators over one common denominator; any change to an exact result
-    # or to the report layout changes the digest
+    # sha256 of the output bytes: any change to an exact result or to the
+    # report layout changes the digest.  The omega digest was recorded
+    # before UniPoly moved onto numerators over one common denominator; the
+    # verify-all digest was re-recorded when the float layer moved from
+    # numpy to the standard library, which changed only the orthogonality
+    # and genfun reports (the exact suites are pinned on their own below)
     @pytest.mark.parametrize("argv, digest", [
         (["verify", "all", "--json", "--seed", "1"],
-         "9d0fc5b2c0bac68f5dbc2aff138320a455a6d6951040aec824a9cc1cb15baf91"),
+         "8b4c7d5396132844570df9ac7b02df88539fde0a74034c32fa1a6a5a809347cb"),
         (["omega", "--d", "3", "--q=2/7", "--kmax", "60", "--json"],
          "8265168c519431bb6c2f87dbf9ad090fc183785a1660d50e10f89f0b005e1d8a"),
     ], ids=["verify-all-seed-1", "omega-d3-q2/7"])
@@ -281,6 +284,18 @@ class TestExactOutputPinned:
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_exact_suites_digest(self, capsys):
+        # the report lines of the exact suites in `verify all --json --seed 1`,
+        # recorded while the float suites still ran on numpy
+        code, out = run_cli(capsys, "verify", "all", "--json", "--seed", "1")
+        assert code == 0
+        exact = [line + "\n" for line in out.splitlines()
+                 if json.loads(line)["suite"] in
+                 ("sl2", "intertwine", "radial", "harmonics", "hahn")]
+        assert len(exact) == 21
+        assert hashlib.sha256("".join(exact).encode()).hexdigest() == (
+            "fa990c0d8102149e6d73982e725eaddb8d7de8ed5b8f1f43525d5f0402220640")
 
     # the element verbs read their input through the expression parser;
     # digests recorded before the parser evaluated as it read, for the

@@ -1,10 +1,12 @@
 """Verification-suite harness: determinism, failure reporting, budget."""
 
 import json
+import random
 import time
 from fractions import Fraction
 
 from weylharm import verify as V
+from weylharm.scalars import GaussRational
 
 
 def test_reports_are_deterministic():
@@ -19,6 +21,22 @@ def test_seed_changes_samples_not_structure():
     b = V.suite_intertwine(1, Fraction(1, 2), deg=3, count=4, seed=2)
     assert [c["id"] for c in a["cases"]] == [c["id"] for c in b["cases"]]
     assert not V.report_failed(a) and not V.report_failed(b)
+
+
+def test_random_gauss_draws_and_value():
+    # four draws a, b, c, e in that order give a/b + (c/e) i, and the
+    # stream moves on exactly as four randint calls move it
+    rng, twin = random.Random(7), random.Random(7)
+    for _ in range(200):
+        span = twin.choice((1, 3, 7))
+        rng.choice((1, 3, 7))
+        value = V.random_gauss(rng, span)
+        a, b = twin.randint(-span, span), twin.randint(1, 3)
+        c, e = twin.randint(-span, span), twin.randint(1, 3)
+        expected = GaussRational(Fraction(a, b), Fraction(c, e))
+        assert value == expected
+        assert (value.n, value.m, value.den) == (expected.n, expected.m, expected.den)
+    assert rng.random() == twin.random()
 
 
 def test_radial_report_carries_table():

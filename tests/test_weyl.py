@@ -306,6 +306,43 @@ def test_copy_and_pickle_round_trip(value, attr):
                 out.terms[next(iter(out.terms))] = GR_ONE
 
 
+class TestSubtraction:
+    # `-` subtracts in place; its oracle is the sum with the negation
+    @pytest.mark.parametrize("make", [random_weyl, random_cpoly])
+    def test_matches_sum_with_negation(self, make):
+        rng = random.Random(11)
+        for _ in range(40):
+            d = rng.randint(1, 3)
+            a, b = make(rng, d, 4), make(rng, d, 4)
+            assert a - b == a + (-b)
+            assert b - a == b + (-a)
+
+    @pytest.mark.parametrize("make", [random_weyl, random_cpoly])
+    def test_cancelling_terms_drop_out(self, make):
+        rng = random.Random(12)
+        a, b = make(rng, 2, 4), make(rng, 2, 4)
+        assert (a - a).is_zero() and not (a - a).terms
+        both = a + b
+        assert both - b == a and both - a == b
+        assert all(c for c in (both - b).terms.values())
+
+    def test_scalar_operand(self):
+        w = random_weyl(random.Random(13), 2, 3)
+        for c in (3, Fraction(-2, 5), GaussRational(1, 1)):
+            assert w - c == w + (-GaussRational.coerce(c))
+        p = CPolynomial.one(1).scale(2)
+        assert (p - 2).is_zero()
+
+    @pytest.mark.parametrize("cls", [WeylElement, CPolynomial])
+    def test_mode_mismatch(self, cls):
+        with pytest.raises(ModeMismatchError):
+            cls.one(1) - cls.one(2)
+
+    def test_other_term_map_type_refused(self):
+        with pytest.raises(TypeError):
+            WeylElement.unit(1) - CPolynomial.one(1)
+
+
 def test_term_maps_of_different_types_do_not_mix():
     # their monomials are equal tuples, so only the type tells them apart
     assert WeylElement.zero(1) != CPolynomial.zero(1)
