@@ -20,7 +20,6 @@ from functools import reduce
 from operator import add, mul
 from typing import NamedTuple
 
-from .radial import g_poly_symmetric
 from .scalars import UniPoly
 
 
@@ -98,8 +97,15 @@ class QuadratureSpec(_QuadratureFields):
 
     @staticmethod
     def for_orthogonality(d: int, k_max: int) -> "QuadratureSpec":
+        """Panels min(d, 2) wide.  The integrand's nearest singularities
+        are the poles of Gamma at lambda = +-i d, so 20-point Gauss-Legendre
+        on a panel of half-width a <= d/2 errs like rho^-40 <= 1e-25, with
+        rho = d/a + sqrt(1 + (d/a)^2) >= 2 + sqrt(5) (Bernstein ellipse);
+        the cap at 2 keeps the exp(-pi |lambda|/2) decay resolved."""
+        if d < 1:
+            raise ValueError("d must be >= 1")
         half_width = float(max(40, 8 * (d + k_max)))
-        return QuadratureSpec(half_width, panel_count=int(4 * half_width))
+        return QuadratureSpec(half_width, panel_count=int(2 * half_width / min(d, 2)))
 
     def tail_bound(self, d: int, poly_degree: int = 0) -> float:
         """Crude bound on the neglected tail of p(lambda) * rho(lambda),
@@ -154,15 +160,15 @@ def unipoly_eval_float(p: UniPoly, x) -> complex:
     return acc
 
 
-def _horner(coeffs: list, ts: list) -> list:
-    """Values of sum coeffs[j] t^j at every t, two Horner steps per pass."""
-    if len(coeffs) % 2:
-        values = [coeffs[-1]] * len(ts)
-    else:
-        values = [coeffs[-1] * t + coeffs[-2] for t in ts]
-    for j in range((len(coeffs) - 1) // 2 * 2 - 2, -1, -2):
-        c1, c0 = coeffs[j + 1], coeffs[j]
-        values = [(v * t + c1) * t + c0 for v, t in zip(values, ts)]
+def _g_values(d: int, k_max: int, xs: list) -> list:
+    """Values of g_0..g_kmax at every x by the three-term recurrence
+    g_{k+2} = (x g_{k+1} - (k+d) g_k)/(k+2), which is forward stable
+    where the monomial coefficients cancel."""
+    values = [[1.0] * len(xs), xs][:k_max + 1]
+    for k in range(k_max - 1):
+        c, e = k + d, k + 2
+        values.append([(x * b - c * a) / e
+                       for x, a, b in zip(xs, values[k], values[k + 1])])
     return values
 
 
@@ -171,41 +177,41 @@ def orthogonality_matrix(d: int, k_max: int, spec: QuadratureSpec | None = None)
 
     Returns {"gram", "normalized", "diagonal_positive", "tail_bound",
     "spec"}, the matrices as lists of rows; ``normalized[m][n]`` is
-    |I_mn| / sqrt(I_mm I_nn) with unit diagonal.
+    |I_mn| / (sqrt(I_mm) sqrt(I_nn)) with unit diagonal, two roots so
+    that no product of the diagonal overflows.
 
-    The recurrence gives g_k the parity of k, so g_k is E(lambda^2) for
-    even k and lambda O(lambda^2) for odd k, and on the folded rule
-    g_m g_n at +-x sums to 2 E_m E_n or 2 x^2 O_m O_n; entries of mixed
-    parity vanish.  E and O are evaluated by Horner in x^2 from the float
-    values of the exact coefficients, and each entry is one correctly
-    rounded sum.
+    g_k has the parity of k, so on the folded rule g_m g_n at +-x sums to
+    2 g_m(x) g_n(x) for m + n even; entries of mixed parity vanish.  Each
+    entry is one correctly rounded sum.  A d or k_max whose weight or Gram
+    entries are not finite floats is refused with ValueError.
     """
     if spec is None:
         spec = QuadratureSpec.for_orthogonality(d, k_max)
     nodes, weights = _folded_rule(spec)
-    squares = [x * x for x in nodes]
+    values = _g_values(d, k_max, nodes)
     weighted = list(map(mul, weights, _gamma_weight(d, nodes)))
-    weighted_sq = list(map(mul, weighted, squares))
-    parts, left = [], []
-    for k in range(k_max + 1):
-        cs = [float(c.re) for c in g_poly_symmetric(d, k).coeffs]
-        part = _horner(cs[k % 2::2], squares)
-        parts.append(part)
-        left.append(list(map(mul, weighted_sq if k % 2 else weighted, part)))
     size = k_max + 1
     gram = [[0.0] * size for _ in range(size)]
-    for m in range(size):
-        for n in range(m, size, 2):
-            gram[m][n] = gram[n][m] = 2.0 * math.fsum(map(mul, left[m], parts[n]))
-    diag = [gram[m][m] for m in range(size)]
+    try:
+        for m in range(size):
+            left = list(map(mul, weighted, values[m]))
+            for n in range(m, size, 2):
+                gram[m][n] = gram[n][m] = 2.0 * math.fsum(map(mul, left, values[n]))
+        finite = all(math.isfinite(x) for row in gram for x in row)
+    except (OverflowError, ValueError):  # partials overflowed, or inf met -inf
+        finite = False
+    if not finite:
+        raise ValueError(f"d = {d}, k_max = {k_max}: the orthogonality weight or "
+                         "Gram entries overflow a float")
+    roots = [math.sqrt(row[m]) for m, row in enumerate(gram)]
     normalized = [
-        [abs(x) / math.sqrt(diag[m] * diag[n]) for n, x in enumerate(row)]
+        [abs(x) / (roots[m] * roots[n]) for n, x in enumerate(row)]
         for m, row in enumerate(gram)
     ]
     return {
         "gram": gram,
         "normalized": normalized,
-        "diagonal_positive": all(x > 0 for x in diag),
+        "diagonal_positive": all(row[m] > 0 for m, row in enumerate(gram)),
         "tail_bound": spec.tail_bound(d, 2 * k_max),
         "spec": spec,
     }
@@ -223,9 +229,9 @@ def orthogonality_stable(d: int, k_max: int, spec: QuadratureSpec | None = None,
         spec = QuadratureSpec.for_orthogonality(d, k_max)
     first = orthogonality_matrix(d, k_max, spec)
     second = orthogonality_matrix(d, k_max, spec.doubled())
-    diag = [row[m] for m, row in enumerate(second["gram"])]
+    roots = [math.sqrt(row[m]) for m, row in enumerate(second["gram"])]
     drift = max(
-        abs(a - b) / math.sqrt(diag[m] * diag[n])
+        abs(a - b) / (roots[m] * roots[n])
         for m, (row1, row2) in enumerate(zip(first["gram"], second["gram"]))
         for n, (a, b) in enumerate(zip(row1, row2))
     )

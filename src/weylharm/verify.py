@@ -294,6 +294,8 @@ def suite_harmonics(
 ) -> dict:
     """q-independence of Weyl harmonics, dimensions, and the tensor
     decomposition round-trip."""
+    if d < 1:
+        raise ValueError("mode count d must be >= 1")
     _check_sizes(k_max=k_max, count=count, deg=deg)
     rng = random.Random(seed)
     if q_pairs is None:

@@ -346,6 +346,8 @@ def number_operator(d: int) -> WeylElement:
 def compositions(total: int, parts: int) -> Iterator[tuple]:
     """All tuples of ``parts`` nonnegative ints summing to ``total``, in
     lexicographic order."""
+    if parts < 1:
+        raise ValueError("parts must be >= 1")
     if parts == 1:
         yield (total,)
         return

@@ -94,6 +94,18 @@ class TestElementCommands:
             (["normal-order", "--d", "-2", "--", "c1^2"], "mode count d must be >= 1"),
             (["order", "--d", "0", "--q", "1/2", "--", "z1*zb1"],
              "mode count d must be >= 1"),
+            # the float suite checks d before it sizes the rule
+            (["verify", "orthogonality", "--d", "0"], "d must be >= 1"),
+            (["verify", "orthogonality", "--d", "-1"], "d must be >= 1"),
+            # and refuses a d whose Gram entries leave the float range
+            (["verify", "orthogonality", "--d", "200", "--kmax", "1"],
+             "d = 200, k_max = 1: the orthogonality weight or Gram entries "
+             "overflow a float"),
+            (["verify", "orthogonality", "--d", "300"],
+             "d = 300, k_max = 8: the orthogonality weight or Gram entries "
+             "overflow a float"),
+            (["verify", "harmonics", "--d", "0"], "mode count d must be >= 1"),
+            (["verify", "harmonics", "--d", "-1"], "mode count d must be >= 1"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
@@ -273,10 +285,13 @@ class TestExactOutputPinned:
     # before UniPoly moved onto numerators over one common denominator; the
     # verify-all digest was re-recorded when the float layer moved from
     # numpy to the standard library, which changed only the orthogonality
-    # and genfun reports (the exact suites are pinned on their own below)
+    # and genfun reports, and again when the orthogonality rule took panels
+    # sized to the weight's poles and g_k by their recurrence, which changed
+    # only the orthogonality reports (the exact suites are pinned on their
+    # own below)
     @pytest.mark.parametrize("argv, digest", [
         (["verify", "all", "--json", "--seed", "1"],
-         "8b4c7d5396132844570df9ac7b02df88539fde0a74034c32fa1a6a5a809347cb"),
+         "221669a26d4b1e5cb93fd1159d8bc0c3d81cfc2cba436e16973a3dc900d982ea"),
         (["omega", "--d", "3", "--q=2/7", "--kmax", "60", "--json"],
          "8265168c519431bb6c2f87dbf9ad090fc183785a1660d50e10f89f0b005e1d8a"),
     ], ids=["verify-all-seed-1", "omega-d3-q2/7"])

@@ -9,6 +9,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from weylharm import numerics
 from weylharm.numerics import (
     BranchCutProximityError,
     QuadratureSpec,
@@ -24,6 +25,7 @@ from weylharm.numerics import (
     weight_rho,
 )
 from weylharm.radial import RadialContext, g_poly_symmetric, omega_by_raising
+from weylharm.verify import suite_orthogonality
 
 mp.mp.dps = 40
 
@@ -197,6 +199,85 @@ class TestOrthogonality:
         res = orthogonality_stable(2, 6)
         assert res["stable"]
         assert res["drift"] < 1e-9
+
+    def test_recurrence_matches_exact_polynomials(self):
+        # the float recurrence against g_k from the exact chain, each
+        # value computed as a Fraction and rounded once
+        lams = [0.5, 3.0, 20.0, 72.0]
+        for d in (1, 2, 3):
+            values = numerics._g_values(d, 12, lams)
+            for k in range(13):
+                coeffs = [c.re for c in g_poly_symmetric(d, k).coeffs]
+                for lam, value in zip(lams, values[k]):
+                    x = Fraction(lam)
+                    exact = float(sum(c * x**j for j, c in enumerate(coeffs)))
+                    assert abs(value - exact) <= 1e-13 * abs(exact), (d, k, lam)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 20, 40])
+    def test_gram_converged_in_panels(self, d):
+        # four times the panels on the same truncation changes no entry
+        # by more than 1e-14 of the diagonal scale: the panel width
+        # resolves both the poles at +-i d and the weight's decay
+        for k_max in (0, 4, 8, 12):
+            spec = QuadratureSpec.for_orthogonality(d, k_max)
+            gram = orthogonality_matrix(d, k_max, spec)["gram"]
+            fine = orthogonality_matrix(
+                d, k_max, QuadratureSpec(spec.half_width, 4 * spec.panel_count))["gram"]
+            roots = [math.sqrt(row[m]) for m, row in enumerate(fine)]
+            for m in range(k_max + 1):
+                for n in range(k_max + 1):
+                    assert abs(gram[m][n] - fine[m][n]) <= 1e-14 * roots[m] * roots[n], \
+                        (d, k_max, m, n)
+
+    def test_high_degree_stays_orthogonal(self):
+        # evaluating g_k from its monomial coefficients cancelled here
+        # (off-diagonal max 1.1e-10 at k_max = 40)
+        res = orthogonality_stable(1, 40)
+        assert off_diagonal_max(res["normalized"]) < 1e-13
+        assert res["stable"]
+
+    def test_large_d_normalization_does_not_overflow(self):
+        # at d = 120 the diagonal passes 1e154, where I_mm * I_nn is inf
+        res = orthogonality_stable(120, 2)
+        gram = res["gram"]
+        assert gram[0][0] * gram[2][2] == math.inf
+        ref = abs(mp.mpf(gram[0][2])) / mp.sqrt(mp.mpf(gram[0][0]) * mp.mpf(gram[2][2]))
+        assert res["normalized"][0][2] > 0
+        assert abs(res["normalized"][0][2] - ref) <= 1e-15 * ref
+        assert 0 < res["drift"] < 1e-9
+        worst = off_diagonal_max(res["normalized"])
+        assert suite_orthogonality(120, 2)["cases"][0]["detail"] == \
+            f"max {worst:.3e} vs tol 1.0e-08"
+
+    def test_injected_off_diagonal_fails_at_large_d(self, monkeypatch):
+        # g_2 + 1e-3 g_0 on the doubled rule puts I_02 = 1e-3 I_00 into its
+        # Gram matrix, 1.2e-5 after normalization: both the orthogonality
+        # and the stability case must fail, as they did not while the
+        # diagonal product overflowed
+        values_of = numerics._g_values
+        base = len(numerics._folded_rule(QuadratureSpec.for_orthogonality(120, 2))[0])
+
+        def perturbed(d, k_max, xs):
+            values = values_of(d, k_max, xs)
+            if len(xs) > base:
+                values[2] = [v + 1e-3 for v in values[2]]
+            return values
+
+        monkeypatch.setattr(numerics, "_g_values", perturbed)
+        cases = suite_orthogonality(120, 2)["cases"]
+        assert [c["status"] for c in cases] == ["FAIL", "PASS", "FAIL"]
+
+    def test_overflowing_d_refused(self):
+        # the weight is finite at d = 198 (Gamma(99)^2 is near 9e307), but
+        # the mass 2 sqrt(pi) Gamma(99) Gamma(99.5) is not; the CLI tests
+        # cover d = 200 and 300, where the weight itself is infinite
+        with pytest.raises(ValueError, match="overflow a float"):
+            orthogonality_stable(198, 0)
+
+    def test_bad_d_refused_before_the_rule(self):
+        for d in (0, -1):
+            with pytest.raises(ValueError, match="d must be >= 1"):
+                QuadratureSpec.for_orthogonality(d, 8)
 
 
 class TestGenFun:

@@ -18,6 +18,7 @@ from weylharm.weyl import (
     ad,
     anticommutator,
     commutator,
+    compositions,
     contractions,
     number_operator,
     weyl_mul,
@@ -374,3 +375,12 @@ def test_constructor_rejects_bad_exponents(cls, mono):
         cls(1, {mono: 1})
     with pytest.raises(ValueError, match="nonnegative integers"):
         cls(1, {mono: 0})
+
+
+def test_compositions():
+    assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+    assert list(compositions(3, 1)) == [(3,)]
+    # no parts used to recurse without end
+    for parts in (0, -1):
+        with pytest.raises(ValueError, match="parts must be >= 1"):
+            list(compositions(2, parts))
