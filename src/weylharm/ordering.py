@@ -18,7 +18,9 @@ That image has the Cahill-Glauber closed form (Phys. Rev. 177, 1857
                                    (1-q)^(i_j)  (a+)^(beta-i) a^(alpha-i)
 
 whose weights are the Wick contraction weights of the product kernel
-(`weyl.contractions`) scaled by (1-q)^|i|.  The inverse is the same sum
+(`weyl.contractions`) scaled by (1-q)^|i|.  On packed keys (see `weyl`)
+z^alpha zbar^beta and (a+)^beta a^alpha share a key, and each term of the
+sum is that key minus a contraction offset.  The inverse is the same sum
 with -(1-q) in place of 1-q.  `apply_M` and `apply_Mplus` keep the
 defining operator form as an independent check of both.
 
@@ -52,16 +54,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import sub
 from typing import NamedTuple
 
-from .poly import CMonomial, CPolynomial, _triple, op_L
+from .poly import CPolynomial, _triple, op_L
 from .scalars import GR_ONE, _gr
 from .weyl import (
     ModeMismatchError,
-    NormalMonomial,
     WeylElement,
     _check_mode,
+    _layout,
     check_exponents,
     contractions,
     weyl_mul,
@@ -107,11 +108,6 @@ def apply_Mplus(ctx: OrderingContext, j: int, w: WeylElement) -> WeylElement:
     return weyl_mul(c, w).scale(ctx.q) + weyl_mul(w, c).scale(ctx.q_complement)
 
 
-def _normal(alpha: tuple, beta: tuple) -> NormalMonomial:
-    """The normal monomial (a+)^beta a^alpha, the image key of z^alpha zbar^beta."""
-    return NormalMonomial(beta, alpha)
-
-
 def ordered_monomial(ctx: OrderingContext, alpha, beta) -> WeylElement:
     """Image of z^alpha zbar^beta under the ordering map, in closed form."""
     alpha, beta = tuple(alpha), tuple(beta)
@@ -119,14 +115,14 @@ def ordered_monomial(ctx: OrderingContext, alpha, beta) -> WeylElement:
     if len(alpha) != ctx.d or len(beta) != ctx.d:
         raise ModeMismatchError(
             f"exponent vectors have {len(alpha)} and {len(beta)} modes, context d={ctx.d}")
-    return WeylElement._wrap(ctx.d, _closed_form(
-        {CMonomial(alpha, beta): GR_ONE}, ctx.q_complement, _normal))
+    key = _layout(ctx.d).key(alpha, beta)
+    return WeylElement._wrap(ctx.d, _closed_form({key: GR_ONE}, ctx.d, ctx.q_complement))
 
 
-def _closed_form(terms, t: Fraction, key) -> dict:
-    """sum over terms of coeff * (the closed form of its monomial with 1-q
-    replaced by t), as a dict of nonzero coefficients keyed by
-    ``key(alpha - i, beta - i)``.
+def _closed_form(terms: dict, d: int, t: Fraction) -> dict:
+    """sum over the packed terms of coeff * (the closed form of its monomial
+    with 1-q replaced by t), as a dict of nonzero coefficients on packed
+    keys.
 
     The sum runs on Gaussian-integer numerators over one common
     denominator.  With L the lcm of the input denominators, t = tn/td and
@@ -136,20 +132,23 @@ def _closed_form(terms, t: Fraction, key) -> dict:
     output term.
     """
     tn, td = t.numerator, t.denominator
-    lcd = lcm(*(c.den for c in terms.values()))
-    top = max((sum(map(min, mono.alpha, mono.beta)) for mono in terms), default=0)
+    lay = _layout(d)
+    low, shift = lay.low, lay.shift
+    expansions = [contractions(k & low, k >> shift, d) for k in terms]
+    # the last contraction of a monomial contracts every mode fully
+    top = max((e[-1][1] for e in expansions), default=0)
     scale = [tn**s * td ** (top - s) for s in range(top + 1)]
+    lcd = lcm(*(c.den for c in terms.values()))
     acc: dict = {}
-    for mono, c in terms.items():
+    for (k, c), expansion in zip(terms.items(), expansions):
         f = lcd // c.den
         n, m = c.n * f, c.m * f
-        alpha, beta = mono.alpha, mono.beta
-        for ivec, weight in contractions(alpha, beta):
-            w = weight * scale[sum(ivec)]
-            k = key(tuple(map(sub, alpha, ivec)), tuple(map(sub, beta, ivec)))
-            cur = acc.get(k)
+        for offset, s, weight in expansion:
+            w = weight * scale[s]
+            key = k - offset
+            cur = acc.get(key)
             if cur is None:
-                acc[k] = [n * w, m * w]
+                acc[key] = [n * w, m * w]
             else:
                 cur[0] += n * w
                 cur[1] += m * w
@@ -161,7 +160,7 @@ def order_q(ctx: OrderingContext, p: CPolynomial) -> WeylElement:
     """The ordering map, linear over Q(i)."""
     if p.d != ctx.d:
         raise ModeMismatchError(f"polynomial has d={p.d}, context d={ctx.d}")
-    return WeylElement._wrap(ctx.d, _closed_form(p.terms, ctx.q_complement, _normal))
+    return WeylElement._wrap(ctx.d, _closed_form(p._terms, ctx.d, ctx.q_complement))
 
 
 def b_element(ctx: OrderingContext, l: int, j: int, k: int) -> WeylElement:
@@ -182,8 +181,7 @@ def b_element(ctx: OrderingContext, l: int, j: int, k: int) -> WeylElement:
 def unorder_q(ctx: OrderingContext, w: WeylElement) -> CPolynomial:
     """Inverse of the ordering map: the closed form with -(1-q) for 1-q."""
     _check_w(ctx, w)
-    return CPolynomial._wrap(
-        ctx.d, _closed_form(w.terms, -ctx.q_complement, CMonomial))
+    return CPolynomial._wrap(ctx.d, _closed_form(w._terms, ctx.d, -ctx.q_complement))
 
 
 # ---------------------------------------------------------------------------

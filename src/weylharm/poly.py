@@ -11,8 +11,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalars import GR_ZERO, _gr
-from .weyl import _SCALARS, TermMap, _check_mode
+from .scalars import _gr
+from .weyl import _SCALARS, FIELD_BITS, TermMap, _check_mode, _check_product, _layout
 
 
 class CMonomial(NamedTuple):
@@ -38,11 +38,11 @@ class CPolynomial(TermMap):
 
     @classmethod
     def z(cls, d: int, j: int) -> "CPolynomial":
-        return cls._generator(d, j, 0)
+        return cls._generator(d, j, "alpha")
 
     @classmethod
     def zbar(cls, d: int, j: int) -> "CPolynomial":
-        return cls._generator(d, j, 1)
+        return cls._generator(d, j, "beta")
 
     @classmethod
     def radius_squared(cls, d: int) -> "CPolynomial":
@@ -52,27 +52,25 @@ class CPolynomial(TermMap):
     def __mul__(self, other) -> "CPolynomial":
         if isinstance(other, _SCALARS):
             return self.scale(other)
-        self._check_same(other)
+        _check_product(self, other)
+        right = other._terms.items()
         acc: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = CMonomial(
-                    tuple(a + b for a, b in zip(m1.alpha, m2.alpha)),
-                    tuple(a + b for a, b in zip(m1.beta, m2.beta)),
-                )
-                cur = acc.get(mono)
-                acc[mono] = c1 * c2 if cur is None else cur + c1 * c2
+        for k1, c1 in self._terms.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                cur = acc.get(k)
+                acc[k] = c1 * c2 if cur is None else cur + c1 * c2
         return CPolynomial._trusted(self.d, acc)
 
     def is_homogeneous(self) -> bool:
-        degs = {m.degree for m in self.terms}
-        return len(degs) <= 1
+        return len(set(map(_layout(self.d).degree, self._terms))) <= 1
 
     def homogeneous_components(self) -> dict:
         """Map degree -> homogeneous part."""
+        degree = _layout(self.d).degree
         buckets: dict = {}
-        for m, c in self.terms.items():
-            buckets.setdefault(m.degree, {})[m] = c
+        for k, c in self._terms.items():
+            buckets.setdefault(degree(k), {})[k] = c
         return {
             deg: CPolynomial._trusted(self.d, t) for deg, t in sorted(buckets.items())
         }
@@ -93,32 +91,38 @@ def _triple(p: TermMap, rn: int, en: int, ln: int, dr: int = 1) -> TermMap:
     in one accumulator.
 
     R raises and L lowers both exponents at one mode together, with weights
-    1 and u_j*v_j; E keeps each monomial and weighs it by degree + d.  The
-    triple only ever touches the two exponent vectors of a monomial together
-    and symmetrically, so the field order of ``_mono`` does not matter: one
-    body serves `CPolynomial` and `weyl.WeylElement`.
+    1 and u_j*v_j: on a packed key that is one add or subtract of the
+    mode's step.  E keeps each monomial and weighs it by degree + d.  The
+    triple treats the two exponent vectors of a monomial symmetrically, so
+    one body serves `CPolynomial` and `weyl.WeylElement`.
 
     The sum runs on Gaussian-integer numerators over one common
     denominator: each coefficient (n + m*i)/den becomes (n, m) * (L/den)
-    over the lcm L of the input denominators, and each output monomial
-    keeps one [re, im] pair of ints.  Each nonzero pair then becomes one
+    over the lcm L of the input denominators, and each output key keeps
+    one [re, im] pair of ints.  Each nonzero pair then becomes one
     (re + im*i)/(L * dr), one gcd per output term.
     """
-    cls, d, terms = type(p), p.d, p.terms
+    cls, d, terms = type(p), p.d, p._terms
+    if not terms:
+        return p
+    lay = _layout(d)
+    ones, high, steps = lay.ones, lay.high, lay.step
+    exps = list(map(lay.fields, terms)) if en or ln else [()] * len(terms)
     lcd = math.lcm(*(c.den for c in terms.values()))
     acc: dict = {}
     if en:  # E maps monomials one to one, so its part seeds the accumulator
-        for m, c in terms.items():
-            f = lcd // c.den * en * (sum(m[0]) + sum(m[1]) + d)
-            acc[m] = [c.n * f, c.m * f]
-    for (u, v), c in terms.items():
+        for (k, c), e in zip(terms.items(), exps):
+            f = lcd // c.den * en * (sum(e) + d)
+            acc[k] = [c.n * f, c.m * f]
+    for (k, c), e in zip(terms.items(), exps):
         f = lcd // c.den
         n, m = c.n * f, c.m * f
         if rn:
+            if (k + ones) & high:  # some exponent is B - 1
+                raise ValueError(f"raising would reach the exponent bound 2^{FIELD_BITS - 1}")
             nr, mr = n * rn, m * rn
-            for j in range(d):
-                up = cls._mono(u[:j] + (u[j] + 1,) + u[j + 1 :],
-                               v[:j] + (v[j] + 1,) + v[j + 1 :])
+            for step in steps:
+                up = k + step
                 cur = acc.get(up)
                 if cur is None:
                     acc[up] = [nr, mr]
@@ -126,12 +130,11 @@ def _triple(p: TermMap, rn: int, en: int, ln: int, dr: int = 1) -> TermMap:
                     cur[0] += nr
                     cur[1] += mr
         if ln:
-            for j in range(d):
-                w = u[j] * v[j] * ln
+            for j, step in enumerate(steps):
+                w = e[j] * e[d + j] * ln
                 if not w:
                     continue
-                down = cls._mono(u[:j] + (u[j] - 1,) + u[j + 1 :],
-                                 v[:j] + (v[j] - 1,) + v[j + 1 :])
+                down = k - step
                 cur = acc.get(down)
                 if cur is None:
                     acc[down] = [n * w, m * w]
@@ -157,32 +160,27 @@ def op_E(p: TermMap) -> TermMap:
     return _triple(p, 0, 1, 0)
 
 
+def _derivative(p: CPolynomial, field: int) -> CPolynomial:
+    """d/dx for the variable x whose exponent is packed field ``field``;
+    distinct monomials have distinct derivatives, so nothing collides."""
+    shift, mask = FIELD_BITS * field, (1 << FIELD_BITS) - 1
+    out = {}
+    for k, c in p._terms.items():
+        if e := (k >> shift) & mask:
+            out[k - (1 << shift)] = c * e
+    return CPolynomial._wrap(p.d, out)
+
+
 def deriv_z(p: CPolynomial, j: int) -> CPolynomial:
     """d/dz_j, 1 <= j <= d."""
     _check_mode(p.d, j)
-    k = j - 1
-    acc = {}
-    for m, c in p.terms.items():
-        a = m.alpha[k]
-        if a == 0:
-            continue
-        mono = CMonomial(m.alpha[:k] + (a - 1,) + m.alpha[k + 1 :], m.beta)
-        acc[mono] = acc.get(mono, GR_ZERO) + c * a
-    return CPolynomial(p.d, acc)
+    return _derivative(p, j - 1)
 
 
 def deriv_zbar(p: CPolynomial, j: int) -> CPolynomial:
     """d/dzbar_j, 1 <= j <= d."""
     _check_mode(p.d, j)
-    k = j - 1
-    acc = {}
-    for m, c in p.terms.items():
-        b = m.beta[k]
-        if b == 0:
-            continue
-        mono = CMonomial(m.alpha, m.beta[:k] + (b - 1,) + m.beta[k + 1 :])
-        acc[mono] = acc.get(mono, GR_ZERO) + c * b
-    return CPolynomial(p.d, acc)
+    return _derivative(p, p.d + j - 1)
 
 
 def is_harmonic(p: CPolynomial) -> bool:

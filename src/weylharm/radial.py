@@ -30,7 +30,7 @@ from .ordering import OrderingContext, cal_L, cal_R, order_q, unorder_q
 from .poly import harmonic_decompose
 from .scalars import GR_ONE, GR_ZERO, UP_ONE, GaussRational, UniPoly
 from .specfun import hyp2F1_terminating_poly, pochhammer
-from .weyl import WeylElement
+from .weyl import WeylElement, _layout
 
 
 class NotRadialError(ValueError):
@@ -104,19 +104,24 @@ def express_in_N(w: WeylElement) -> UniPoly:
     otherwise.
     """
     d = w.d
+    lay = _layout(d)
     levels: dict = {}
-    for (beta, alpha), coeff in w.terms.items():
-        if beta != alpha:
+    for key, coeff in w._terms.items():
+        e = lay.fields(key)
+        beta = e[d:]
+        if e[:d] != beta:
             raise NotRadialError("off-diagonal term cannot come from C[N]")
         levels.setdefault(sum(beta), []).append((beta, coeff))
     c = [GR_ZERO] * (max(levels, default=-1) + 1)
     for k, terms in levels.items():
         if len(terms) != comb(k + d - 1, d - 1):
             raise NotRadialError(f"level {k} lacks diagonal monomials of :N^{k}:")
-        lead = (k,) + (0,) * (d - 1)
-        c[k] = w.coefficient(lead, lead)
+        lead = c[k] = w._terms.get(k * lay.step[0], GR_ZERO)  # (a_1+)^k a_1^k
+        top = factorial(k)
         for beta, coeff in terms:
-            if coeff != c[k] * (factorial(k) // prod(map(factorial, beta))):
+            # coeff == lead * k!/beta!, cross-multiplied over both denominators
+            mult = top // prod(map(factorial, beta)) * coeff.den
+            if coeff.n * lead.den != lead.n * mult or coeff.m * lead.den != lead.m * mult:
                 raise NotRadialError(f"level {k} is not a multiple of :N^{k}:")
     out = UniPoly()
     for k in range(len(c) - 1, -1, -1):

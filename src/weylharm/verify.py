@@ -56,6 +56,9 @@ from .specfun import (
 from .weyl import NormalMonomial, WeylElement, compositions
 
 Q_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+# the largest k_max whose orthogonality suite passes for d = 1..3 in about
+# 10 s cold (d = 1, the slowest, took 9.7 s on a 2-core x86-64 machine)
+ORTHOGONALITY_KMAX = 90
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +261,7 @@ def suite_radial(d: int, q: Fraction, k_max: int = 8, seed: int = 0) -> dict:
 
 
 def _weyl_vector(w: WeylElement) -> dict:
-    return dict(w.terms)
+    return dict(w._terms)
 
 
 def harmonic_basis(d: int, k: int) -> list:
@@ -267,7 +270,7 @@ def harmonic_basis(d: int, k: int) -> list:
     rows = []
     for mono in monos:
         image = op_L(CPolynomial(d, {mono: GaussRational(1)}))
-        rows.append(dict(image.terms))
+        rows.append(image._terms)
     # kernel of the transpose map: solve L(p) = 0 for p in the span
     columns = monos
     matrix_rows = _transpose_rows(rows, columns)
@@ -419,9 +422,14 @@ def suite_hahn(k_max: int = 8, d_max: int = 4, seed: int = 0) -> dict:
 
 
 def suite_orthogonality(d: int, k_max: int = 8, tol: float = 1e-8, seed: int = 0) -> dict:
+    """Gram matrix of g_0..g_k_max under the gamma weight, for k_max up to
+    ORTHOGONALITY_KMAX."""
     from .numerics import orthogonality_stable
 
     _check_sizes(k_max=k_max)
+    if k_max > ORTHOGONALITY_KMAX:
+        raise ValueError(f"k_max must be <= {ORTHOGONALITY_KMAX} for orthogonality "
+                         "(its time grows as k_max^3)")
     res = orthogonality_stable(d, k_max)
     worst = max((x for m, row in enumerate(res["normalized"])
                  for n, x in enumerate(row) if m != n), default=0.0)
@@ -453,6 +461,8 @@ def suite_genfun(
         unipoly_eval_float,
     )
 
+    if d < 1:
+        raise ValueError("mode count d must be >= 1")
     _check_sizes(order=order)
     cases = []
     if q == Fraction(1, 2):

@@ -8,6 +8,16 @@ a_j a_k+ = a_k+ a_j + delta_jk, so equality of elements is structural
 equality of their term maps.  Everything but that product lives in the base
 class `TermMap`, which `poly.CPolynomial` shares: the ordering map is a
 linear isomorphism between two spaces of the same shape.
+
+Inside a `TermMap` a monomial is one packed int (Monagan-Pearce packed
+exponent vectors, as in FLINT's ``fmpz_mpoly``): 32-bit field j holds
+``alpha[j]`` and field d + j ``beta[j]``, by name, so z^alpha zbar^beta and
+its ordering-map image (a+)^beta a^alpha share a key.  A monomial shift is
+one int add: R and L add or subtract a mode's step, a contraction
+subtracts an offset, a Weyl product key is k1 + k2 - offset.  Fields never
+carry, since exponents stay below EXPONENT_BOUND = 2^31: larger ones are
+refused on entry, and so are products whose degrees sum to it and raisings
+that would reach it.
 """
 
 from __future__ import annotations
@@ -16,10 +26,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _product
 from math import comb, factorial
+from struct import Struct
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
 from .scalars import GR_ONE, GR_ZERO, GaussRational, ScalarLike, _power
+
+FIELD_BITS = 32
+EXPONENT_BOUND = 1 << (FIELD_BITS - 1)
 
 
 class ModeMismatchError(ValueError):
@@ -38,25 +52,66 @@ class NormalMonomial(NamedTuple):
 
 
 def check_exponents(*vectors) -> None:
-    """Raise ValueError unless every entry of every vector is an int >= 0.
+    """Raise ValueError unless every entry of every vector is an int in
+    0 <= e < EXPONENT_BOUND.
 
     Called where exponents enter from outside (the public `TermMap`
     constructor, which `monomial` and JSON go through); the internal hot
-    paths only ever produce valid vectors and build through `_trusted`.
+    paths only ever produce valid keys and build through `_trusted`.
     """
     for vec in vectors:
-        if not all(isinstance(e, int) and e >= 0 for e in vec):
-            raise ValueError(f"exponents must be nonnegative integers, got {tuple(vec)}")
+        if not all(isinstance(e, int) and 0 <= e < EXPONENT_BOUND for e in vec):
+            raise ValueError("exponents must be nonnegative integers below "
+                             f"2^{FIELD_BITS - 1}, got {tuple(vec)}")
 
 
-def term_sort_key(mono):
-    """Canonical output order: by (total degree, beta, alpha)."""
-    return (mono.degree, mono.beta, mono.alpha)
+class _Layout:
+    """Packed keys over d modes: field j holds alpha[j], field d + j beta[j].
+
+    ``step[j]`` has a one in both fields of mode j and ``ones`` a one in
+    every field; ``shift`` is the bit offset of the beta half and ``low``
+    masks the alpha half.
+    """
+
+    __slots__ = ("shift", "low", "step", "ones", "high", "_struct")
+
+    def __init__(self, d: int):
+        if d < 1:
+            raise ValueError("mode count d must be >= 1")
+        self.shift = FIELD_BITS * d
+        self.low = (1 << self.shift) - 1
+        self.step = tuple((1 << FIELD_BITS * j) * (1 + (1 << self.shift)) for j in range(d))
+        self.ones = sum(self.step)
+        self.high = self.ones << (FIELD_BITS - 1)  # the top bit of every field
+        self._struct = Struct(f"<{2 * d}I")  # unsigned 32-bit, low field first
+
+    def key(self, alpha, beta) -> int:
+        return int.from_bytes(self._struct.pack(*alpha, *beta), "little")
+
+    def fields(self, k: int) -> tuple:
+        """alpha + beta of key k as one tuple of 2d exponents; of an alpha
+        half, or a beta half shifted down, the first d are its exponents."""
+        return self._struct.unpack(k.to_bytes(self._struct.size, "little"))
+
+    def degree(self, k: int) -> int:
+        return sum(self.fields(k))
+
+
+_layout = lru_cache(maxsize=None)(_Layout)
 
 
 def _check_mode(d: int, j: int):
     if not 1 <= j <= d:
         raise IndexError(f"mode index {j} out of range 1..{d}")
+
+
+def _check_product(x, y) -> None:
+    """Same mode count, and no exponent of the product can reach the bound."""
+    x._check_same(y)
+    dx, dy = x.degree(), y.degree()
+    if dx + dy >= EXPONENT_BOUND:
+        raise ValueError(f"product of degrees {dx} and {dy} would reach the "
+                         f"exponent bound 2^{FIELD_BITS - 1}")
 
 
 _SCALARS = (int, Fraction, GaussRational)
@@ -67,39 +122,54 @@ class TermMap:
 
     A monomial is a ``_mono`` named tuple of two exponent vectors, each of
     length d; every method that takes exponent vectors takes them in
-    ``_mono._fields`` order.  Zero coefficients are dropped on construction,
-    so callers may accumulate into a plain dict and leave cancelled keys in
-    it.  Subclasses set ``_mono`` and supply the product.
+    ``_mono._fields`` order.  The coefficients live in ``_terms``, keyed by
+    packed ints; ``terms`` is its read-only view keyed by ``_mono``, built
+    on first access.  Zero coefficients are dropped on construction, so
+    callers may accumulate into a plain dict and leave cancelled keys in it.
+    Subclasses set ``_mono`` and supply the product.
     """
 
-    __slots__ = ("d", "terms")
+    __slots__ = ("d", "_terms", "_view")
     _mono: type
 
     def __new__(cls, d: int, terms: dict | None = None):
-        if d < 1:
-            raise ValueError("mode count d must be >= 1")
+        key = _layout(d).key
         clean: dict = {}
         for mono, coeff in (terms or {}).items():
             check_exponents(*mono)
-            clean[mono] = GaussRational.coerce(coeff)
-            if clean[mono] and (len(mono.beta) != d or len(mono.alpha) != d):
-                raise ModeMismatchError(f"monomial {mono} does not have {d} modes")
-        return cls._trusted(d, clean)
+            c = GaussRational.coerce(coeff)
+            if c:
+                if len(mono.beta) != d or len(mono.alpha) != d:
+                    raise ModeMismatchError(f"monomial {mono} does not have {d} modes")
+                clean[key(mono.alpha, mono.beta)] = c
+        return cls._wrap(d, clean)
 
     @classmethod
     def _trusted(cls, d: int, terms: dict):
         """Build from an internal accumulator: GaussRational coefficients on
-        monomials of d modes.  Zeros are dropped; nothing is re-validated."""
-        return cls._wrap(d, {m: c for m, c in terms.items() if c})
+        packed keys over d modes.  Zeros are dropped; nothing is
+        re-validated."""
+        return cls._wrap(d, {k: c for k, c in terms.items() if c})
 
     @classmethod
     def _wrap(cls, d: int, clean: dict):
         """Build from a fresh dict of nonzero GaussRational coefficients on
-        monomials of d modes, which becomes the terms as it is."""
+        packed keys over d modes, which becomes the terms as it is."""
         x = object.__new__(cls)
         object.__setattr__(x, "d", d)
-        object.__setattr__(x, "terms", MappingProxyType(clean))
+        object.__setattr__(x, "_terms", clean)
+        object.__setattr__(x, "_view", None)
         return x
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only ``{_mono: coefficient}``, in the internal order."""
+        if self._view is None:
+            d, terms = self.d, self._terms
+            object.__setattr__(self, "_view", MappingProxyType({
+                self._mono(alpha=e[:d], beta=e[d:]): c
+                for e, c in zip(map(_layout(d).fields, terms), terms.values())}))
+        return self._view
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -115,59 +185,54 @@ class TermMap:
 
     @classmethod
     def one(cls, d: int):
-        z = (0,) * d
-        return cls(d, {cls._mono(z, z): GR_ONE})
+        return cls.monomial(d, (0,) * d, (0,) * d)
 
     @classmethod
     def monomial(cls, d: int, first, second, coeff: ScalarLike = 1):
         return cls(d, {cls._mono(tuple(first), tuple(second)): coeff})
 
     @classmethod
-    def _generator(cls, d: int, j: int, field: int):
-        """Exponent 1 at mode j (1 <= j <= d) in ``_mono`` field 0 or 1."""
+    def _generator(cls, d: int, j: int, field: str):
+        """Exponent 1 at mode j (1 <= j <= d) in the field named ``field``."""
         _check_mode(d, j)
-        e = tuple(1 if k == j - 1 else 0 for k in range(d))
-        z = (0,) * d
-        return cls(d, {cls._mono(*((e, z) if field == 0 else (z, e))): GR_ONE})
+        shift = FIELD_BITS * (j - 1) + (0 if field == "alpha" else FIELD_BITS * d)
+        return cls._wrap(d, {1 << shift: GR_ONE})
 
     @classmethod
     def _diagonal_sum(cls, d: int):
         """The sum over j of the monomial with exponent 1 at mode j in both
         fields."""
-        terms = {}
-        for j in range(d):
-            e = tuple(1 if k == j else 0 for k in range(d))
-            terms[cls._mono(e, e)] = GR_ONE
-        return cls(d, terms)
+        return cls._wrap(d, dict.fromkeys(_layout(d).step, GR_ONE))
 
     # -- structure --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero element."""
-        if not self.terms:
-            return -1
-        return max(m.degree for m in self.terms)
+        return max(map(_layout(self.d).degree, self._terms), default=-1)
 
     def coefficient(self, first, second) -> GaussRational:
         return self.terms.get(self._mono(tuple(first), tuple(second)), GR_ZERO)
 
     def sorted_terms(self) -> Iterator[tuple]:
-        for mono in sorted(self.terms, key=term_sort_key):
-            yield mono, self.terms[mono]
+        """(monomial, coefficient) in canonical order: by total degree, then
+        beta, then alpha."""
+        terms = self.terms
+        for mono in sorted(terms, key=lambda m: (m.degree, m.beta, m.alpha)):
+            yield mono, terms[mono]
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.d == other.d and self.terms == other.terms
+        return self.d == other.d and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.d, frozenset(self.terms.items())))
+        return hash((self.d, frozenset(self._terms.items())))
 
     # -- linear structure ---------------------------------------------------
 
@@ -181,10 +246,10 @@ class TermMap:
         elif type(other) is not type(self):
             return NotImplemented
         self._check_same(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            cur = out.get(mono)
-            out[mono] = c if cur is None else cur + c
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            cur = out.get(k)
+            out[k] = c if cur is None else cur + c
         return self._trusted(self.d, out)
 
     __radd__ = __add__
@@ -195,20 +260,20 @@ class TermMap:
         if type(other) is not type(self):
             return NotImplemented
         self._check_same(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            cur = out.get(mono)
-            out[mono] = -c if cur is None else cur - c
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            cur = out.get(k)
+            out[k] = -c if cur is None else cur - c
         return self._trusted(self.d, out)
 
     def __neg__(self):
-        return self._trusted(self.d, {m: -c for m, c in self.terms.items()})
+        return self._wrap(self.d, {k: -c for k, c in self._terms.items()})
 
     def scale(self, coeff: ScalarLike):
         c = GaussRational.coerce(coeff)
         if c.is_zero():
             return self.zero(self.d)
-        return self._trusted(self.d, {m: v * c for m, v in self.terms.items()})
+        return self._trusted(self.d, {k: v * c for k, v in self._terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):
@@ -257,12 +322,12 @@ class WeylElement(TermMap):
     @classmethod
     def annihilator(cls, d: int, j: int) -> "WeylElement":
         """The generator a_j, 1 <= j <= d."""
-        return cls._generator(d, j, 1)
+        return cls._generator(d, j, "alpha")
 
     @classmethod
     def creator(cls, d: int, j: int) -> "WeylElement":
         """The generator a_j+, 1 <= j <= d."""
-        return cls._generator(d, j, 0)
+        return cls._generator(d, j, "beta")
 
     def __mul__(self, other) -> "WeylElement":
         if isinstance(other, _SCALARS):
@@ -276,46 +341,51 @@ class WeylElement(TermMap):
 
 
 @lru_cache(maxsize=None)
-def contractions(ann: tuple, cre: tuple) -> tuple:
+def contractions(ann: int, cre: int, d: int) -> tuple:
     """Wick expansion of a^ann (a+)^cre, the one contraction primitive.
 
-    Per mode, a^m (a+)^n = sum_i C(m,i) C(n,i) i! (a+)^(n-i) a^(m-i); the
-    multi-mode expansion is the product over modes.  Returns a tuple of
-    (ivec, weight) pairs: ``ivec`` is the per-mode contraction count to
-    subtract from both exponent vectors, ``weight`` the integer coefficient.
+    ``ann`` is the packed alpha half of one key and ``cre`` the packed beta
+    half of another, shifted down to the alpha fields.  Per mode,
+    a^m (a+)^n = sum_i C(m,i) C(n,i) i! (a+)^(n-i) a^(m-i); the multi-mode
+    expansion is the product over modes.  Returns (offset, order, weight)
+    triples: ``offset`` removes i_j from both fields of every mode j of a
+    key, ``order`` is sum_j i_j and ``weight`` the integer coefficient.
     Memoised, since products and orderings revisit the same exponent pairs.
     """
+    lay = _layout(d)
     per_mode = [
-        [(i, comb(m, i) * comb(n, i) * factorial(i)) for i in range(min(m, n) + 1)]
-        for m, n in zip(ann, cre)
+        [(i * step, i, comb(m, i) * comb(n, i) * factorial(i)) for i in range(min(m, n) + 1)]
+        for m, n, step in zip(lay.fields(ann), lay.fields(cre), lay.step)
     ]
     out = []
     for combo in _product(*per_mode):
+        offset = order = 0
         weight = 1
-        for _, c in combo:
+        for o, i, c in combo:
+            offset += o
+            order += i
             weight *= c
-        out.append((tuple(i for i, _ in combo), weight))
+        out.append((offset, order, weight))
     return tuple(out)
 
 
 def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
     """Exact product, rewritten to normal form via the commutation rule."""
-    x._check_same(y)
+    _check_product(x, y)
     d = x.d
+    lay = _layout(d)
+    low, shift = lay.low, lay.shift
+    right = [(k2, k2 >> shift, c2) for k2, c2 in y._terms.items()]
     acc: dict = {}
-    for m1, c1 in x.terms.items():
-        for m2, c2 in y.terms.items():
+    for k1, c1 in x._terms.items():
+        ann = k1 & low
+        for k2, cre, c2 in right:
             c12 = c1 * c2
-            for ivec, weight in contractions(m1.alpha, m2.beta):
-                beta = tuple(
-                    b1 + b2 - i for b1, b2, i in zip(m1.beta, m2.beta, ivec)
-                )
-                alpha = tuple(
-                    a1 + a2 - i for a1, a2, i in zip(m1.alpha, m2.alpha, ivec)
-                )
-                mono = NormalMonomial(beta, alpha)
-                cur = acc.get(mono)
-                acc[mono] = c12 * weight if cur is None else cur + c12 * weight
+            base = k1 + k2
+            for offset, _, weight in contractions(ann, cre, d):
+                k = base - offset
+                cur = acc.get(k)
+                acc[k] = c12 * weight if cur is None else cur + c12 * weight
     return WeylElement._trusted(d, acc)
 
 

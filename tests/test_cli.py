@@ -10,6 +10,7 @@ import textwrap
 import pytest
 
 from weylharm.cli import main
+from weylharm.verify import ORTHOGONALITY_KMAX
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -106,6 +107,23 @@ class TestElementCommands:
              "overflow a float"),
             (["verify", "harmonics", "--d", "0"], "mode count d must be >= 1"),
             (["verify", "harmonics", "--d", "-1"], "mode count d must be >= 1"),
+            # genfun checks d itself, before either branch of q
+            (["verify", "genfun", "--d", "0"], "mode count d must be >= 1"),
+            (["verify", "genfun", "--d", "0", "--q", "1/3"], "mode count d must be >= 1"),
+            # orthogonality's time grows as k_max^3; see test_orthogonality_kmax_bound
+            (["verify", "orthogonality", "--d", "1", "--kmax", str(ORTHOGONALITY_KMAX + 1)],
+             f"k_max must be <= {ORTHOGONALITY_KMAX} for orthogonality "
+             "(its time grows as k_max^3)"),
+            # exponents stay below 2^31, the bound of the packed keys
+            (["normal-order", "--d", "1", "--", "c1^2147483648"],
+             "product of degrees 1073741824 and 1073741824 would reach the "
+             "exponent bound 2^31"),
+            (["normal-order", "--", "c1^1073741824 * c1^1073741824"],
+             "product of degrees 1073741824 and 1073741824 would reach the "
+             "exponent bound 2^31"),
+            (["order", "--q", "1/2", "--", "z1^1073741824 * zb2^1073741824"],
+             "product of degrees 1073741824 and 1073741824 would reach the "
+             "exponent bound 2^31"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
@@ -114,6 +132,26 @@ class TestElementCommands:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"weylharm: error: {message}\n"
+
+    def test_orthogonality_kmax_bound(self, capsys, monkeypatch):
+        # the bound itself is accepted; the rule is stubbed, since a real
+        # run at the bound takes about 10 s (one above is refused above)
+        import weylharm.numerics as numerics
+
+        def stub(d, k_max):
+            eye = [[float(m == n) for n in range(k_max + 1)] for m in range(k_max + 1)]
+            return {"normalized": eye, "gram": eye, "diagonal_positive": True,
+                    "stable": True, "drift": 0.0, "tail_bound": 0.0}
+
+        monkeypatch.setattr(numerics, "orthogonality_stable", stub)
+        argv = ["verify", "orthogonality", "--d", "1", "--kmax", str(ORTHOGONALITY_KMAX)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_exponent_just_below_bound_accepted(self, capsys):
+        code, out = run_cli(capsys, "normal-order", "--",
+                            "c1^1073741824 * c1^1073741823")
+        assert code == 0 and out.strip() == "c1^2147483647"
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -1,5 +1,5 @@
-"""The ordering map and the sl2 triple on integer numerators, against the
-per-product loops they replaced.
+"""The ordering map, the sl2 triple and the products on packed keys and
+integer numerators, against the per-product loops they replaced.
 
 `ordering._closed_form` and `poly._triple` accumulate Gaussian-integer
 numerators over one common denominator and reduce once per output term.
@@ -15,10 +15,13 @@ denominators of r, e and l for the triple.
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product
+from math import comb, factorial, gcd, lcm, prod
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weylharm.ordering as ordering
 import weylharm.poly as poly
@@ -33,7 +36,16 @@ from weylharm.ordering import (
 )
 from weylharm.poly import CMonomial, CPolynomial, op_E, op_L, op_R
 from weylharm.scalars import GR_ONE, GaussRational
-from weylharm.weyl import ModeMismatchError, NormalMonomial, WeylElement, contractions
+from weylharm.weyl import (
+    EXPONENT_BOUND,
+    FIELD_BITS,
+    ModeMismatchError,
+    NormalMonomial,
+    WeylElement,
+    _layout,
+    check_exponents,
+    weyl_mul,
+)
 
 # t = 1 - q is 1, 0, 1/2, -3/2, 5/3 and 4/11: zero, negative and above 1
 QS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(5, 2), Fraction(-2, 3),
@@ -50,13 +62,23 @@ SMALL_DENS = (1, 2, 3, 4, 6, 9, 10, 12, 15)
 # ---------------------------------------------------------------------------
 
 
+def wick(ann, cre):
+    """(ivec, weight) for a^ann (a+)^cre: per mode i <= min(m, n) with
+    weight C(m,i) C(n,i) i!, the modes multiplied out in lexicographic
+    order of ivec."""
+    per_mode = [[(i, comb(m, i) * comb(n, i) * factorial(i)) for i in range(min(m, n) + 1)]
+                for m, n in zip(ann, cre)]
+    for combo in product(*per_mode):
+        yield tuple(i for i, _ in combo), prod(w for _, w in combo)
+
+
 def per_product_closed_form(terms, t, key):
     """The closed form with one GaussRational per product and per sum; the
     raw accumulator, cancelled keys included."""
     acc = {}
     for mono, coeff in terms.items():
         alpha, beta = mono.alpha, mono.beta
-        for ivec, weight in contractions(alpha, beta):
+        for ivec, weight in wick(alpha, beta):
             k = key(tuple(a - i for a, i in zip(alpha, ivec)),
                     tuple(b - i for b, i in zip(beta, ivec)))
             c = coeff * (weight * t ** sum(ivec))
@@ -90,6 +112,31 @@ def per_product_triple(p, r, e, l):
                 cw = c * l * w
                 cur = acc.get(down)
                 acc[down] = cw if cur is None else cur + cw
+    return acc
+
+
+def per_product_weyl_mul(x, y):
+    """x*y term pair by term pair on NamedTuple keys, through `wick`."""
+    acc = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            for ivec, weight in wick(m1.alpha, m2.beta):
+                mono = NormalMonomial(
+                    tuple(b1 + b2 - i for b1, b2, i in zip(m1.beta, m2.beta, ivec)),
+                    tuple(a1 + a2 - i for a1, a2, i in zip(m1.alpha, m2.alpha, ivec)))
+                c = c1 * c2 * weight
+                acc[mono] = acc[mono] + c if mono in acc else c
+    return acc
+
+
+def per_product_cpoly_mul(x, y):
+    """x*y term pair by term pair on NamedTuple keys."""
+    acc = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            mono = CMonomial(tuple(map(sum, zip(m1.alpha, m2.alpha))),
+                             tuple(map(sum, zip(m1.beta, m2.beta))))
+            acc[mono] = acc[mono] + c1 * c2 if mono in acc else c1 * c2
     return acc
 
 
@@ -275,7 +322,8 @@ def test_closed_form_drops_zero_sums():
     t = -ctx.q_complement
     raw = per_product_closed_form(w.terms, t, CMonomial)
     assert any(not c for c in raw.values())
-    assert ordering._closed_form(w.terms, t, CMonomial) == {m: c for m, c in raw.items() if c}
+    got = CPolynomial._wrap(2, ordering._closed_form(w._terms, 2, t))
+    assert dict(got.terms) == {m: c for m, c in raw.items() if c}
     assert unorder_q(ctx, w) == p
 
 
@@ -307,3 +355,159 @@ def test_ordered_monomial_rejects_bad_exponents():
     for alpha, beta in (((1,), (1,)), ((1, 0), (1,)), ((1, 0, 0), (0, 0, 1))):
         with pytest.raises(ModeMismatchError):
             ordered_monomial(ctx, alpha, beta)
+
+
+# ---------------------------------------------------------------------------
+# The packed layout, to the exponent bound
+# ---------------------------------------------------------------------------
+
+B = EXPONENT_BOUND
+SMALL = st.integers(0, 3)
+# up to B - 2, so that a raising step stays below the bound
+HUGE = st.one_of(SMALL, st.integers(B - 40, B - 2), st.integers(0, B - 2))
+COEFF = st.builds(lambda a, b, den: GaussRational(Fraction(a, den), Fraction(b, den)),
+                  st.integers(-4, 4), st.integers(-4, 4), st.sampled_from((1, 2, 3, 6)))
+
+
+@st.composite
+def wide_element(draw, cls, d, exponent=HUGE):
+    """Up to four terms whose two exponents at each mode are one small and
+    one drawn from ``exponent``, so contractions stay few."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        pairs = [(draw(SMALL), draw(exponent))[:: draw(st.sampled_from((1, -1)))]
+                 for _ in range(d)]
+        alpha, beta = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+        terms[cls._mono(alpha=alpha, beta=beta)] = draw(COEFF)
+    return cls(d, terms)
+
+
+@st.composite
+def map_case(draw):
+    name = draw(st.sampled_from(sorted(MAPS)))
+    ctx = OrderingContext(draw(st.integers(1, 4)), draw(st.sampled_from(QS)))
+    return name, ctx, draw(wide_element(MAPS[name][1], ctx.d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(map_case())
+def test_packed_maps_match_tuple_key_oracles(case):
+    """`_closed_form` and `_triple` on exponents up to B - 2 at d <= 4."""
+    name, ctx, x = case
+    fn, _, oracle, _ = MAPS[name]
+    assert parts(fn(ctx, x).terms) == oracle_parts(oracle(ctx, x))
+
+
+@st.composite
+def product_case(draw, cls):
+    """A small operand (exponents <= 3) and a wide one with one large
+    exponent per term, whose degree leaves room for the small one below B,
+    in either order."""
+    d = draw(st.integers(1, 4))
+    small = draw(wide_element(cls, d, SMALL))
+    top = B - 1 - 12 * d  # the other 2d - 1 exponents and the small degree
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = [draw(SMALL) for _ in range(2 * d)]
+        exps[draw(st.integers(0, 2 * d - 1))] = draw(
+            st.one_of(SMALL, st.integers(0, top), st.just(top)))
+        terms[cls._mono(alpha=tuple(exps[:d]), beta=tuple(exps[d:]))] = draw(COEFF)
+    wide = cls(d, terms)
+    return (small, wide) if draw(st.booleans()) else (wide, small)
+
+
+@settings(max_examples=120, deadline=None)
+@given(product_case(WeylElement))
+def test_weyl_mul_matches_tuple_key_oracle(pair):
+    x, y = pair
+    assert parts(weyl_mul(x, y).terms) == oracle_parts(per_product_weyl_mul(x, y))
+
+
+@settings(max_examples=120, deadline=None)
+@given(product_case(CPolynomial))
+def test_cpoly_mul_matches_tuple_key_oracle(pair):
+    x, y = pair
+    assert parts((x * y).terms) == oracle_parts(per_product_cpoly_mul(x, y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.integers(0, B - 1), min_size=2 * d, max_size=2 * d)))
+def test_pack_unpack_round_trip(exps):
+    d = len(exps) // 2
+    alpha, beta = tuple(exps[:d]), tuple(exps[d:])
+    lay = _layout(d)
+    key = lay.key(alpha, beta)
+    assert lay.fields(key) == alpha + beta
+    assert lay.fields(key & lay.low) == alpha + (0,) * d
+    assert lay.fields(key >> lay.shift) == beta + (0,) * d
+    # fields are named: z^alpha zbar^beta and its image key (a+)^beta a^alpha
+    # pack to the same int
+    w = WeylElement.monomial(d, beta, alpha)
+    p = CPolynomial.monomial(d, alpha, beta)
+    assert list(w._terms) == list(p._terms) == [key]
+    assert list(w.terms) == [NormalMonomial(beta, alpha)]
+    assert list(p.terms) == [CMonomial(alpha, beta)]
+    assert w.coefficient(beta, alpha) == p.coefficient(alpha, beta) == GR_ONE
+    assert w.degree() == p.degree() == sum(exps)
+
+
+def test_layout_fields():
+    lay = _layout(2)
+    assert lay.key((1, 2), (3, 4)) == 1 + (2 << FIELD_BITS) + (3 << 2 * FIELD_BITS) + (
+        4 << 3 * FIELD_BITS)
+    assert lay.step == (1 + (1 << 2 * FIELD_BITS), (1 << FIELD_BITS) + (1 << 3 * FIELD_BITS))
+
+
+@pytest.mark.parametrize("cls", [WeylElement, CPolynomial])
+def test_terms_view_is_read_only_and_cached(cls):
+    x = cls(2, {cls._mono((1, 0), (0, 2)): 3, cls._mono((0, 0), (0, 0)): 1})
+    view = x.terms
+    assert type(view) is MappingProxyType and x.terms is view
+    with pytest.raises(TypeError):
+        view[cls._mono((0, 0), (0, 0))] = GR_ONE
+    with pytest.raises(AttributeError):
+        x._terms = {}
+    assert dict(view) == {cls._mono((1, 0), (0, 2)): GaussRational(3),
+                          cls._mono((0, 0), (0, 0)): GR_ONE}
+
+
+@pytest.mark.parametrize("cls", [WeylElement, CPolynomial])
+def test_equal_values_hash_equal(cls):
+    rng = random.Random(3)
+    for _ in range(20):
+        x = random_element(rng, cls, rng.randint(1, 3), 6, big=False, diagonal=False)
+        items = list(x.terms.items())
+        rng.shuffle(items)
+        shuffled = cls(x.d, dict(items))
+        rebuilt = (x + x) - x
+        assert shuffled == x == rebuilt
+        assert hash(shuffled) == hash(x) == hash(rebuilt)
+
+
+def test_exponent_bound_refused_exactly_at_b():
+    check_exponents((B - 1, 0), (0, B - 1))
+    for vec in ((B,), (0, B), (B + 1,)):
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            check_exponents(vec)
+    for cls in (WeylElement, CPolynomial):
+        assert cls.monomial(1, (B - 1,), (0,)).degree() == B - 1
+        with pytest.raises(ValueError):
+            cls.monomial(1, (B,), (0,))
+        with pytest.raises(ValueError):
+            cls.from_json_dict({"d": 1, "terms": [
+                {"alpha": [B], "beta": [0], "re": "1", "im": "0"}]})
+        assert cls.one(1).coefficient((B,), (0,)) == 0
+    # products: degrees summing to B - 1 pass, to B are refused
+    for cls, mul in ((WeylElement, weyl_mul), (CPolynomial, CPolynomial.__mul__)):
+        x = cls.monomial(2, (1, B // 2 - 1), (0, 0))
+        assert mul(x, cls.monomial(2, (0, 0), (B // 2 - 1, 0))).degree() == B - 1
+        with pytest.raises(ValueError, match="exponent bound"):
+            mul(x, cls.monomial(2, (0, 0), (B // 2, 0)))
+    # a raising step may reach B - 1, never B
+    p = CPolynomial.monomial(1, (B - 2,), (0,))
+    assert op_R(p) == CPolynomial.monomial(1, (B - 1,), (1,))
+    with pytest.raises(ValueError, match="exponent bound"):
+        op_R(op_R(p))
+    with pytest.raises(ValueError, match="exponent bound"):
+        cal_R(OrderingContext(1, Fraction(1, 2)), WeylElement.monomial(1, (0,), (B - 1,)))

@@ -12,6 +12,7 @@ from weylharm.poly import CMonomial, CPolynomial
 from weylharm.scalars import GR_ONE, GaussRational, UniPoly
 from weylharm.verify import random_cpoly, random_weyl
 from weylharm.weyl import (
+    FIELD_BITS,
     ModeMismatchError,
     NormalMonomial,
     WeylElement,
@@ -82,12 +83,16 @@ def test_naive_oracle_agrees_with_kernel_product():
 
 
 def test_contraction_formula_single_mode():
-    # a^m (a+)^n = sum_i C(m,i) C(n,i) i! (a+)^(n-i) a^(m-i)
+    # a^m (a+)^n = sum_i C(m,i) C(n,i) i! (a+)^(n-i) a^(m-i); at d = 1 the
+    # packed halves are the exponents, and i contractions take i off both
+    # fields of the key
     for m in range(4):
         for n in range(4):
             data = dict()
-            for ivec, coeff in contractions((m,), (n,)):
-                data[ivec[0]] = coeff
+            for offset, i, coeff in contractions(m, n, 1):
+                assert offset == i * (1 + (1 << FIELD_BITS))
+                data[i] = coeff
+            assert sorted(data) == list(range(min(m, n) + 1))
             for i in range(min(m, n) + 1):
                 assert data[i] == comb(m, i) * comb(n, i) * factorial(i)
 
