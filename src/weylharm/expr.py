@@ -115,10 +115,10 @@ class _Parser:
         return value
 
     def expr(self):
-        value = self.term()
+        summands = [self.term()]
         while op := self.accept("+-"):
-            value = value + self.term() if op == "+" else value - self.term()
-        return value
+            summands.append(self.term() if op == "+" else -self.term())
+        return self.cls._sum(self.d, summands)
 
     def term(self):
         value = self.factor()

@@ -24,11 +24,9 @@ sum is that key minus a contraction offset.  The inverse is the same sum
 with -(1-q) in place of 1-q.  `apply_M` and `apply_Mplus` keep the
 defining operator form as an independent check of both.
 
-Both sums run on integers, in the layout of `GaussRational` and `UniPoly`:
-every contribution is a pair of Gaussian-integer numerators over one common
-denominator (the lcm of the input denominators times a power of the
-denominator of 1-q), collisions add ints, and each output term takes one
-gcd.  The transferred triple below does the same in `poly._triple`.
+Both sums run on integers through `weyl._numerators` and `weyl._finish`,
+as the products and the transferred triple below (`poly._triple`) do:
+one common denominator, here times a power of the denominator of 1-q.
 
 The transferred sl2 triple (`cal_R`, `cal_L`, `cal_E`) is the classical
 triple of `poly` (R = r^2, L the quarter-Laplacian, E = degree + d) pushed
@@ -53,16 +51,18 @@ tests as the independent check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .poly import CPolynomial, _triple, op_L
-from .scalars import GR_ONE, _gr
+from .scalars import GR_ONE
 from .weyl import (
     ModeMismatchError,
     WeylElement,
     _check_mode,
+    _finish,
     _layout,
+    _numerators,
     check_exponents,
     contractions,
     weyl_mul,
@@ -124,25 +124,21 @@ def _closed_form(terms: dict, d: int, t: Fraction) -> dict:
     with 1-q replaced by t), as a dict of nonzero coefficients on packed
     keys.
 
-    The sum runs on Gaussian-integer numerators over one common
-    denominator.  With L the lcm of the input denominators, t = tn/td and
-    S the largest contraction order |i|, a contraction of weight w and
-    order s adds (n, m) * (L/den) * w * tn^s * td^(S-s) to its key's pair;
-    each nonzero pair then becomes one (N + M*i)/(L * td^S), one gcd per
-    output term.
+    The sum runs on the Gaussian-integer numerators (n, m) of
+    `weyl._numerators` over their lcm L.  With t = tn/td and S the largest
+    contraction order |i|, a contraction of weight w and order s adds
+    (n, m) * w * tn^s * td^(S-s) to its key's pair, and `weyl._finish`
+    divides by L * td^S.
     """
     tn, td = t.numerator, t.denominator
     lay = _layout(d)
-    low, shift = lay.low, lay.shift
-    expansions = [contractions(k & low, k >> shift, d) for k in terms]
+    expansions = [contractions(k & lay.low, k >> lay.shift, d) for k in terms]
     # the last contraction of a monomial contracts every mode fully
     top = max((e[-1][1] for e in expansions), default=0)
     scale = [tn**s * td ** (top - s) for s in range(top + 1)]
-    lcd = lcm(*(c.den for c in terms.values()))
+    lcd, nums = _numerators(terms)
     acc: dict = {}
-    for (k, c), expansion in zip(terms.items(), expansions):
-        f = lcd // c.den
-        n, m = c.n * f, c.m * f
+    for (k, n, m), expansion in zip(nums, expansions):
         for offset, s, weight in expansion:
             w = weight * scale[s]
             key = k - offset
@@ -152,8 +148,7 @@ def _closed_form(terms: dict, d: int, t: Fraction) -> dict:
             else:
                 cur[0] += n * w
                 cur[1] += m * w
-    den = lcd * td**top
-    return {k: _gr(re, im, den) for k, (re, im) in acc.items() if re or im}
+    return _finish(acc, lcd * td**top)
 
 
 def order_q(ctx: OrderingContext, p: CPolynomial) -> WeylElement:

@@ -11,8 +11,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalars import _gr
-from .weyl import _SCALARS, FIELD_BITS, TermMap, _check_mode, _check_product, _layout
+from .weyl import (_SCALARS, FIELD_BITS, TermMap, _check_mode, _finish, _layout,
+                   _mul_terms, _numerators)
 
 
 class CMonomial(NamedTuple):
@@ -52,15 +52,8 @@ class CPolynomial(TermMap):
     def __mul__(self, other) -> "CPolynomial":
         if isinstance(other, _SCALARS):
             return self.scale(other)
-        _check_product(self, other)
-        right = other._terms.items()
-        acc: dict = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in right:
-                k = k1 + k2
-                cur = acc.get(k)
-                acc[k] = c1 * c2 if cur is None else cur + c1 * c2
-        return CPolynomial._trusted(self.d, acc)
+        # the commutative product: only the empty contraction
+        return _mul_terms(self, other, lambda ann, cre, d: ((0, 0, 1),))
 
     def is_homogeneous(self) -> bool:
         return len(set(map(_layout(self.d).degree, self._terms))) <= 1
@@ -72,7 +65,7 @@ class CPolynomial(TermMap):
         for k, c in self._terms.items():
             buckets.setdefault(degree(k), {})[k] = c
         return {
-            deg: CPolynomial._trusted(self.d, t) for deg, t in sorted(buckets.items())
+            deg: CPolynomial._wrap(self.d, t) for deg, t in sorted(buckets.items())
         }
 
     def __repr__(self) -> str:
@@ -96,27 +89,23 @@ def _triple(p: TermMap, rn: int, en: int, ln: int, dr: int = 1) -> TermMap:
     triple treats the two exponent vectors of a monomial symmetrically, so
     one body serves `CPolynomial` and `weyl.WeylElement`.
 
-    The sum runs on Gaussian-integer numerators over one common
-    denominator: each coefficient (n + m*i)/den becomes (n, m) * (L/den)
-    over the lcm L of the input denominators, and each output key keeps
-    one [re, im] pair of ints.  Each nonzero pair then becomes one
-    (re + im*i)/(L * dr), one gcd per output term.
+    The sum runs on the Gaussian-integer numerators of `weyl._numerators`
+    over their lcm L, one [re, im] pair of ints per output key, and
+    `weyl._finish` divides by L * dr.
     """
-    cls, d, terms = type(p), p.d, p._terms
+    d, terms = p.d, p._terms
     if not terms:
         return p
     lay = _layout(d)
     ones, high, steps = lay.ones, lay.high, lay.step
     exps = list(map(lay.fields, terms)) if en or ln else [()] * len(terms)
-    lcd = math.lcm(*(c.den for c in terms.values()))
+    lcd, nums = _numerators(terms)
     acc: dict = {}
     if en:  # E maps monomials one to one, so its part seeds the accumulator
-        for (k, c), e in zip(terms.items(), exps):
-            f = lcd // c.den * en * (sum(e) + d)
-            acc[k] = [c.n * f, c.m * f]
-    for (k, c), e in zip(terms.items(), exps):
-        f = lcd // c.den
-        n, m = c.n * f, c.m * f
+        for (k, n, m), e in zip(nums, exps):
+            f = en * (sum(e) + d)
+            acc[k] = [n * f, m * f]
+    for (k, n, m), e in zip(nums, exps):
         if rn:
             if (k + ones) & high:  # some exponent is B - 1
                 raise ValueError(f"raising would reach the exponent bound 2^{FIELD_BITS - 1}")
@@ -141,8 +130,7 @@ def _triple(p: TermMap, rn: int, en: int, ln: int, dr: int = 1) -> TermMap:
                 else:
                     cur[0] += n * w
                     cur[1] += m * w
-    den = lcd * dr
-    return cls._wrap(d, {k: _gr(re, im, den) for k, (re, im) in acc.items() if re or im})
+    return p._wrap(d, _finish(acc, lcd * dr))
 
 
 def op_R(p: TermMap) -> TermMap:
@@ -213,16 +201,16 @@ def harmonic_decompose(p: CPolynomial) -> list:
         lj = residual
         for _ in range(j):
             lj = op_L(lj)
-        k = m - 2 * j
-        c = Fraction(1)
-        for i in range(1, j + 1):
-            c *= i * (k + d + i - 1)
-        h = lj.scale(Fraction(1, 1) / c) if c != 1 else lj
+        # prod_{i=1..j} i (k + d + i - 1) with k = m - 2j
+        c = math.factorial(j) * math.prod(range(m - 2 * j + d, m - j + d))
+        h = lj.scale(Fraction(1, c)) if c != 1 else lj
         parts[j] = h
         if j > 0:
             for _ in range(j):
                 h = op_R(h)
             residual = residual - h
+        if not residual:
+            break
     return parts
 
 

@@ -382,11 +382,9 @@ def decompose_weyl(ctx: RadialContext, w: WeylElement) -> list:
     by_power: dict = {}
     for _, comp in p.homogeneous_components().items():
         for j, h in enumerate(harmonic_decompose(comp)):
-            if h.is_zero():
-                continue
-            cur = by_power.get(j)
-            by_power[j] = h if cur is None else cur + h
-    return sorted(by_power.items())
+            if h:
+                by_power.setdefault(j, []).append(h)
+    return [(j, p._sum(p.d, hs)) for j, hs in sorted(by_power.items())]
 
 
 def reassemble_weyl(ctx: RadialContext, parts) -> WeylElement:

@@ -16,8 +16,8 @@ its ordering-map image (a+)^beta a^alpha share a key.  A monomial shift is
 one int add: R and L add or subtract a mode's step, a contraction
 subtracts an offset, a Weyl product key is k1 + k2 - offset.  Fields never
 carry, since exponents stay below EXPONENT_BOUND = 2^31: larger ones are
-refused on entry, and so are products whose degrees sum to it and raisings
-that would reach it.
+refused on entry, and so are products in which the two factors' largest
+exponents in some field sum to it and raisings that would reach it.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _product
-from math import comb, factorial
+from math import comb, factorial, lcm
 from struct import Struct
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
-from .scalars import GR_ONE, GR_ZERO, GaussRational, ScalarLike, _power
+from .scalars import GR_ONE, GR_ZERO, GaussRational, ScalarLike, _gr, _power
 
 FIELD_BITS = 32
 EXPONENT_BOUND = 1 << (FIELD_BITS - 1)
@@ -56,8 +56,8 @@ def check_exponents(*vectors) -> None:
     0 <= e < EXPONENT_BOUND.
 
     Called where exponents enter from outside (the public `TermMap`
-    constructor, which `monomial` and JSON go through); the internal hot
-    paths only ever produce valid keys and build through `_trusted`.
+    constructor, which `monomial` and JSON go through); the internal
+    kernels only ever produce valid keys and build through `_wrap`.
     """
     for vec in vectors:
         if not all(isinstance(e, int) and 0 <= e < EXPONENT_BOUND for e in vec):
@@ -106,12 +106,23 @@ def _check_mode(d: int, j: int):
 
 
 def _check_product(x, y) -> None:
-    """Same mode count, and no exponent of the product can reach the bound."""
+    """Same mode count, and no exponent of the product can reach the bound.
+
+    A product's field is at most the sum of the operands' largest entries
+    in that field; the total degrees bound those sums cheaply, and the
+    per-field maxima are compared only when the degrees do not.
+    """
     x._check_same(y)
     dx, dy = x.degree(), y.degree()
-    if dx + dy >= EXPONENT_BOUND:
+    if dx + dy >= EXPONENT_BOUND and any(
+            a + b >= EXPONENT_BOUND for a, b in zip(_field_max(x), _field_max(y))):
         raise ValueError(f"product of degrees {dx} and {dy} would reach the "
                          f"exponent bound 2^{FIELD_BITS - 1}")
+
+
+def _field_max(x) -> list:
+    """The largest exponent in each of the 2d fields over the terms of x."""
+    return list(map(max, zip(*map(_layout(x.d).fields, x._terms))))
 
 
 _SCALARS = (int, Fraction, GaussRational)
@@ -143,13 +154,6 @@ class TermMap:
                     raise ModeMismatchError(f"monomial {mono} does not have {d} modes")
                 clean[key(mono.alpha, mono.beta)] = c
         return cls._wrap(d, clean)
-
-    @classmethod
-    def _trusted(cls, d: int, terms: dict):
-        """Build from an internal accumulator: GaussRational coefficients on
-        packed keys over d modes.  Zeros are dropped; nothing is
-        re-validated."""
-        return cls._wrap(d, {k: c for k, c in terms.items() if c})
 
     @classmethod
     def _wrap(cls, d: int, clean: dict):
@@ -246,13 +250,24 @@ class TermMap:
         elif type(other) is not type(self):
             return NotImplemented
         self._check_same(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            cur = out.get(k)
-            out[k] = c if cur is None else cur + c
-        return self._trusted(self.d, out)
+        return self._sum(self.d, (self, other))
 
     __radd__ = __add__
+
+    @classmethod
+    def _sum(cls, d: int, parts):
+        """The sum of the nonempty sequence ``parts`` of term maps over d
+        modes, in one accumulator.  Keys keep the order of their first
+        appearance, and a key whose sum cancels leaves it, as it would in a
+        chain of `+`."""
+        out = dict(parts[0]._terms)
+        for part in parts[1:]:
+            for k, c in part._terms.items():
+                if s := (out[k] + c if k in out else c):
+                    out[k] = s
+                else:
+                    del out[k]
+        return cls._wrap(d, out)
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
@@ -264,7 +279,7 @@ class TermMap:
         for k, c in other._terms.items():
             cur = out.get(k)
             out[k] = -c if cur is None else cur - c
-        return self._trusted(self.d, out)
+        return self._wrap(self.d, {k: c for k, c in out.items() if c})
 
     def __neg__(self):
         return self._wrap(self.d, {k: -c for k, c in self._terms.items()})
@@ -273,7 +288,7 @@ class TermMap:
         c = GaussRational.coerce(coeff)
         if c.is_zero():
             return self.zero(self.d)
-        return self._trusted(self.d, {k: v * c for k, v in self._terms.items()})
+        return self._wrap(self.d, {k: v * c for k, v in self._terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):
@@ -371,22 +386,53 @@ def contractions(ann: int, cre: int, d: int) -> tuple:
 
 def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
     """Exact product, rewritten to normal form via the commutation rule."""
+    return _mul_terms(x, y, contractions)
+
+
+def _numerators(terms: dict) -> tuple:
+    """(L, [(key, n, m)]): each coefficient of the packed ``terms`` as the
+    Gaussian-integer numerator n + m*i over the lcm L of their
+    denominators, in the terms' order."""
+    lcd = lcm(*(c.den for c in terms.values()))
+    return lcd, [(k, c.n * (f := lcd // c.den), c.m * f) for k, c in terms.items()]
+
+
+def _finish(acc: dict, den: int) -> dict:
+    """The nonzero pairs of an accumulator ``{key: [re, im]}`` as
+    coefficients (re + im*i)/den, one gcd per output term."""
+    return {k: _gr(re, im, den) for k, (re, im) in acc.items() if re or im}
+
+
+def _mul_terms(x: TermMap, y: TermMap, expand) -> TermMap:
+    """x*y on Gaussian-integer numerators over lcm(x dens) * lcm(y dens).
+
+    ``expand(ann, cre, d)`` gives the (offset, order, weight) triples of
+    the product of a term with annihilation half ``ann`` by one with
+    creation half ``cre``, as `contractions` does; each adds weight times
+    the coefficient product at key k1 + k2 - offset.  The commutative
+    product is the expansion with only the empty contraction.
+    """
     _check_product(x, y)
     d = x.d
     lay = _layout(d)
-    low, shift = lay.low, lay.shift
-    right = [(k2, k2 >> shift, c2) for k2, c2 in y._terms.items()]
+    dx, left = _numerators(x._terms)
+    dy, right = _numerators(y._terms)
+    right = [(k2, k2 >> lay.shift, n2, m2) for k2, n2, m2 in right]
     acc: dict = {}
-    for k1, c1 in x._terms.items():
-        ann = k1 & low
-        for k2, cre, c2 in right:
-            c12 = c1 * c2
+    for k1, n1, m1 in left:
+        ann = k1 & lay.low
+        for k2, cre, n2, m2 in right:
+            re, im = n1 * n2 - m1 * m2, n1 * m2 + m1 * n2
             base = k1 + k2
-            for offset, _, weight in contractions(ann, cre, d):
+            for offset, _, weight in expand(ann, cre, d):
                 k = base - offset
                 cur = acc.get(k)
-                acc[k] = c12 * weight if cur is None else cur + c12 * weight
-    return WeylElement._trusted(d, acc)
+                if cur is None:
+                    acc[k] = [re * weight, im * weight]
+                else:
+                    cur[0] += re * weight
+                    cur[1] += im * weight
+    return x._wrap(d, _finish(acc, dx * dy))
 
 
 def commutator(x: WeylElement, y: WeylElement) -> WeylElement:

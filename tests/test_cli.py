@@ -121,7 +121,7 @@ class TestElementCommands:
             (["normal-order", "--", "c1^1073741824 * c1^1073741824"],
              "product of degrees 1073741824 and 1073741824 would reach the "
              "exponent bound 2^31"),
-            (["order", "--q", "1/2", "--", "z1^1073741824 * zb2^1073741824"],
+            (["order", "--q", "1/2", "--", "(z1^1073741824 + zb2) * z1^1073741824"],
              "product of degrees 1073741824 and 1073741824 would reach the "
              "exponent bound 2^31"),
         ],
@@ -152,6 +152,20 @@ class TestElementCommands:
         code, out = run_cli(capsys, "normal-order", "--",
                             "c1^1073741824 * c1^1073741823")
         assert code == 0 and out.strip() == "c1^2147483647"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["normal-order", "--d", "2", "--", "c1^1073741824*c2^1073741824"],
+             "c1^1073741824*c2^1073741824"),
+            (["order", "--q", "1/2", "--", "z1^1073741824 * zb2^1073741824"],
+             "c2^1073741824*a1^1073741824"),
+        ],
+    )
+    def test_degrees_past_bound_accepted_when_fields_stay_below(self, capsys, argv,
+                                                                 expected):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out.strip() == expected
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -132,6 +132,25 @@ class TestRoundTrips:
             assert parse_poly(text, d) == p
             assert format_cpoly(parse_poly(text, d)) == text
 
+    @pytest.mark.parametrize("parse, symbols", [(parse_weyl, "ca"), (parse_poly, ("z", "zb"))])
+    def test_long_sum_equals_pairwise_sum(self, parse, symbols):
+        # summands repeat and cancel, so keys leave the sum and come back
+        rng = random.Random(2)
+        pieces = []
+        for _ in range(400):
+            factors = [f"{rng.choice(symbols)}{rng.randint(1, 2)}^{rng.randint(1, 2)}"
+                       for _ in range(rng.randint(0, 2))]
+            coeff = rng.choice(["1", "2/3", "i", "(1-i)"])
+            pieces.append((rng.choice("+-"), "*".join([coeff] + factors)))
+        text = "0 " + " ".join(f"{sign} {piece}" for sign, piece in pieces)
+        pairwise = parse("0", 2)
+        for sign, piece in pieces:
+            term = parse(piece, 2)
+            pairwise = pairwise + term if sign == "+" else pairwise - term
+        got = parse(text, 2)
+        assert got == pairwise
+        assert list(got.terms.items()) == list(pairwise.terms.items())
+
     def test_zero_renders(self):
         assert format_weyl(WeylElement.zero(2)) == "0"
         assert parse_weyl("0", 2) == WeylElement.zero(2)

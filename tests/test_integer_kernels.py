@@ -1,16 +1,18 @@
 """The ordering map, the sl2 triple and the products on packed keys and
 integer numerators, against the per-product loops they replaced.
 
-`ordering._closed_form` and `poly._triple` accumulate Gaussian-integer
-numerators over one common denominator and reduce once per output term.
-The oracles below are the loops they replaced: every weight is a
-`Fraction`, every product and every collision sum builds and reduces its
-own `GaussRational`, and cancelled keys stay in the raw accumulator.
-Each comparison checks the canonical parts ``(n, m, den)`` of every output
-term in output order, and the unreduced denominator each kernel hands to
-`_gr`: the lcm of the input denominators times td^S for the closed form
-(t = tn/td, S the largest contraction order) and times the lcm of the
-denominators of r, e and l for the triple.
+`ordering._closed_form`, `poly._triple` and `weyl._mul_terms` (both
+products) accumulate the Gaussian-integer numerators of
+`weyl._numerators` over one common denominator, and `weyl._finish`
+reduces once per output term.  The oracles below are the loops they
+replaced: every weight is a `Fraction`, every product and every collision
+sum builds and reduces its own `GaussRational`, and cancelled keys stay in
+the raw accumulator.  Each comparison checks the canonical parts
+``(n, m, den)`` of every output term in output order, and the unreduced
+denominator each kernel hands to `weyl._gr`: the lcm of the input
+denominators times td^S for the closed form (t = tn/td, S the largest
+contraction order), times the lcm of the denominators of r, e and l for
+the triple, and lcm(x dens) * lcm(y dens) for a product x*y.
 """
 
 import random
@@ -24,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylharm.ordering as ordering
-import weylharm.poly as poly
+import weylharm.weyl as weyl
 from weylharm.ordering import (
     OrderingContext,
     cal_E,
@@ -155,7 +157,7 @@ def _closed_form_map(sign, key):
 
     def den(ctx, x):
         t = sign * ctx.q_complement
-        return lcm(*(c.den for c in x.terms.values())) * t.denominator ** _order_top(x.terms)
+        return _lcd(x) * t.denominator ** _order_top(x.terms)
 
     return oracle, den
 
@@ -166,7 +168,7 @@ def _triple_map(coeffs):
 
     def den(ctx, x):
         dens = (Fraction(c).denominator for c in coeffs(ctx.q_complement))
-        return lcm(*(c.den for c in x.terms.values())) * lcm(*dens)
+        return _lcd(x) * lcm(*dens)
 
     return oracle, den
 
@@ -181,6 +183,13 @@ MAPS = {
     "cal_R": (cal_R, WeylElement, *_triple_map(lambda t: (1, t, t * t))),
     "cal_L": (cal_L, WeylElement, *_triple_map(lambda t: (0, 0, 1))),
     "cal_E": (cal_E, WeylElement, *_triple_map(lambda t: (0, 1, 2 * t))),
+}
+
+
+# name -> (product under test, operand type, oracle accumulator)
+PRODUCTS = {
+    "weyl_mul": (weyl_mul, WeylElement, per_product_weyl_mul),
+    "cpoly_mul": (CPolynomial.__mul__, CPolynomial, per_product_cpoly_mul),
 }
 
 
@@ -251,6 +260,28 @@ def case(name, i):
     return ctx, x
 
 
+def product_pair(name, i):
+    """The i-th seeded operand pair for one product, of the kinds `case`
+    draws: small and big, x cancelling inside the accumulator against y,
+    and an empty operand on either side."""
+    _, cls, oracle = PRODUCTS[name]
+    rng = random.Random(f"{name}-{i}")
+    d = 1 + i % 3
+    kind = (i // 3) % 6
+    big, diagonal = kind in (1, 3), kind >= 2
+    y = random_element(rng, cls, d, rng.randint(1, 6), big, diagonal)
+    x = random_element(rng, cls, d, rng.randint(1, 6), big, diagonal)
+    if kind == 5:
+        return (cls.zero(d), y) if i % 2 else (x, cls.zero(d))
+    if kind >= 2:
+        x = cancelling(lambda ctx, v: oracle(v, y), None, x)
+    return x, y
+
+
+def _lcd(x):
+    return lcm(*(c.den for c in x.terms.values()))
+
+
 # ---------------------------------------------------------------------------
 # Comparison
 # ---------------------------------------------------------------------------
@@ -270,14 +301,13 @@ def dens_seen(monkeypatch):
     """Record the unreduced denominator of every output term the kernels
     build."""
     seen = []
-    for module in (ordering, poly):
-        real = module._gr
+    real = weyl._gr
 
-        def recording(n, m, den, real=real):
-            seen.append(den)
-            return real(n, m, den)
+    def recording(n, m, den):
+        seen.append(den)
+        return real(n, m, den)
 
-        monkeypatch.setattr(module, "_gr", recording)
+    monkeypatch.setattr(weyl, "_gr", recording)
     return seen
 
 
@@ -296,6 +326,22 @@ def test_kernel_matches_per_product_oracle(name, dens_seen):
         assert len(dens_seen) == sum(1 for c in raw.values() if c), (name, i)
     # zero sums were exercised, except by E, which maps monomials one to one
     assert cancelled >= CASES // 8 or (name == "op_E" and not cancelled), cancelled
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_product_matches_per_product_oracle(name, dens_seen):
+    fn, _, oracle = PRODUCTS[name]
+    cancelled = 0
+    for i in range(CASES):
+        x, y = product_pair(name, i)
+        raw = oracle(x, y)
+        cancelled += any(not c for c in raw.values())
+        dens_seen.clear()
+        got = fn(x, y)
+        assert parts(got.terms) == oracle_parts(raw), (name, i)
+        assert set(dens_seen) <= {_lcd(x) * _lcd(y)}, (name, i)
+        assert len(dens_seen) == sum(1 for c in raw.values() if c), (name, i)
+    assert cancelled >= CASES // 8, cancelled
 
 
 def test_ordered_monomial_matches_per_product_oracle(dens_seen):
@@ -498,12 +544,25 @@ def test_exponent_bound_refused_exactly_at_b():
             cls.from_json_dict({"d": 1, "terms": [
                 {"alpha": [B], "beta": [0], "re": "1", "im": "0"}]})
         assert cls.one(1).coefficient((B,), (0,)) == 0
-    # products: degrees summing to B - 1 pass, to B are refused
+    # products: degrees summing to B - 1 pass; past that, a field summing to
+    # B - 1 passes and one summing to B is refused
     for cls, mul in ((WeylElement, weyl_mul), (CPolynomial, CPolynomial.__mul__)):
         x = cls.monomial(2, (1, B // 2 - 1), (0, 0))
         assert mul(x, cls.monomial(2, (0, 0), (B // 2 - 1, 0))).degree() == B - 1
+        assert mul(x, cls.monomial(2, (0, 0), (B // 2, 0))).degree() == B
+        assert mul(x, cls.monomial(2, (0, B // 2), (0, 0))).degree() == B
         with pytest.raises(ValueError, match="exponent bound"):
-            mul(x, cls.monomial(2, (0, 0), (B // 2, 0)))
+            mul(x, cls.monomial(2, (0, B // 2 + 1), (0, 0)))
+        wide = cls.monomial(2, (B // 2, B // 2), (0, 0))
+        assert mul(wide, cls.one(2)) == wide == mul(cls.one(2), wide)
+        assert mul(wide, cls.zero(2)) == cls.zero(2)
+        assert mul(wide, cls.monomial(2, (0, 0), (B - 1, B - 1))).degree() == 3 * B - 2
+        half = cls.monomial(1, (B // 2,), (0,))
+        with pytest.raises(ValueError, match="exponent bound"):
+            mul(half, half)
+        with pytest.raises(ValueError, match="exponent bound"):
+            mul(cls(2, {cls._mono((B // 2, 0), (0, 0)): 1, cls._mono((0, 0), (0, 1)): 1}),
+                cls.monomial(2, (0, 0), (0, B - 1)))
     # a raising step may reach B - 1, never B
     p = CPolynomial.monomial(1, (B - 2,), (0,))
     assert op_R(p) == CPolynomial.monomial(1, (B - 1,), (1,))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylharm.poly as poly
 from weylharm.linalg import _col_key, _reduce_against
 from weylharm.poly import (
     CMonomial,
@@ -270,6 +271,17 @@ class TestHarmonicDecompose:
         parts = harmonic_decompose(p)
         assert parts[0].is_zero()
         assert parts[1] == CPolynomial.one(1)
+
+    def test_stops_once_the_residual_is_zero(self, monkeypatch):
+        # r^40 is all in the top layer: L and R twenty times each, then stop
+        calls = []
+        for name in ("op_L", "op_R"):
+            real = getattr(poly, name)
+            monkeypatch.setattr(poly, name, lambda p, real=real: calls.append(1) or real(p))
+        parts = harmonic_decompose(CPolynomial.monomial(1, (20,), (20,)))
+        assert len(calls) == 40
+        assert parts[20] == CPolynomial.one(1)
+        assert all(h.is_zero() for h in parts[:20])
 
     def test_degree4_against_linear_solve_oracle(self):
         p = CPolynomial.monomial(1, (2,), (2,))  # z^2 zbar^2, d = 1
