@@ -15,14 +15,17 @@ Generators are spelled a1..ad (annihilation) and c1..cd (creation);
 polynomial variables z1..zd and zb1..zbd.  --q takes an exact rational
 string such as 1/2.  All randomized suites record their seed in the
 report and default to seed 0, so identical invocations produce identical
-output.  Exit status is 0 on success, 1 when a verification case fails and
-2 on bad input, which includes a flag that is not spelled in full.
+output.  Exit status is 0 on success, 1 when a verification case fails,
+2 on bad input, which includes a flag that is not spelled in full, and
+141 (128 + SIGPIPE) with nothing on stderr when the reader closes
+standard output early, as ``| head`` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -30,6 +33,7 @@ from .expr import format_cpoly, format_weyl, parse_poly, parse_weyl
 from .ordering import OrderingContext, order_q, unorder_q
 from .radial import RadialContext, decompose_weyl, eta, omega_table
 
+EXIT_CLOSED_PIPE = 141  # what a shell reports for a process SIGPIPE ended
 SUITES = ("sl2", "intertwine", "radial", "harmonics", "hahn",
           "orthogonality", "genfun", "all")
 
@@ -138,17 +142,24 @@ def _print_report(report: dict, as_json: bool) -> None:
 
 def main(argv=None) -> int:
     """Run one command.  Exit status: 0 pass, 1 a verification case
-    failed, 2 bad input, usage errors included (one line on stderr)."""
+    failed, 2 bad input, usage errors included (one line on stderr),
+    EXIT_CLOSED_PIPE when the reader closed standard output early."""
     parser = build_parser()
     args = parser.parse_args(argv)
     # Bad input surfaces as ValueError or IndexError: ParseError,
     # MixedContextError, ModeMismatchError and InvalidParameterError subclass
     # ValueError, and context and mode-index validation raise one or the other.
     try:
-        return _dispatch(args)
+        status = _dispatch(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return status
     except (ValueError, IndexError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
 
 
 def _dispatch(args) -> int:

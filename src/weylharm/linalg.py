@@ -1,9 +1,9 @@
 """Exact sparse linear algebra over Q(i).
 
-Rows are dicts mapping column keys to GaussRational.  Column keys may be
-any hashable (monomials, integers); an explicit column order is only
-needed when extracting kernel vectors.  Everything here is plain Gaussian
-elimination kept exact, sized for desk-scale verification work.
+Rows are dicts mapping column keys (any hashable) to exact scalars; pivots
+follow the column order given when extracting kernel vectors.  Everything
+here is plain Gaussian elimination kept exact, sized for desk-scale
+verification work.
 
 A row produced by `echelon` can only reference pivot columns inserted
 after it (it was reduced against all earlier ones), so reverse insertion
@@ -15,17 +15,12 @@ from __future__ import annotations
 from .scalars import GR_ONE, GaussRational
 
 
-def _col_key(col):
-    # Deterministic ordering for heterogeneous hashable columns.
-    return (str(type(col)), repr(col))
-
-
 def _subtract_multiple(row: dict, factor: GaussRational, other: dict) -> None:
     """row -= factor * other, in place, dropping exact zeros."""
     for col, c in other.items():
         acc = row.get(col)
         acc = -factor * c if acc is None else acc - factor * c
-        if acc.is_zero():
+        if not acc:
             row.pop(col, None)
         else:
             row[col] = acc
@@ -45,18 +40,20 @@ def _reduce_against(row: dict, pivots: dict) -> dict:
         _subtract_multiple(row, row[hit], pivots[hit])
 
 
-def echelon(rows) -> dict:
+def echelon(rows, columns=None) -> dict:
     """Forward elimination; returns insertion-ordered {pivot_col: row}
 
-    with each stored row scaled so its pivot coefficient is 1.
+    with each stored row scaled so its pivot coefficient is 1.  A row's
+    pivot is its first column in ``columns`` if given, else in the row.
     """
+    position = {c: i for i, c in enumerate(columns or ())}.__getitem__
     pivots: dict = {}
     for row in rows:
         if not row:
             continue
         reduced = _reduce_against(row, pivots)
         if reduced:
-            col = min(reduced, key=_col_key)
+            col = min(reduced, key=position) if columns else next(iter(reduced))
             inv = GR_ONE / reduced[col]
             pivots[col] = {c: v * inv for c, v in reduced.items()}
     return pivots
@@ -66,9 +63,9 @@ def rank(rows) -> int:
     return len(echelon(rows))
 
 
-def rref(rows) -> dict:
+def rref(rows, columns=None) -> dict:
     """Fully reduced echelon form: no pivot row mentions another pivot."""
-    pivots = echelon(rows)
+    pivots = echelon(rows, columns)
     order = list(pivots)
     clean: dict = {}
     for col in reversed(order):
@@ -88,7 +85,7 @@ def kernel_basis(rows, columns) -> list:
     Returns one dict (column -> coefficient) per free column, normalized
     so the free column has coefficient 1.
     """
-    reduced = rref(rows)
+    reduced = rref(rows, columns)
     basis = []
     for free in columns:
         if free in reduced:

@@ -24,9 +24,10 @@ sum is that key minus a contraction offset.  The inverse is the same sum
 with -(1-q) in place of 1-q.  `apply_M` and `apply_Mplus` keep the
 defining operator form as an independent check of both.
 
-Both sums run on integers through `weyl._numerators` and `weyl._finish`,
-as the products and the transferred triple below (`poly._triple`) do:
-one common denominator, here times a power of the denominator of 1-q.
+Both sums run on the stored Gaussian-integer numerators of the term maps
+(see `weyl.TermMap`), as the products and the transferred triple below
+(`poly._triple`) do: the input's one denominator, here times a power of
+the denominator of 1-q, and one gcd per result.
 
 The transferred sl2 triple (`cal_R`, `cal_L`, `cal_E`) is the classical
 triple of `poly` (R = r^2, L the quarter-Laplacian, E = degree + d) pushed
@@ -55,14 +56,11 @@ from math import gcd
 from typing import NamedTuple
 
 from .poly import CPolynomial, _triple, op_L
-from .scalars import GR_ONE
 from .weyl import (
     ModeMismatchError,
     WeylElement,
     _check_mode,
-    _finish,
     _layout,
-    _numerators,
     check_exponents,
     contractions,
     weyl_mul,
@@ -116,19 +114,18 @@ def ordered_monomial(ctx: OrderingContext, alpha, beta) -> WeylElement:
         raise ModeMismatchError(
             f"exponent vectors have {len(alpha)} and {len(beta)} modes, context d={ctx.d}")
     key = _layout(ctx.d).key(alpha, beta)
-    return WeylElement._wrap(ctx.d, _closed_form({key: GR_ONE}, ctx.d, ctx.q_complement))
+    return _closed_form(WeylElement, ctx.d, {key: (1, 0)}, 1, ctx.q_complement)
 
 
-def _closed_form(terms: dict, d: int, t: Fraction) -> dict:
-    """sum over the packed terms of coeff * (the closed form of its monomial
-    with 1-q replaced by t), as a dict of nonzero coefficients on packed
-    keys.
+def _closed_form(cls, d: int, terms: dict, den: int, t: Fraction):
+    """The ``cls`` map over d modes that sums, over the numerator pairs
+    ``terms = {key: (n, m)}`` of a map over ``den``, (n + m*i)/den times
+    the closed form of the key's monomial with 1-q replaced by t.
 
-    The sum runs on the Gaussian-integer numerators (n, m) of
-    `weyl._numerators` over their lcm L.  With t = tn/td and S the largest
+    The sum runs on the numerators.  With t = tn/td and S the largest
     contraction order |i|, a contraction of weight w and order s adds
-    (n, m) * w * tn^s * td^(S-s) to its key's pair, and `weyl._finish`
-    divides by L * td^S.
+    (n, m) * w * tn^s * td^(S-s) to its key's pair, and the result is over
+    den * td^S.
     """
     tn, td = t.numerator, t.denominator
     lay = _layout(d)
@@ -136,9 +133,8 @@ def _closed_form(terms: dict, d: int, t: Fraction) -> dict:
     # the last contraction of a monomial contracts every mode fully
     top = max((e[-1][1] for e in expansions), default=0)
     scale = [tn**s * td ** (top - s) for s in range(top + 1)]
-    lcd, nums = _numerators(terms)
     acc: dict = {}
-    for (k, n, m), expansion in zip(nums, expansions):
+    for (k, (n, m)), expansion in zip(terms.items(), expansions):
         for offset, s, weight in expansion:
             w = weight * scale[s]
             key = k - offset
@@ -148,14 +144,14 @@ def _closed_form(terms: dict, d: int, t: Fraction) -> dict:
             else:
                 cur[0] += n * w
                 cur[1] += m * w
-    return _finish(acc, lcd * td**top)
+    return cls._wrap(d, acc, den * td**top)
 
 
 def order_q(ctx: OrderingContext, p: CPolynomial) -> WeylElement:
     """The ordering map, linear over Q(i)."""
     if p.d != ctx.d:
         raise ModeMismatchError(f"polynomial has d={p.d}, context d={ctx.d}")
-    return WeylElement._wrap(ctx.d, _closed_form(p._terms, ctx.d, ctx.q_complement))
+    return _closed_form(WeylElement, ctx.d, p._terms, p._den, ctx.q_complement)
 
 
 def b_element(ctx: OrderingContext, l: int, j: int, k: int) -> WeylElement:
@@ -176,7 +172,7 @@ def b_element(ctx: OrderingContext, l: int, j: int, k: int) -> WeylElement:
 def unorder_q(ctx: OrderingContext, w: WeylElement) -> CPolynomial:
     """Inverse of the ordering map: the closed form with -(1-q) for 1-q."""
     _check_w(ctx, w)
-    return CPolynomial._wrap(ctx.d, _closed_form(w._terms, ctx.d, -ctx.q_complement))
+    return _closed_form(CPolynomial, ctx.d, w._terms, w._den, -ctx.q_complement)
 
 
 # ---------------------------------------------------------------------------

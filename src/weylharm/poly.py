@@ -2,7 +2,10 @@
 
 Carries the classical triple acting on polynomials: multiplication by the
 squared radius, the quarter-Laplacian, and the symmetrized Euler operator,
-together with harmonic decomposition and bi-degree splitting.
+together with harmonic decomposition and bi-degree splitting.  A
+`CPolynomial` is a `weyl.TermMap`, one denominator over Gaussian-integer
+numerators per packed monomial, and the triple, the derivatives and the
+split by degree run on those numerators.
 """
 
 from __future__ import annotations
@@ -11,8 +14,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .weyl import (_SCALARS, FIELD_BITS, TermMap, _check_mode, _finish, _layout,
-                   _mul_terms, _numerators)
+from .weyl import _SCALARS, FIELD_BITS, TermMap, _check_mode, _layout, _mul_terms
 
 
 class CMonomial(NamedTuple):
@@ -60,13 +62,15 @@ class CPolynomial(TermMap):
 
     def homogeneous_components(self) -> dict:
         """Map degree -> homogeneous part."""
-        degree = _layout(self.d).degree
+        return self._split(_layout(self.d).degree)
+
+    def _split(self, part_of) -> dict:
+        """Map part_of(key) -> the terms whose packed key has it, in sorted
+        order, each over its share of the denominator."""
         buckets: dict = {}
-        for k, c in self._terms.items():
-            buckets.setdefault(degree(k), {})[k] = c
-        return {
-            deg: CPolynomial._wrap(self.d, t) for deg, t in sorted(buckets.items())
-        }
+        for k, (re, im) in self._terms.items():
+            buckets.setdefault(part_of(k), {})[k] = [re, im]
+        return {part: self._wrap(self.d, t, self._den) for part, t in sorted(buckets.items())}
 
     def __repr__(self) -> str:
         from .expr import format_cpoly
@@ -89,9 +93,8 @@ def _triple(p: TermMap, rn: int, en: int, ln: int, dr: int = 1) -> TermMap:
     triple treats the two exponent vectors of a monomial symmetrically, so
     one body serves `CPolynomial` and `weyl.WeylElement`.
 
-    The sum runs on the Gaussian-integer numerators of `weyl._numerators`
-    over their lcm L, one [re, im] pair of ints per output key, and
-    `weyl._finish` divides by L * dr.
+    The sum runs on the stored numerators of p, one [re, im] pair of ints
+    per output key, over p's denominator times dr.
     """
     d, terms = p.d, p._terms
     if not terms:
@@ -99,13 +102,12 @@ def _triple(p: TermMap, rn: int, en: int, ln: int, dr: int = 1) -> TermMap:
     lay = _layout(d)
     ones, high, steps = lay.ones, lay.high, lay.step
     exps = list(map(lay.fields, terms)) if en or ln else [()] * len(terms)
-    lcd, nums = _numerators(terms)
     acc: dict = {}
     if en:  # E maps monomials one to one, so its part seeds the accumulator
-        for (k, n, m), e in zip(nums, exps):
+        for (k, (n, m)), e in zip(terms.items(), exps):
             f = en * (sum(e) + d)
             acc[k] = [n * f, m * f]
-    for (k, n, m), e in zip(nums, exps):
+    for (k, (n, m)), e in zip(terms.items(), exps):
         if rn:
             if (k + ones) & high:  # some exponent is B - 1
                 raise ValueError(f"raising would reach the exponent bound 2^{FIELD_BITS - 1}")
@@ -130,7 +132,7 @@ def _triple(p: TermMap, rn: int, en: int, ln: int, dr: int = 1) -> TermMap:
                 else:
                     cur[0] += n * w
                     cur[1] += m * w
-    return p._wrap(d, _finish(acc, lcd * dr))
+    return p._wrap(d, acc, p._den * dr)
 
 
 def op_R(p: TermMap) -> TermMap:
@@ -153,10 +155,10 @@ def _derivative(p: CPolynomial, field: int) -> CPolynomial:
     distinct monomials have distinct derivatives, so nothing collides."""
     shift, mask = FIELD_BITS * field, (1 << FIELD_BITS) - 1
     out = {}
-    for k, c in p._terms.items():
+    for k, (re, im) in p._terms.items():
         if e := (k >> shift) & mask:
-            out[k - (1 << shift)] = c * e
-    return CPolynomial._wrap(p.d, out)
+            out[k - (1 << shift)] = [re * e, im * e]
+    return CPolynomial._wrap(p.d, out, p._den)
 
 
 def deriv_z(p: CPolynomial, j: int) -> CPolynomial:
@@ -225,9 +227,5 @@ def harmonic_dim(n: int, k: int) -> int:
 
 def bidegree_split(p: CPolynomial) -> dict:
     """Split by bi-degree: map (n, m) -> part with |alpha| = n, |beta| = m."""
-    buckets: dict = {}
-    for mono, c in p.terms.items():
-        buckets.setdefault(mono.bidegree, {})[mono] = c
-    return {
-        key: CPolynomial(p.d, terms) for key, terms in sorted(buckets.items())
-    }
+    lay = _layout(p.d)
+    return p._split(lambda k: (sum(lay.fields(k & lay.low)), sum(lay.fields(k >> lay.shift))))

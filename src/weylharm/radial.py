@@ -28,7 +28,7 @@ from math import comb, factorial, prod
 
 from .ordering import OrderingContext, cal_L, cal_R, order_q, unorder_q
 from .poly import harmonic_decompose
-from .scalars import GR_ONE, GR_ZERO, UP_ONE, GaussRational, UniPoly
+from .scalars import GR_ONE, UP_ONE, GaussRational, UniPoly
 from .specfun import hyp2F1_terminating_poly, pochhammer
 from .weyl import WeylElement, _layout
 
@@ -101,7 +101,8 @@ def express_in_N(w: WeylElement) -> UniPoly:
     when every term is diagonal and, at each level k = |beta|, all
     C(k+d-1, d-1) diagonal monomials carry c_k k!/beta!; then w = omega(N)
     with omega(t) = sum_k c_k t(t-1)...(t-k+1).  Raises NotRadialError
-    otherwise.
+    otherwise.  The terms share w's denominator, so the check compares
+    numerators as ints, and the sum divides by that denominator once.
     """
     d = w.d
     lay = _layout(d)
@@ -112,21 +113,20 @@ def express_in_N(w: WeylElement) -> UniPoly:
         if e[:d] != beta:
             raise NotRadialError("off-diagonal term cannot come from C[N]")
         levels.setdefault(sum(beta), []).append((beta, coeff))
-    c = [GR_ZERO] * (max(levels, default=-1) + 1)
+    c = [(0, 0)] * (max(levels, default=-1) + 1)
     for k, terms in levels.items():
         if len(terms) != comb(k + d - 1, d - 1):
             raise NotRadialError(f"level {k} lacks diagonal monomials of :N^{k}:")
-        lead = c[k] = w._terms.get(k * lay.step[0], GR_ZERO)  # (a_1+)^k a_1^k
+        lead_re, lead_im = c[k] = w._terms.get(k * lay.step[0], (0, 0))  # (a_1+)^k a_1^k
         top = factorial(k)
-        for beta, coeff in terms:
-            # coeff == lead * k!/beta!, cross-multiplied over both denominators
-            mult = top // prod(map(factorial, beta)) * coeff.den
-            if coeff.n * lead.den != lead.n * mult or coeff.m * lead.den != lead.m * mult:
+        for beta, (re, im) in terms:
+            mult = top // prod(map(factorial, beta))
+            if re != lead_re * mult or im != lead_im * mult:
                 raise NotRadialError(f"level {k} is not a multiple of :N^{k}:")
     out = UniPoly()
     for k in range(len(c) - 1, -1, -1):
-        out = out._recur(-k, c[k], UP_ONE)  # out*(t - k) + c_k
-    return out
+        out = out._recur(-k, GaussRational(*c[k]), UP_ONE)  # out*(t - k) + c_k
+    return out._scale(1, 0, w._den)
 
 
 def is_radial(w: WeylElement) -> bool:

@@ -53,7 +53,7 @@ from .specfun import (
     meixner_pollaczek_poly,
     pochhammer,
 )
-from .weyl import NormalMonomial, WeylElement, compositions
+from .weyl import NormalMonomial, WeylElement, _layout, compositions
 
 Q_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 # the largest k_max whose orthogonality suite passes for d = 1..3 in about
@@ -261,35 +261,28 @@ def suite_radial(d: int, q: Fraction, k_max: int = 8, seed: int = 0) -> dict:
 
 
 def _weyl_vector(w: WeylElement) -> dict:
-    return dict(w._terms)
+    """w times its denominator, as a row on packed keys; a row space does
+    not see the scale of its rows."""
+    return {k: GaussRational(re, im) for k, (re, im) in w._terms.items()}
 
 
 def harmonic_basis(d: int, k: int) -> list:
     """Exact basis of the degree-k harmonic polynomials in z, zbar."""
-    monos = _homogeneous_monomials(d, k)
-    rows = []
-    for mono in monos:
-        image = op_L(CPolynomial(d, {mono: GaussRational(1)}))
-        rows.append(image._terms)
-    # kernel of the transpose map: solve L(p) = 0 for p in the span
-    columns = monos
-    matrix_rows = _transpose_rows(rows, columns)
-    basis_vectors = linalg.kernel_basis(matrix_rows, columns)
-    return [CPolynomial(d, vec) for vec in basis_vectors]
+    key = _layout(d).key
+    columns = [key(*mono) for mono in _homogeneous_monomials(d, k)]
+    # solve L(p) = 0 for p in their span, one row per image monomial; L
+    # of a monomial has integer coefficients, its stored numerators
+    by_image: dict = {}
+    for src in columns:
+        for img, (re, _) in op_L(CPolynomial._wrap(d, {src: [1, 0]}))._terms.items():
+            by_image.setdefault(img, {})[src] = re
+    return [CPolynomial._from_scalars(d, vec)
+            for vec in linalg.kernel_basis(list(by_image.values()), columns)]
 
 
 def _homogeneous_monomials(d: int, k: int) -> list:
     """All (alpha, beta) exponent pairs with |alpha| + |beta| = k."""
     return [CMonomial(e[:d], e[d:]) for e in compositions(k, 2 * d)]
-
-
-def _transpose_rows(rows: list, columns: list) -> list:
-    """Rows indexed by source monomial -> rows indexed by image monomial."""
-    by_image: dict = {}
-    for src, image in zip(columns, rows):
-        for img_mono, coeff in image.items():
-            by_image.setdefault(img_mono, {})[src] = coeff
-    return list(by_image.values())
 
 
 def suite_harmonics(

@@ -18,19 +18,28 @@ subtracts an offset, a Weyl product key is k1 + k2 - offset.  Fields never
 carry, since exponents stay below EXPONENT_BOUND = 2^31: larger ones are
 refused on entry, and so are products in which the two factors' largest
 exponents in some field sum to it and raisings that would reach it.
+
+The coefficients are stored as FLINT's ``fmpq_mpoly`` stores them: one
+int denominator per map and, per key, a list [re, im] holding the
+Gaussian-integer numerator.  Every kernel (products, sums, scaling, the
+ordering map, the triple) reads those ints, accumulates fresh lists and
+hands them to `TermMap._wrap`, which takes one gcd per result and owns
+them from then on; a GaussRational is built only where a coefficient is
+read (``terms``, ``coefficient``, JSON, pickling).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from itertools import product as _product
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from struct import Struct
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
-from .scalars import GR_ONE, GR_ZERO, GaussRational, ScalarLike, _gr, _power
+from .scalars import GR_ZERO, GaussRational, ScalarLike, _gr, _parts, _power
 
 FIELD_BITS = 32
 EXPONENT_BOUND = 1 << (FIELD_BITS - 1)
@@ -133,14 +142,15 @@ class TermMap:
 
     A monomial is a ``_mono`` named tuple of two exponent vectors, each of
     length d; every method that takes exponent vectors takes them in
-    ``_mono._fields`` order.  The coefficients live in ``_terms``, keyed by
-    packed ints; ``terms`` is its read-only view keyed by ``_mono``, built
-    on first access.  Zero coefficients are dropped on construction, so
-    callers may accumulate into a plain dict and leave cancelled keys in it.
-    Subclasses set ``_mono`` and supply the product.
+    ``_mono._fields`` order.  Coefficient k is (re + im*i)/_den for
+    ``_terms[k] = [re, im]``; the canonical form has _den > 0, no [0, 0]
+    pair and gcd(_den, every numerator) = 1 (so the zero map has _den = 1),
+    and equal values have equal parts.  ``terms`` is the read-only view
+    keyed by ``_mono``, built on first access.  Subclasses set ``_mono``
+    and supply the product.
     """
 
-    __slots__ = ("d", "_terms", "_view")
+    __slots__ = ("d", "_den", "_terms", "_view")
     _mono: type
 
     def __new__(cls, d: int, terms: dict | None = None):
@@ -153,26 +163,43 @@ class TermMap:
                 if len(mono.beta) != d or len(mono.alpha) != d:
                     raise ModeMismatchError(f"monomial {mono} does not have {d} modes")
                 clean[key(mono.alpha, mono.beta)] = c
-        return cls._wrap(d, clean)
+        return cls._from_scalars(d, clean)
 
     @classmethod
-    def _wrap(cls, d: int, clean: dict):
-        """Build from a fresh dict of nonzero GaussRational coefficients on
-        packed keys over d modes, which becomes the terms as it is."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "d", d)
-        object.__setattr__(x, "_terms", clean)
-        object.__setattr__(x, "_view", None)
+    def _from_scalars(cls, d: int, coeffs: dict):
+        """Build from ``{packed key: GaussRational}``, over the lcm of the
+        denominators."""
+        den = lcm(*(c.den for c in coeffs.values()))
+        return cls._wrap(d, {k: [c.n * (f := den // c.den), c.m * f]
+                             for k, c in coeffs.items()}, den)
+
+    @classmethod
+    def _wrap(cls, d: int, acc: dict, den: int = 1):
+        """Build from an accumulator ``{packed key: [re, im]}`` of ints over
+        den > 0: the one place that drops [0, 0] pairs and takes one gcd per
+        result.  The map owns ``acc`` and its lists from then on, so no
+        caller may keep or share them."""
+        if [0, 0] in acc.values():
+            acc = {k: v for k, v in acc.items() if v[0] or v[1]}
+        g = gcd(den, *chain.from_iterable(acc.values()))  # den itself when acc is empty
+        if g != 1:
+            den //= g
+            acc = {k: [re // g, im // g] for k, (re, im) in acc.items()}
+        x = _new(cls)
+        _set_d(x, d)
+        _set_den(x, den)
+        _set_terms(x, acc)
+        _set_view(x, None)
         return x
 
     @property
     def terms(self) -> MappingProxyType:
         """Read-only ``{_mono: coefficient}``, in the internal order."""
         if self._view is None:
-            d, terms = self.d, self._terms
-            object.__setattr__(self, "_view", MappingProxyType({
-                self._mono(alpha=e[:d], beta=e[d:]): c
-                for e, c in zip(map(_layout(d).fields, terms), terms.values())}))
+            d, den, terms = self.d, self._den, self._terms
+            _set_view(self, MappingProxyType({
+                self._mono(alpha=e[:d], beta=e[d:]): _gr(re, im, den)
+                for e, (re, im) in zip(map(_layout(d).fields, terms), terms.values())}))
         return self._view
 
     def __setattr__(self, name, value):
@@ -200,13 +227,13 @@ class TermMap:
         """Exponent 1 at mode j (1 <= j <= d) in the field named ``field``."""
         _check_mode(d, j)
         shift = FIELD_BITS * (j - 1) + (0 if field == "alpha" else FIELD_BITS * d)
-        return cls._wrap(d, {1 << shift: GR_ONE})
+        return cls._wrap(d, {1 << shift: [1, 0]})
 
     @classmethod
     def _diagonal_sum(cls, d: int):
         """The sum over j of the monomial with exponent 1 at mode j in both
         fields."""
-        return cls._wrap(d, dict.fromkeys(_layout(d).step, GR_ONE))
+        return cls._wrap(d, {k: [1, 0] for k in _layout(d).step})
 
     # -- structure --------------------------------------------------------
 
@@ -233,10 +260,11 @@ class TermMap:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.d == other.d and self._terms == other._terms
+        return (self.d, self._den, self._terms) == (other.d, other._den, other._terms)
 
     def __hash__(self) -> int:
-        return hash((self.d, frozenset(self._terms.items())))
+        pairs = zip(self._terms, map(tuple, self._terms.values()))
+        return hash((self.d, self._den, frozenset(pairs)))
 
     # -- linear structure ---------------------------------------------------
 
@@ -244,51 +272,53 @@ class TermMap:
         if self.d != other.d:
             raise ModeMismatchError(f"mode counts differ: {self.d} vs {other.d}")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign*other, for a term map or a scalar ``other``."""
         if isinstance(other, _SCALARS):
             other = self.one(self.d).scale(other)
         elif type(other) is not type(self):
             return NotImplemented
         self._check_same(other)
-        return self._sum(self.d, (self, other))
+        return self._sum(self.d, (self, other), sign)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    @classmethod
-    def _sum(cls, d: int, parts):
-        """The sum of the nonempty sequence ``parts`` of term maps over d
-        modes, in one accumulator.  Keys keep the order of their first
-        appearance, and a key whose sum cancels leaves it, as it would in a
-        chain of `+`."""
-        out = dict(parts[0]._terms)
-        for part in parts[1:]:
-            for k, c in part._terms.items():
-                if s := (out[k] + c if k in out else c):
-                    out[k] = s
-                else:
-                    del out[k]
-        return cls._wrap(d, out)
-
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            return self + (-GaussRational.coerce(other))
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check_same(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            cur = out.get(k)
-            out[k] = -c if cur is None else cur - c
-        return self._wrap(self.d, {k: c for k, c in out.items() if c})
+        return self._plus(other, -1)
+
+    @classmethod
+    def _sum(cls, d: int, parts, sign: int = 1):
+        """parts[0] + sign * (the later parts) for a nonempty sequence of
+        term maps over d modes, in one accumulator over the lcm of their
+        denominators.  Keys keep the order of their first appearance, and a
+        key whose sum cancels leaves it, as it would in a chain of `+`."""
+        den = lcm(*(p._den for p in parts))
+        f = den // parts[0]._den
+        out = {k: [re * f, im * f] for k, (re, im) in parts[0]._terms.items()}
+        for part in parts[1:]:
+            f = sign * (den // part._den)
+            for k, (re, im) in part._terms.items():
+                cur = out.get(k)
+                if cur is None:
+                    out[k] = [re * f, im * f]
+                else:
+                    cur[0] += re * f
+                    cur[1] += im * f
+                    if not (cur[0] or cur[1]):
+                        del out[k]
+        return cls._wrap(d, out, den)
 
     def __neg__(self):
-        return self._wrap(self.d, {k: -c for k, c in self._terms.items()})
+        return self._wrap(self.d, {k: [-re, -im] for k, (re, im) in self._terms.items()},
+                          self._den)
 
     def scale(self, coeff: ScalarLike):
-        c = GaussRational.coerce(coeff)
-        if c.is_zero():
-            return self.zero(self.d)
-        return self._wrap(self.d, {k: v * c for k, v in self._terms.items()})
+        n, m, f = _parts(coeff)
+        return self._wrap(self.d, {k: [re * n - im * m, re * m + im * n]
+                                   for k, (re, im) in self._terms.items()}, self._den * f)
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):
@@ -321,6 +351,13 @@ class TermMap:
                 Fraction(t["re"]), Fraction(t["im"])
             )
         return cls(d, terms)
+
+
+# slot setters past the refusing __setattr__, cheaper than object.__setattr__
+# in `_wrap`, which every map goes through
+_new = object.__new__
+_set_d, _set_den, _set_terms, _set_view = (
+    getattr(TermMap, slot).__set__ for slot in TermMap.__slots__)
 
 
 class WeylElement(TermMap):
@@ -389,37 +426,21 @@ def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
     return _mul_terms(x, y, contractions)
 
 
-def _numerators(terms: dict) -> tuple:
-    """(L, [(key, n, m)]): each coefficient of the packed ``terms`` as the
-    Gaussian-integer numerator n + m*i over the lcm L of their
-    denominators, in the terms' order."""
-    lcd = lcm(*(c.den for c in terms.values()))
-    return lcd, [(k, c.n * (f := lcd // c.den), c.m * f) for k, c in terms.items()]
-
-
-def _finish(acc: dict, den: int) -> dict:
-    """The nonzero pairs of an accumulator ``{key: [re, im]}`` as
-    coefficients (re + im*i)/den, one gcd per output term."""
-    return {k: _gr(re, im, den) for k, (re, im) in acc.items() if re or im}
-
-
 def _mul_terms(x: TermMap, y: TermMap, expand) -> TermMap:
-    """x*y on Gaussian-integer numerators over lcm(x dens) * lcm(y dens).
+    """x*y on the stored numerators, over the product of the denominators.
 
     ``expand(ann, cre, d)`` gives the (offset, order, weight) triples of
     the product of a term with annihilation half ``ann`` by one with
     creation half ``cre``, as `contractions` does; each adds weight times
-    the coefficient product at key k1 + k2 - offset.  The commutative
+    the numerator product at key k1 + k2 - offset.  The commutative
     product is the expansion with only the empty contraction.
     """
     _check_product(x, y)
     d = x.d
     lay = _layout(d)
-    dx, left = _numerators(x._terms)
-    dy, right = _numerators(y._terms)
-    right = [(k2, k2 >> lay.shift, n2, m2) for k2, n2, m2 in right]
+    right = [(k2, k2 >> lay.shift, n2, m2) for k2, (n2, m2) in y._terms.items()]
     acc: dict = {}
-    for k1, n1, m1 in left:
+    for k1, (n1, m1) in x._terms.items():
         ann = k1 & lay.low
         for k2, cre, n2, m2 in right:
             re, im = n1 * n2 - m1 * m2, n1 * m2 + m1 * n2
@@ -432,7 +453,7 @@ def _mul_terms(x: TermMap, y: TermMap, expand) -> TermMap:
                 else:
                     cur[0] += re * weight
                     cur[1] += im * weight
-    return x._wrap(d, _finish(acc, dx * dy))
+    return x._wrap(d, acc, x._den * y._den)
 
 
 def commutator(x: WeylElement, y: WeylElement) -> WeylElement:

@@ -239,6 +239,49 @@ class TestElementCommands:
         assert all(case["status"] == "PASS" for case in report["cases"])
 
 
+class TestClosedPipe:
+    """A reader that closes standard output early ends the command quietly,
+    with exit status EXIT_CLOSED_PIPE and nothing on standard error."""
+
+    def spawn(self, stdout, *argv):
+        return subprocess.Popen([sys.executable, "-m", "weylharm.cli", *argv],
+                                stdout=stdout, stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=SRC))
+
+    def test_reader_closes_after_100_bytes(self):
+        from weylharm.cli import EXIT_CLOSED_PIPE
+
+        # about 170 kB of JSON, more than a pipe buffers, so the writer is
+        # still writing when the reader goes
+        proc = self.spawn(subprocess.PIPE, "normal-order", "--json", "--",
+                          "(a1+c1+a2+c2)^16")
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_CLOSED_PIPE
+        assert head.startswith(b'{"d": 2, "terms": [')
+        assert err == b""
+
+    @pytest.mark.parametrize("argv", [
+        ["omega", "--d", "2", "--q", "0", "--kmax", "6"],
+        ["verify", "sl2", "--d", "1", "--count", "2", "--deg", "2"],
+    ])
+    def test_reader_closed_before_any_output(self, argv):
+        from weylharm.cli import EXIT_CLOSED_PIPE
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.spawn(write_end, *argv)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_CLOSED_PIPE
+        assert err == b""
+
+
 class TestVerify:
     def test_sl2_passes(self, capsys):
         code, out = run_cli(

@@ -1,18 +1,22 @@
 """The ordering map, the sl2 triple and the products on packed keys and
 integer numerators, against the per-product loops they replaced.
 
-`ordering._closed_form`, `poly._triple` and `weyl._mul_terms` (both
-products) accumulate the Gaussian-integer numerators of
-`weyl._numerators` over one common denominator, and `weyl._finish`
-reduces once per output term.  The oracles below are the loops they
-replaced: every weight is a `Fraction`, every product and every collision
-sum builds and reduces its own `GaussRational`, and cancelled keys stay in
-the raw accumulator.  Each comparison checks the canonical parts
-``(n, m, den)`` of every output term in output order, and the unreduced
-denominator each kernel hands to `weyl._gr`: the lcm of the input
-denominators times td^S for the closed form (t = tn/td, S the largest
+A term map stores one denominator over Gaussian-integer numerator pairs
+(`weyl.TermMap`).  `ordering._closed_form`, `poly._triple` and
+`weyl._mul_terms` (both products) accumulate those numerators, and
+`TermMap._wrap` puts each result in canonical form with one gcd.  The
+oracles below are the loops they replaced: every weight is a `Fraction`,
+every product and every collision sum builds and reduces its own
+`GaussRational`, and cancelled keys stay in the raw accumulator.  Each
+comparison checks the canonical parts ``(n, m, den)`` of every output
+term in output order, that the result is stored in canonical form, and
+that building it took exactly one gcd, over the expected unreduced
+denominator: the input's denominator (the lcm of its coefficients'
+denominators) times td^S for the closed form (t = tn/td, S the largest
 contraction order), times the lcm of the denominators of r, e and l for
-the triple, and lcm(x dens) * lcm(y dens) for a product x*y.
+the triple, and lcm(x dens) * lcm(y dens) for a product x*y.  The linear
+operations (sums, negation, scaling, derivatives, splitting by degree)
+are held to the same contract.
 """
 
 import random
@@ -36,8 +40,8 @@ from weylharm.ordering import (
     ordered_monomial,
     unorder_q,
 )
-from weylharm.poly import CMonomial, CPolynomial, op_E, op_L, op_R
-from weylharm.scalars import GR_ONE, GaussRational
+from weylharm.poly import CMonomial, CPolynomial, deriv_z, deriv_zbar, op_E, op_L, op_R
+from weylharm.scalars import GR_ONE, GR_ZERO, GaussRational
 from weylharm.weyl import (
     EXPONENT_BOUND,
     FIELD_BITS,
@@ -296,55 +300,68 @@ def oracle_parts(raw):
     return [(k, (c.n, c.m, c.den)) for k, c in raw.items() if c]
 
 
+def assert_canonical(x):
+    """One int denominator > 0 over [re, im] int lists, no [0, 0] pair,
+    gcd(den, every numerator) = 1, and den 1 for the zero map."""
+    den, terms = x._den, x._terms
+    assert type(den) is int and den > 0
+    for v in terms.values():
+        assert type(v) is list and len(v) == 2 and all(type(n) is int for n in v)
+        assert v[0] or v[1]
+    assert gcd(den, *(n for v in terms.values() for n in v)) == 1
+    assert terms or den == 1
+
+
 @pytest.fixture
-def dens_seen(monkeypatch):
-    """Record the unreduced denominator of every output term the kernels
-    build."""
+def gcds_seen(monkeypatch):
+    """Record the first argument of every gcd that `weyl` takes: `_wrap`
+    takes one per result, over the result's unreduced denominator."""
     seen = []
-    real = weyl._gr
+    real = weyl.gcd
 
-    def recording(n, m, den):
+    def recording(den, *numerators):
         seen.append(den)
-        return real(n, m, den)
+        return real(den, *numerators)
 
-    monkeypatch.setattr(weyl, "_gr", recording)
+    monkeypatch.setattr(weyl, "gcd", recording)
     return seen
 
 
 @pytest.mark.parametrize("name", sorted(MAPS))
-def test_kernel_matches_per_product_oracle(name, dens_seen):
+def test_kernel_matches_per_product_oracle(name, gcds_seen):
     fn, _, oracle, expected_den = MAPS[name]
     cancelled = 0
     for i in range(CASES):
         ctx, x = case(name, i)
         raw = oracle(ctx, x)
         cancelled += any(not c for c in raw.values())
-        dens_seen.clear()
+        gcds_seen.clear()
         got = fn(ctx, x)
         assert parts(got.terms) == oracle_parts(raw), (name, i)
-        assert set(dens_seen) <= {expected_den(ctx, x)}, (name, i)
-        assert len(dens_seen) == sum(1 for c in raw.values() if c), (name, i)
+        assert_canonical(got)
+        # the triple hands a zero input back as it is
+        assert gcds_seen == ([] if got is x else [expected_den(ctx, x)]), (name, i)
     # zero sums were exercised, except by E, which maps monomials one to one
     assert cancelled >= CASES // 8 or (name == "op_E" and not cancelled), cancelled
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCTS))
-def test_product_matches_per_product_oracle(name, dens_seen):
+def test_product_matches_per_product_oracle(name, gcds_seen):
     fn, _, oracle = PRODUCTS[name]
     cancelled = 0
     for i in range(CASES):
         x, y = product_pair(name, i)
         raw = oracle(x, y)
         cancelled += any(not c for c in raw.values())
-        dens_seen.clear()
+        gcds_seen.clear()
         got = fn(x, y)
         assert parts(got.terms) == oracle_parts(raw), (name, i)
-        assert set(dens_seen) <= {_lcd(x) * _lcd(y)}, (name, i)
-        assert len(dens_seen) == sum(1 for c in raw.values() if c), (name, i)
+        assert_canonical(got)
+        assert gcds_seen == [_lcd(x) * _lcd(y)], (name, i)
     assert cancelled >= CASES // 8, cancelled
 
 
-def test_ordered_monomial_matches_per_product_oracle(dens_seen):
+def test_ordered_monomial_matches_per_product_oracle(gcds_seen):
     for i in range(CASES):
         rng = random.Random(i)
         ctx = OrderingContext(1 + (i // len(QS)) % 3, QS[i % len(QS)])
@@ -352,11 +369,70 @@ def test_ordered_monomial_matches_per_product_oracle(dens_seen):
         beta = tuple(rng.randint(0, 4) for _ in range(ctx.d))
         raw = per_product_closed_form({CMonomial(alpha, beta): GR_ONE},
                                       ctx.q_complement, _normal)
-        dens_seen.clear()
+        gcds_seen.clear()
         got = ordered_monomial(ctx, alpha, beta)
         assert parts(got.terms) == oracle_parts(raw), i
+        assert_canonical(got)
         top = sum(map(min, alpha, beta))
-        assert set(dens_seen) <= {ctx.q_complement.denominator ** top}, i
+        assert gcds_seen == [ctx.q_complement.denominator ** top], i
+
+
+def per_key_combination(parts, coeffs):
+    """sum of coeff * part with one GaussRational per product and per sum."""
+    acc = {}
+    for part, c in zip(parts, coeffs):
+        for mono, v in part.terms.items():
+            acc[mono] = acc.get(mono, GR_ZERO) + v * c
+    return {mono: v for mono, v in acc.items() if v}
+
+
+def per_term_derivative(p, field):
+    """d/dx for the variable x at field ``field`` of alpha + beta."""
+    d, out = p.d, {}
+    for mono, c in p.terms.items():
+        e = list(mono.alpha + mono.beta)
+        if e[field]:
+            c, e[field] = c * e[field], e[field] - 1
+            out[CMonomial(tuple(e[:d]), tuple(e[d:]))] = c
+    return out
+
+
+@pytest.mark.parametrize("cls", [WeylElement, CPolynomial])
+def test_linear_kernels_canonical_with_one_gcd_per_result(cls, gcds_seen):
+    """Sums, differences, negation, scaling, the n-ary sum and, for
+    polynomials, derivatives and the split by degree: each result is
+    canonical, took one gcd, and has the per-term value."""
+    for i in range(90):
+        rng = random.Random(f"linear-{cls.__name__}-{i}")
+        d, big = 1 + i % 3, i % 4 == 1
+        x = random_element(rng, cls, d, rng.randint(0, 6), big, diagonal=False)
+        y = x if i % 5 == 0 else random_element(rng, cls, d, rng.randint(0, 6), big, False)
+        z = GaussRational(Fraction(rng.randint(-3, 3), rng.choice(SMALL_DENS)),
+                          Fraction(rng.randint(-3, 3) * (i % 2), rng.choice(SMALL_DENS)))
+        neg_y = -y
+        checks = [
+            (lambda: [x + y], [x, y], [1, 1]),
+            (lambda: [x - y], [x, y], [1, -1]),
+            (lambda: [-x], [x], [-1]),
+            (lambda: [x.scale(z)], [x], [z]),
+            (lambda: [cls._sum(d, (x, y, neg_y, x))], [x], [2]),
+            (lambda: [cls._sum(d, (x, y, x), -1)], [y], [-1]),
+        ]
+        if cls is CPolynomial:
+            checks += [(lambda j=j: [deriv_z(x, j)], j - 1) for j in range(1, d + 1)]
+            checks += [(lambda j=j: [deriv_zbar(x, j)], d + j - 1) for j in range(1, d + 1)]
+            checks.append((lambda: list(x.homogeneous_components().values()), [x], [1]))
+        for fn, *expected in checks:
+            gcds_seen.clear()
+            out = fn()
+            assert len(gcds_seen) == len(out), i
+            for o in out:
+                assert_canonical(o)
+            got = {m: c for o in out for m, c in o.terms.items()}
+            if len(expected) == 1:
+                assert got == per_term_derivative(x, *expected), i
+            else:
+                assert got == per_key_combination(*expected), i
 
 
 def test_closed_form_drops_zero_sums():
@@ -368,7 +444,7 @@ def test_closed_form_drops_zero_sums():
     t = -ctx.q_complement
     raw = per_product_closed_form(w.terms, t, CMonomial)
     assert any(not c for c in raw.values())
-    got = CPolynomial._wrap(2, ordering._closed_form(w._terms, 2, t))
+    got = ordering._closed_form(CPolynomial, 2, w._terms, w._den, t)
     assert dict(got.terms) == {m: c for m, c in raw.items() if c}
     assert unorder_q(ctx, w) == p
 
@@ -384,6 +460,7 @@ def test_outputs_canonical_nonzero_and_read_only(name):
     for i in range(0, CASES, 9):
         ctx, x = case(name, i)
         out = fn(ctx, x)
+        assert_canonical(out)
         for c in out.terms.values():
             assert c.den > 0 and gcd(c.n, c.m, c.den) == 1 and (c.n or c.m)
         assert isinstance(out.terms, MappingProxyType)

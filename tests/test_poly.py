@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylharm.poly as poly
-from weylharm.linalg import _col_key, _reduce_against
+from weylharm.linalg import _reduce_against
 from weylharm.poly import (
     CMonomial,
     CPolynomial,
@@ -46,6 +46,11 @@ def substitute_scaled(p: CPolynomial, lam: GaussRational) -> CPolynomial:
 # ---------------------------------------------------------------------------
 # Independent oracle: harmonic decomposition by brute-force linear solve
 # ---------------------------------------------------------------------------
+
+
+def _col_key(col):
+    # a deterministic pivot order for heterogeneous hashable columns
+    return (str(type(col)), repr(col))
 
 
 def solve(rows, rhs_key="__rhs__"):
