@@ -145,14 +145,16 @@ def main(argv=None) -> int:
     failed, 2 bad input, usage errors included (one line on stderr),
     EXIT_CLOSED_PIPE when the reader closed standard output early."""
     parser = build_parser()
-    args = parser.parse_args(argv)
     # Bad input surfaces as ValueError or IndexError: ParseError,
     # MixedContextError, ModeMismatchError and InvalidParameterError subclass
     # ValueError, and context and mode-index validation raise one or the other.
     try:
-        status = _dispatch(args)
-        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
-        return status
+        try:
+            return _dispatch(parser.parse_args(argv))
+        finally:
+            # so that a closed pipe shows here, not at exit, also after the
+            # SystemExit that follows --help
+            sys.stdout.flush()
     except (ValueError, IndexError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2

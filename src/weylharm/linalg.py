@@ -63,7 +63,7 @@ def rank(rows) -> int:
     return len(echelon(rows))
 
 
-def rref(rows, columns=None) -> dict:
+def rref(rows, columns) -> dict:
     """Fully reduced echelon form: no pivot row mentions another pivot."""
     pivots = echelon(rows, columns)
     order = list(pivots)

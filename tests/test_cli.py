@@ -244,9 +244,13 @@ class TestClosedPipe:
     with exit status EXIT_CLOSED_PIPE and nothing on standard error."""
 
     def spawn(self, stdout, *argv):
+        # stdout block-buffered, as by default: a closed pipe then shows at
+        # a flush, which argparse's --help does not guard the way it guards
+        # its own writes
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         return subprocess.Popen([sys.executable, "-m", "weylharm.cli", *argv],
                                 stdout=stdout, stderr=subprocess.PIPE,
-                                env=dict(os.environ, PYTHONPATH=SRC))
+                                env=dict(env, PYTHONPATH=SRC))
 
     def test_reader_closes_after_100_bytes(self):
         from weylharm.cli import EXIT_CLOSED_PIPE
@@ -266,6 +270,8 @@ class TestClosedPipe:
     @pytest.mark.parametrize("argv", [
         ["omega", "--d", "2", "--q", "0", "--kmax", "6"],
         ["verify", "sl2", "--d", "1", "--count", "2", "--deg", "2"],
+        ["--help"],
+        ["omega", "--help"],
     ])
     def test_reader_closed_before_any_output(self, argv):
         from weylharm.cli import EXIT_CLOSED_PIPE
