@@ -22,6 +22,15 @@ from typing import NamedTuple
 
 from .scalars import UniPoly
 
+# a Gram matrix is accepted when doubling its quadrature moves no entry by
+# this much relative to the diagonal scale
+STABILITY_TOL = 1e-9
+# the generating function is evaluated only inside this fraction of its
+# branch-point radius, and its Taylor coefficients come from this many
+# samples on one circle
+BRANCH_GUARD = 0.9
+DFT_NODES = 256
+
 
 def _gamma_weight(d: int, lams: list) -> list:
     """|Gamma(d/2 + i*lam/2)|^2 at every lam, by the classical forms.
@@ -107,7 +116,7 @@ class QuadratureSpec(_QuadratureFields):
         half_width = float(max(40, 8 * (d + k_max)))
         return QuadratureSpec(half_width, panel_count=int(2 * half_width / min(d, 2)))
 
-    def tail_bound(self, d: int, poly_degree: int = 0) -> float:
+    def tail_bound(self, d: int, poly_degree: int) -> float:
         """Crude bound on the neglected tail of p(lambda) * rho(lambda),
         4 T^(d-1+deg) e^(-pi T/2), formed in logs so that the power alone
         cannot overflow; infinite only where the bound itself is."""
@@ -217,16 +226,14 @@ def orthogonality_matrix(d: int, k_max: int, spec: QuadratureSpec | None = None)
     }
 
 
-def orthogonality_stable(d: int, k_max: int, spec: QuadratureSpec | None = None,
-                         rel_tol: float = 1e-9) -> dict:
+def orthogonality_stable(d: int, k_max: int) -> dict:
     """Gram computation plus the doubling stability requirement.
 
     The result is accepted only when doubling the panel count and growing
-    the truncation changes every entry by less than ``rel_tol`` relative
+    the truncation changes every entry by less than STABILITY_TOL relative
     to the diagonal scale.
     """
-    if spec is None:
-        spec = QuadratureSpec.for_orthogonality(d, k_max)
+    spec = QuadratureSpec.for_orthogonality(d, k_max)
     first = orthogonality_matrix(d, k_max, spec)
     second = orthogonality_matrix(d, k_max, spec.doubled())
     roots = [math.sqrt(row[m]) for m, row in enumerate(second["gram"])]
@@ -236,7 +243,7 @@ def orthogonality_stable(d: int, k_max: int, spec: QuadratureSpec | None = None,
         for n, (a, b) in enumerate(zip(row1, row2))
     )
     out = dict(second)
-    out["stable"] = drift < rel_tol
+    out["stable"] = drift < STABILITY_TOL
     out["drift"] = drift
     return out
 
@@ -270,7 +277,7 @@ def genfun_singularity_radius(q) -> float:
     return min(alpha * qf, alpha * (1.0 - qf))
 
 
-def _genfun(q, d: int, lam, guard: float):
+def _genfun(q, d: int, lam):
     """s -> G(s)/G(0) with the parameters bound once (see `genfun_eval`).
 
     G is exp(log G) with log G(s) = (2/a)(lam + d s0) arctan(u)
@@ -292,7 +299,7 @@ def _genfun(q, d: int, lam, guard: float):
         return coeff * (log(1.0 - iu) - log(1.0 + iu)) - half_d * log(w * w + quarter)
 
     log_g0 = log_g(0.0)
-    limit = guard * radius
+    limit = BRANCH_GUARD * radius
     exp = cmath.exp
 
     def value(s):
@@ -305,43 +312,42 @@ def _genfun(q, d: int, lam, guard: float):
     return value
 
 
-def genfun_eval(q, d: int, lam, s, guard: float = 0.9) -> complex:
+def genfun_eval(q, d: int, lam, s) -> complex:
     """The generating function of the renormalized radial family.
 
     Closed form: exp[(2/a)(lam + d s0) arctan((2/a)(s + s0))] divided by
     [(s+s0)^2 + a^2/4]^(d/2), principal branches, normalized to 1 at
     s = 0 so the Taylor coefficients are exactly the g_k.  (For q = 1/2
     the normalizing constant is already 1 and this reduces to
-    exp(lam*arctan s) / sqrt(s^2+1)^d.)  Points within ``guard`` of the
-    branch-point radius are rejected.
+    exp(lam*arctan s) / sqrt(s^2+1)^d.)  Points at BRANCH_GUARD times the
+    branch-point radius or beyond are rejected.
     """
-    return _genfun(q, d, lam, guard)(s)
+    return _genfun(q, d, lam)(s)
 
 
 def genfun_taylor_coefficients(q, d: int, lam, order: int,
-                               radius: float | None = None,
-                               num_nodes: int = 256) -> list:
+                               radius: float | None = None) -> list:
     """Taylor coefficients 0..order of the generating function at s = 0.
 
     Cauchy-integral extraction on a circle well inside the branch-point
-    radius: a direct discrete Fourier transform of ``num_nodes`` samples,
+    radius: a direct discrete Fourier transform of DFT_NODES samples,
     for the order + 1 coefficients wanted only, each summed in sample
     order.  Uniform accuracy across orders, unlike iterated numerical
     differentiation.
     """
     r_sing = genfun_singularity_radius(q)
     r = radius if radius is not None else 0.5 * r_sing
-    if r >= 0.9 * r_sing:
+    if r >= BRANCH_GUARD * r_sing:
         raise BranchCutProximityError("extraction circle too large")
-    g = _genfun(q, d, lam, 0.9)
-    roots = [cmath.exp(2j * math.pi * j / num_nodes) for j in range(num_nodes)]
+    g = _genfun(q, d, lam)
+    roots = [cmath.exp(2j * math.pi * j / DFT_NODES) for j in range(DFT_NODES)]
     values = [g(r * z) for z in roots]
     twiddles = [z.conjugate() for z in roots]
     coeffs = []
     for k in range(order + 1):
         # sample j meets exp(-2 pi i jk/N), the conjugate root jk mod N
-        tk = (twiddles * k)[::k] if k else [1.0] * num_nodes
-        coeffs.append(reduce(add, map(mul, values, tk)) / num_nodes / r**k)
+        tk = (twiddles * k)[::k] if k else [1.0] * DFT_NODES
+        coeffs.append(reduce(add, map(mul, values, tk)) / DFT_NODES / r**k)
     return coeffs
 
 
@@ -353,7 +359,7 @@ def genfun_ode_residual(q, d: int, lam, s, step: float = 1e-3) -> complex:
     StepSizeError is raised.
     """
     _, _, s0 = _float_params(q)
-    g = _genfun(q, d, lam, 0.9)
+    g = _genfun(q, d, lam)
 
     def deriv(h):
         return (g(s - 2 * h) - 8.0 * g(s - h) + 8.0 * g(s + h) - g(s + 2 * h)) / (12.0 * h)

@@ -570,7 +570,8 @@ UP_ZERO = UniPoly()
 UP_ONE = UniPoly((1,))
 
 
-def format_unipoly(p: UniPoly, var: str = "t") -> str:
+def format_unipoly(p: UniPoly) -> str:
+    """p in the variable t, highest power first."""
     if p.is_zero():
         return "0"
     parts = []
@@ -581,7 +582,7 @@ def format_unipoly(p: UniPoly, var: str = "t") -> str:
         if k == 0:
             term = format_gauss(c)
         else:
-            tpow = var if k == 1 else f"{var}^{k}"
+            tpow = "t" if k == 1 else f"t^{k}"
             if c == GR_ONE:
                 term = tpow
             elif c == -GR_ONE:

@@ -21,6 +21,7 @@ from .ordering import OrderingContext, cal_E, cal_L, cal_R, order_q
 from .poly import (
     CMonomial,
     CPolynomial,
+    harmonic_decompose,
     harmonic_dim,
     is_harmonic,
     op_E,
@@ -53,9 +54,16 @@ from .specfun import (
     meixner_pollaczek_poly,
     pochhammer,
 )
-from .weyl import NormalMonomial, WeylElement, _layout, compositions
+from .weyl import TermMap, WeylElement, compositions
 
 Q_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+# the ordering-parameter pairs whose harmonics the harmonics suite compares
+HARMONIC_Q_PAIRS = (
+    (Fraction(0), Fraction(1)),
+    (Fraction(0), Fraction(1, 2)),
+    (Fraction(1, 4), Fraction(3, 4)),
+    (Fraction(1, 2), Fraction(1, 3)),
+)
 # the largest k_max whose orthogonality suite passes for d = 1..3 in about
 # 10 s cold (d = 1, the slowest, took 9.7 s on a 2-core x86-64 machine)
 ORTHOGONALITY_KMAX = 90
@@ -75,52 +83,40 @@ def random_gauss(rng: random.Random, span: int = 3) -> GaussRational:
 
 def _random_exponents(rng: random.Random, d: int, total: int) -> tuple:
     cuts = sorted(rng.randint(0, total) for _ in range(d - 1))
-    parts = []
-    prev = 0
-    for c in cuts + [total]:
-        parts.append(c - prev)
-        prev = c
-    return tuple(parts)
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
 
 
-def random_cpoly(
-    rng: random.Random, d: int, max_degree: int, n_terms: int = 4
-) -> CPolynomial:
+def random_element(rng: random.Random, d: int, degree: int, n_terms: int = 4, *,
+                   cls: type, homogeneous: bool = False) -> TermMap:
+    """n_terms random terms of a ``cls`` over d modes, each of degree
+    ``degree`` if homogeneous and of degree at most ``degree`` otherwise.
+
+    A term draws, in this order: its degree (unless homogeneous), how much
+    of it goes to the first exponent vector, the two vectors in
+    ``cls._mono`` field order, then its coefficient by `random_gauss`.
+    Every seeded report depends on that order.
+    """
     terms = {}
     for _ in range(n_terms):
-        deg = rng.randint(0, max_degree)
+        deg = degree if homogeneous else rng.randint(0, degree)
         split = rng.randint(0, deg)
-        alpha = _random_exponents(rng, d, split)
-        beta = _random_exponents(rng, d, deg - split)
-        terms[CMonomial(alpha, beta)] = random_gauss(rng)
-    return CPolynomial(d, terms)
+        first = _random_exponents(rng, d, split)
+        second = _random_exponents(rng, d, deg - split)
+        terms[cls._mono(first, second)] = random_gauss(rng)
+    return cls(d, terms)
 
 
-def random_homogeneous_cpoly(
-    rng: random.Random, d: int, degree: int, n_terms: int = 4
-) -> CPolynomial:
-    terms = {}
-    for _ in range(n_terms):
-        split = rng.randint(0, degree)
-        alpha = _random_exponents(rng, d, split)
-        beta = _random_exponents(rng, d, degree - split)
-        terms[CMonomial(alpha, beta)] = random_gauss(rng)
-    if not terms:
-        terms[CMonomial((degree,) + (0,) * (d - 1), (0,) * d)] = GaussRational(1)
-    return CPolynomial(d, terms)
+def random_weyl(rng: random.Random, d: int, max_degree: int, n_terms: int = 4) -> WeylElement:
+    return random_element(rng, d, max_degree, n_terms, cls=WeylElement)
 
 
-def random_weyl(
-    rng: random.Random, d: int, max_degree: int, n_terms: int = 4
-) -> WeylElement:
-    terms = {}
-    for _ in range(n_terms):
-        deg = rng.randint(0, max_degree)
-        split = rng.randint(0, deg)
-        beta = _random_exponents(rng, d, split)
-        alpha = _random_exponents(rng, d, deg - split)
-        terms[NormalMonomial(beta, alpha)] = random_gauss(rng)
-    return WeylElement(d, terms)
+def random_cpoly(rng: random.Random, d: int, max_degree: int, n_terms: int = 4) -> CPolynomial:
+    return random_element(rng, d, max_degree, n_terms, cls=CPolynomial)
+
+
+def random_homogeneous_cpoly(rng: random.Random, d: int, degree: int,
+                             n_terms: int = 4) -> CPolynomial:
+    return random_element(rng, d, degree, n_terms, cls=CPolynomial, homogeneous=True)
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +256,19 @@ def suite_radial(d: int, q: Fraction, k_max: int = 8, seed: int = 0) -> dict:
     return report
 
 
-def _weyl_vector(w: WeylElement) -> dict:
-    """w times its denominator, as a row on packed keys; a row space does
-    not see the scale of its rows."""
-    return {k: GaussRational(re, im) for k, (re, im) in w._terms.items()}
-
-
 def harmonic_basis(d: int, k: int) -> list:
-    """Exact basis of the degree-k harmonic polynomials in z, zbar."""
-    key = _layout(d).key
-    columns = [key(*mono) for mono in _homogeneous_monomials(d, k)]
-    # solve L(p) = 0 for p in their span, one row per image monomial; L
-    # of a monomial has integer coefficients, its stored numerators
-    by_image: dict = {}
-    for src in columns:
-        for img, (re, _) in op_L(CPolynomial._wrap(d, {src: [1, 0]}))._terms.items():
-            by_image.setdefault(img, {})[src] = re
-    return [CPolynomial._from_scalars(d, vec)
-            for vec in linalg.kernel_basis(list(by_image.values()), columns)]
+    """Exact basis of the degree-k harmonic polynomials in z, zbar, in
+    closed form: the harmonic parts of the degree-k monomials that z1*zbar1
+    does not divide.
+
+    P_k = H_k + r^2 P_(k-2) is direct (Axler-Bourdon-Ramey, Harmonic
+    Function Theory, ch. 5), and those monomials are the standard monomials
+    of the ideal (r^2) under an order in which z1*zbar1 leads r^2, so they
+    span a complement of r^2 P_(k-2) and their harmonic parts span H_k.
+    """
+    return [harmonic_decompose(CPolynomial.monomial(d, *mono))[0]
+            for mono in _homogeneous_monomials(d, k)
+            if not (mono.alpha[0] and mono.beta[0])]
 
 
 def _homogeneous_monomials(d: int, k: int) -> list:
@@ -286,7 +277,7 @@ def _homogeneous_monomials(d: int, k: int) -> list:
 
 
 def suite_harmonics(
-    d: int, k_max: int = 4, q_pairs=None, count: int = 10, deg: int = 5, seed: int = 0
+    d: int, k_max: int = 4, count: int = 10, deg: int = 5, seed: int = 0
 ) -> dict:
     """q-independence of Weyl harmonics, dimensions, and the tensor
     decomposition round-trip."""
@@ -294,44 +285,38 @@ def suite_harmonics(
         raise ValueError("mode count d must be >= 1")
     _check_sizes(k_max=k_max, count=count, deg=deg)
     rng = random.Random(seed)
-    if q_pairs is None:
-        q_pairs = [
-            (Fraction(0), Fraction(1)),
-            (Fraction(0), Fraction(1, 2)),
-            (Fraction(1, 4), Fraction(3, 4)),
-            (Fraction(1, 2), Fraction(1, 3)),
-        ]
     cases = []
 
     bases = [harmonic_basis(d, k) for k in range(k_max + 1)]
     ok_dim = True
     detail_dims = []
     for k, basis in enumerate(bases):
-        expected = harmonic_dim(2 * d, k)
-        detail_dims.append(f"k={k}:{len(basis)}")
-        ok_dim &= len(basis) == expected
+        # the rank shows the basis independent; its length alone would
+        # pass by counting monomials
+        rank = linalg.rank([dict(h.terms) for h in basis])
+        detail_dims.append(f"k={k}:{rank}")
+        ok_dim &= len(basis) == rank == harmonic_dim(2 * d, k)
         ok_dim &= all(is_harmonic(h) for h in basis)
     cases.append(
         _case("harmonic dimensions match kernel ranks", ok_dim, ",".join(detail_dims))
     )
 
-    ok_span = True
-    for q1, q2 in q_pairs:
+    # order_q is exp((1-q)L) in normal coordinates, so it fixes each
+    # harmonic: element by element, not only span by span
+    ok_fixed = True
+    for q1, q2 in HARMONIC_Q_PAIRS:
         c1, c2 = OrderingContext(d, q1), OrderingContext(d, q2)
-        for basis in bases:
-            rows1 = [_weyl_vector(order_q(c1, h)) for h in basis]
-            rows2 = [_weyl_vector(order_q(c2, h)) for h in basis]
-            ok_span &= linalg.same_row_space(rows1, rows2)
+        ok_fixed &= all(order_q(c1, h) == order_q(c2, h) for basis in bases for h in basis)
     cases.append(
         _case(
             "Weyl harmonics independent of ordering parameter",
-            ok_span,
-            f"{len(q_pairs)} parameter pairs, k <= {k_max}",
+            ok_fixed,
+            f"{len(HARMONIC_Q_PAIRS)} parameter pairs, k <= {k_max}",
         )
     )
 
     ok_member = True
-    for q1, _ in q_pairs:
+    for q1, _ in HARMONIC_Q_PAIRS:
         ctx = RadialContext(d, q1)
         for basis in bases:
             for h in basis[:3]:
@@ -358,7 +343,7 @@ def suite_harmonics(
     return _report(
         "harmonics",
         {"d": d, "kmax": k_max, "count": count, "deg": deg,
-         "q_pairs": [[str(a), str(b)] for a, b in q_pairs]},
+         "q_pairs": [[str(a), str(b)] for a, b in HARMONIC_Q_PAIRS]},
         seed,
         cases,
     )

@@ -248,7 +248,20 @@ class TermMap:
         return max(map(_layout(self.d).degree, self._terms), default=-1)
 
     def coefficient(self, first, second) -> GaussRational:
-        return self.terms.get(self._mono(tuple(first), tuple(second)), GR_ZERO)
+        """The coefficient of the monomial with these exponent vectors, read
+        from its packed key; 0 for one that is absent or not a monomial
+        over d modes."""
+        mono = self._mono(tuple(first), tuple(second))
+        exps = mono.alpha + mono.beta
+        if not all(isinstance(e, int) for e in exps):
+            # 1.0 or Fraction(1) equals the exponent 1 as a key of the view
+            return self.terms.get(mono, GR_ZERO)
+        if len(mono.alpha) == len(mono.beta) == self.d and all(
+                0 <= e < EXPONENT_BOUND for e in exps):
+            pair = self._terms.get(_layout(self.d).key(mono.alpha, mono.beta))
+            if pair is not None:
+                return _gr(*pair, self._den)
+        return GR_ZERO
 
     def sorted_terms(self) -> Iterator[tuple]:
         """(monomial, coefficient) in canonical order: by total degree, then

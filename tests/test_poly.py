@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylharm.poly as poly
+from weylharm import linalg
 from weylharm.linalg import _reduce_against
 from weylharm.poly import (
     CMonomial,
@@ -344,10 +345,14 @@ class TestDimensions:
         assert harmonic_dim(4, 2) == 9
 
     def test_kernel_rank_match_small(self):
-        # full grid lives in the acceptance suite
-        for d in (1, 2):
-            for k in range(5):
-                assert len(harmonic_basis(d, k)) == harmonic_dim(2 * d, k)
+        # the closed-form basis is harmonic and independent, of the
+        # dimension the formula gives
+        for d in (1, 2, 3):
+            for k in range(7):
+                basis = harmonic_basis(d, k)
+                assert all(is_harmonic(h) for h in basis)
+                rank = linalg.rank([dict(h.terms) for h in basis])
+                assert len(basis) == rank == harmonic_dim(2 * d, k)
 
     def test_graded_sum_matches_full_space(self):
         # sum over layers of harmonic dimensions = dim of degree-m space

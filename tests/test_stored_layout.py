@@ -153,3 +153,25 @@ def test_terms_view_reads_fresh_gauss_rationals(x):
         assert den % c.den == 0
         assert x.coefficient(*mono) == c
     assert not any(type(c) is list for c in dict(view).values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((WeylElement, CPolynomial)).flatmap(
+    lambda cls: st.integers(1, 3).flatmap(lambda d: element(cls, d, 6))),
+    st.lists(st.one_of(st.integers(-1, 3), st.sampled_from((2**31 - 1, 2**31, 2**32, 1.0))),
+             max_size=8),
+    st.booleans())
+def test_coefficient_reads_the_packed_key_not_the_view(x, exps, as_lists):
+    # the monomials of x, then vectors of the right and of the wrong
+    # length, with negative exponents, exponents at and past 2^31 and the
+    # float 1.0, which equals the exponent 1 as a key of the view
+    d, half = x.d, len(exps) // 2
+    probes = [tuple(m) for m in x.terms]
+    probes += [(exps[:d], exps[d:2 * d]), (exps[:half], exps[half:]), ((1,) * d, (2,) * d)]
+    for first, second in probes:
+        fresh = type(x)(d, dict(x.terms))
+        args = (list(first), list(second)) if as_lists else (first, second)
+        got = fresh.coefficient(*args)
+        assert got == x.terms.get(x._mono(tuple(first), tuple(second)), GaussRational(0))
+        if all(isinstance(e, int) for e in (*first, *second)):
+            assert fresh._view is None

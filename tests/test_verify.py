@@ -1,11 +1,13 @@
 """Verification-suite harness: determinism, failure reporting, budget."""
 
+import hashlib
 import json
 import random
 import time
 from fractions import Fraction
 
 from weylharm import verify as V
+from weylharm.poly import CPolynomial
 from weylharm.scalars import GaussRational
 
 
@@ -37,6 +39,39 @@ def test_random_gauss_draws_and_value():
         assert value == expected
         assert (value.n, value.m, value.den) == (expected.n, expected.m, expected.den)
     assert rng.random() == twin.random()
+
+
+def test_samples_digest():
+    # sha256 of the JSON forms of samples from all three samplers, recorded
+    # while each had a loop of its own: any change to the order of the
+    # draws changes it.  The reports only say PASS or FAIL, so their
+    # digests would not see the samples change
+    out = []
+    for seed in range(30):
+        rng = random.Random(seed)
+        d = 1 + seed % 3
+        for x in (V.random_weyl(rng, d, 4), V.random_cpoly(rng, d, 4, 5),
+                  V.random_homogeneous_cpoly(rng, d, seed % 6)):
+            out.append(json.dumps(x.to_json_dict(), sort_keys=True))
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() == (
+        "b4461047b83f4af361314ef4b699ce8da3d01484535075c653218953a8c7ad57")
+
+
+def test_q_independence_fails_for_a_non_harmonic_basis(monkeypatch):
+    # z1*zbar1 is not harmonic, and its images at q = 0 and q = 1 differ
+    closed_form = V.harmonic_basis
+
+    def basis(d, k):
+        out = closed_form(d, k)
+        if k == 2:
+            out[0] = out[0] + CPolynomial.z(d, 1) * CPolynomial.zbar(d, 1)
+        return out
+
+    assert not V.report_failed(V.suite_harmonics(2, k_max=2, count=1))
+    monkeypatch.setattr(V, "harmonic_basis", basis)
+    report = V.suite_harmonics(2, k_max=2, count=1)
+    status = {c["id"]: c["status"] for c in report["cases"]}
+    assert status["Weyl harmonics independent of ordering parameter"] == "FAIL"
 
 
 def test_radial_report_carries_table():
