@@ -15,7 +15,6 @@ from .ordering import (
     OrderingContext,
     apply_M,
     apply_Mplus,
-    b_element,
     cal_E,
     cal_L,
     cal_R,
@@ -47,13 +46,11 @@ from .radial import (
     eta,
     express_in_N,
     g_poly_symmetric,
-    is_radial,
     nonorthogonality_certificate,
     omega,
     omega_by_raising,
     omega_closed_form,
     reassemble_weyl,
-    weyl_harmonics_check,
 )
 from .scalars import GaussRational, UniPoly
 from .specfun import (
@@ -70,8 +67,6 @@ from .weyl import (
     ModeMismatchError,
     NormalMonomial,
     WeylElement,
-    ad,
-    anticommutator,
     commutator,
     number_operator,
     weyl_mul,
@@ -91,12 +86,9 @@ __all__ = [
     "RadialContext",
     "UniPoly",
     "WeylElement",
-    "ad",
-    "anticommutator",
     "apply_M",
     "apply_Mplus",
     "apply_Rq_univariate",
-    "b_element",
     "bidegree_split",
     "cal_E",
     "cal_L",
@@ -118,7 +110,6 @@ __all__ = [
     "hyp2F1_terminating_poly",
     "hyp2f1_3f2_connection_check",
     "is_harmonic",
-    "is_radial",
     "krawtchouk_meixner_check",
     "meixner_pollaczek_poly",
     "nonorthogonality_certificate",
@@ -134,6 +125,5 @@ __all__ = [
     "pochhammer",
     "reassemble_weyl",
     "unorder_q",
-    "weyl_harmonics_check",
     "weyl_mul",
 ]

@@ -339,6 +339,11 @@ def genfun_taylor_coefficients(q, d: int, lam, order: int,
     r = radius if radius is not None else 0.5 * r_sing
     if r >= BRANCH_GUARD * r_sing:
         raise BranchCutProximityError("extraction circle too large")
+    try:
+        r ** -order  # the largest scale 1/r^k the extraction divides by
+    except OverflowError:
+        raise ValueError(f"order {order} is too large: the scale 1/r^{order} at the "
+                         f"extraction radius r = {r:.3g} overflows a float") from None
     g = _genfun(q, d, lam)
     roots = [cmath.exp(2j * math.pi * j / DFT_NODES) for j in range(DFT_NODES)]
     values = [g(r * z) for z in roots]

@@ -59,7 +59,6 @@ from .poly import CPolynomial, _triple, op_L
 from .weyl import (
     ModeMismatchError,
     WeylElement,
-    _check_mode,
     _layout,
     check_exponents,
     contractions,
@@ -152,21 +151,6 @@ def order_q(ctx: OrderingContext, p: CPolynomial) -> WeylElement:
     if p.d != ctx.d:
         raise ModeMismatchError(f"polynomial has d={p.d}, context d={ctx.d}")
     return _closed_form(WeylElement, ctx.d, p._terms, p._den, ctx.q_complement)
-
-
-def b_element(ctx: OrderingContext, l: int, j: int, k: int) -> WeylElement:
-    """Normal form of sum_s C(k,s) q^(k-s) (1-q)^s a_l^s (a_l+)^j a_l^(k-s).
-
-    This is the single-mode building block of the factorized ordering map:
-    the image of a degree-(j, k) monomial in mode l with j counting
-    creations and k annihilations.  The image of z^alpha zbar^beta
-    factorizes as the product over modes of b_element(l, beta_l, alpha_l).
-    """
-    if j < 0 or k < 0:
-        raise ValueError("exponents must be nonnegative")
-    _check_mode(ctx.d, l)
-    e = tuple(1 if i == l - 1 else 0 for i in range(ctx.d))
-    return ordered_monomial(ctx, tuple(k * x for x in e), tuple(j * x for x in e))
 
 
 def unorder_q(ctx: OrderingContext, w: WeylElement) -> CPolynomial:

@@ -27,10 +27,6 @@ class CMonomial(NamedTuple):
     def degree(self) -> int:
         return sum(self.alpha) + sum(self.beta)
 
-    @property
-    def bidegree(self) -> tuple:
-        return (sum(self.alpha), sum(self.beta))
-
 
 class CPolynomial(TermMap):
     """A finite Q(i)-combination of monomials z^alpha zbar^beta."""
@@ -173,7 +169,9 @@ def deriv_zbar(p: CPolynomial, j: int) -> CPolynomial:
     return _derivative(p, p.d + j - 1)
 
 
-def is_harmonic(p: CPolynomial) -> bool:
+def is_harmonic(p: TermMap) -> bool:
+    """L(p) = 0, for a `CPolynomial` or a `weyl.WeylElement`: the Weyl
+    harmonics are the kernel of the transferred L, which is L itself."""
     return op_L(p).is_zero()
 
 

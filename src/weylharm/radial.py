@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .ordering import OrderingContext, cal_L, cal_R, order_q, unorder_q
+from .ordering import OrderingContext, cal_R, order_q, unorder_q
 from .poly import harmonic_decompose
 from .scalars import GR_ONE, UP_ONE, GaussRational, UniPoly
 from .specfun import hyp2F1_terminating_poly, pochhammer
@@ -85,7 +85,7 @@ def eta(ctx: RadialContext, k: int) -> WeylElement:
     """The k-th iterate of the raising operator on the unit."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _chain_level(_eta_cache, (ctx.d, ctx.q), [WeylElement.unit(ctx.d)],
+    return _chain_level(_eta_cache, (ctx.d, ctx.q), [WeylElement.one(ctx.d)],
                         lambda chain: cal_R(ctx, chain[-1]), k)
 
 
@@ -127,14 +127,6 @@ def express_in_N(w: WeylElement) -> UniPoly:
     for k in range(len(c) - 1, -1, -1):
         out = out._recur(-k, GaussRational(*c[k]), UP_ONE)  # out*(t - k) + c_k
     return out._scale(1, 0, w._den)
-
-
-def is_radial(w: WeylElement) -> bool:
-    try:
-        express_in_N(w)
-        return True
-    except NotRadialError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +355,6 @@ def check_fg_recurrence(ctx: RadialContext, k_max: int) -> bool:
 # ---------------------------------------------------------------------------
 # Weyl harmonics and the tensor decomposition
 # ---------------------------------------------------------------------------
-
-
-def weyl_harmonics_check(ctx: RadialContext, w: WeylElement) -> bool:
-    """True iff w is in the (q-independent) space of Weyl harmonics,
-    i.e. sum_j [a_j, [a_j+, w]] = 0."""
-    return cal_L(ctx, w).is_zero()
 
 
 def decompose_weyl(ctx: RadialContext, w: WeylElement) -> list:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 
 from . import linalg
 from .ordering import OrderingContext, cal_E, cal_L, cal_R, order_q
@@ -43,7 +43,6 @@ from .radial import (
     omega_closed_form,
     omega_table,
     reassemble_weyl,
-    weyl_harmonics_check,
 )
 from .scalars import GaussRational, _gr
 from .specfun import (
@@ -141,6 +140,12 @@ def _check_sizes(**sizes: int) -> None:
     for name, value in sizes.items():
         if value < 0:
             raise ValueError(f"{name} must be >= 0")
+
+
+def _check_tol(tol: float) -> None:
+    # a negative or nan tolerance fails every case, an infinite one passes them all
+    if not (tol > 0 and isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite float, not {tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +302,8 @@ def suite_harmonics(
         detail_dims.append(f"k={k}:{rank}")
         ok_dim &= len(basis) == rank == harmonic_dim(2 * d, k)
         ok_dim &= all(is_harmonic(h) for h in basis)
-    cases.append(
-        _case("harmonic dimensions match kernel ranks", ok_dim, ",".join(detail_dims))
-    )
+    cases.append(_case("harmonic basis rank matches dimension formula", ok_dim,
+                       ",".join(detail_dims)))
 
     # order_q is exp((1-q)L) in normal coordinates, so it fixes each
     # harmonic: element by element, not only span by span
@@ -317,13 +321,11 @@ def suite_harmonics(
 
     ok_member = True
     for q1, _ in HARMONIC_Q_PAIRS:
-        ctx = RadialContext(d, q1)
+        ctx = OrderingContext(d, q1)
         for basis in bases:
             for h in basis[:3]:
-                ok_member &= weyl_harmonics_check(ctx, order_q(ctx, h))
-    cases.append(
-        _case("ordered harmonics pass the kernel membership test", ok_member, "")
-    )
+                ok_member &= is_harmonic(order_q(ctx, h))
+    cases.append(_case("ordered harmonics pass the kernel membership test", ok_member, ""))
 
     ok_round = True
     for _ in range(count):
@@ -405,6 +407,7 @@ def suite_orthogonality(d: int, k_max: int = 8, tol: float = 1e-8, seed: int = 0
     from .numerics import orthogonality_stable
 
     _check_sizes(k_max=k_max)
+    _check_tol(tol)
     if k_max > ORTHOGONALITY_KMAX:
         raise ValueError(f"k_max must be <= {ORTHOGONALITY_KMAX} for orthogonality "
                          "(its time grows as k_max^3)")
@@ -442,6 +445,7 @@ def suite_genfun(
     if d < 1:
         raise ValueError("mode count d must be >= 1")
     _check_sizes(order=order)
+    _check_tol(tol)
     cases = []
     if q == Fraction(1, 2):
         worst = 0.0

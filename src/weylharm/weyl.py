@@ -380,11 +380,6 @@ class WeylElement(TermMap):
     _mono = NormalMonomial
 
     @classmethod
-    def unit(cls, d: int) -> "WeylElement":
-        """The identity, the same as `one`."""
-        return cls.one(d)
-
-    @classmethod
     def annihilator(cls, d: int, j: int) -> "WeylElement":
         """The generator a_j, 1 <= j <= d."""
         return cls._generator(d, j, "alpha")
@@ -472,20 +467,6 @@ def _mul_terms(x: TermMap, y: TermMap, expand) -> TermMap:
 def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
     """[x, y] = xy - yx."""
     return weyl_mul(x, y) - weyl_mul(y, x)
-
-
-def anticommutator(x: WeylElement, y: WeylElement) -> WeylElement:
-    """{x, y} = xy + yx."""
-    return weyl_mul(x, y) + weyl_mul(y, x)
-
-
-def ad(x: WeylElement):
-    """The derivation ad_x : w |-> [x, w]."""
-
-    def action(w: WeylElement) -> WeylElement:
-        return commutator(x, w)
-
-    return action
 
 
 def number_operator(d: int) -> WeylElement:

@@ -125,7 +125,7 @@ def _symmetrized(d, alpha, beta):
     total = WeylElement.zero(d)
     count = 0
     for perm in itertools.permutations(word):
-        w = WeylElement.unit(d)
+        w = WeylElement.one(d)
         for kind, mode in perm:
             gen = (
                 WeylElement.creator(d, mode + 1)
@@ -178,7 +178,7 @@ def test_criterion_05_radial_consistency():
                     omega_closed_form(ctx, k)
                 )
             # the degree-1 and degree-2 closed forms, written out
-            ok &= eta(ctx, 1) == number_operator(d) + WeylElement.unit(d).scale(
+            ok &= eta(ctx, 1) == number_operator(d) + WeylElement.one(d).scale(
                 ctx.t0
             )
             shifted = T + ctx.t0
@@ -363,5 +363,5 @@ def test_criterion_13_harmonic_dimensions():
             kernel_dim = len(monos) - linalg.rank(rows_by_image.values())
             ok &= kernel_dim == harmonic_dim(2 * d, k)
     elapsed = time.monotonic() - start
-    _announce(13, "exact Laplacian kernel ranks match the dimension formula, "
-                  "d <= 3, k <= 6", ok, elapsed)
+    _announce(13, "Laplacian kernel dimensions (monomials minus exact rank) "
+                  "match the dimension formula, d <= 3, k <= 6", ok, elapsed)

@@ -124,6 +124,24 @@ class TestElementCommands:
             (["order", "--q", "1/2", "--", "(z1^1073741824 + zb2) * z1^1073741824"],
              "product of degrees 1073741824 and 1073741824 would reach the "
              "exponent bound 2^31"),
+            # a tolerance must be a positive finite float: a negative or nan
+            # one would fail every case, an infinite one pass them all
+            *[(["verify", suite, *extra, "--tol", tol],
+               f"tol must be a positive finite float, not {float(tol)}")
+              for suite, extra in (("orthogonality", ["--d", "1", "--kmax", "4"]),
+                                   ("genfun", []))
+              for tol in ("-1", "0", "nan", "inf")],
+            # the genfun extraction divides by r^k: an order whose 1/r^k
+            # overflows a float is refused, before r^k underflows to 0
+            (["verify", "genfun", "--order", "1100"],
+             "order 1100 is too large: the scale 1/r^1100 at the extraction "
+             "radius r = 0.5 overflows a float"),
+            (["verify", "genfun", "--q", "1/1000", "--order", "200"],
+             "order 200 is too large: the scale 1/r^200 at the extraction "
+             "radius r = 0.0158 overflows a float"),
+            (["verify", "genfun", "--q", "1/1000000", "--order", "120"],
+             "order 120 is too large: the scale 1/r^120 at the extraction "
+             "radius r = 0.0005 overflows a float"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
@@ -388,11 +406,13 @@ class TestExactOutputPinned:
     # numpy to the standard library, which changed only the orthogonality
     # and genfun reports, and again when the orthogonality rule took panels
     # sized to the weight's poles and g_k by their recurrence, which changed
-    # only the orthogonality reports (the exact suites are pinned on their
-    # own below)
+    # only the orthogonality reports, and again when the harmonics suite's
+    # case "harmonic dimensions match kernel ranks" was renamed "harmonic
+    # basis rank matches dimension formula" (the exact suites are pinned on
+    # their own below)
     @pytest.mark.parametrize("argv, digest", [
         (["verify", "all", "--json", "--seed", "1"],
-         "221669a26d4b1e5cb93fd1159d8bc0c3d81cfc2cba436e16973a3dc900d982ea"),
+         "fc5019787f0495b7dbcd830cdc072f1b957447cb67643bd56c6314153fe5032c"),
         (["omega", "--d", "3", "--q=2/7", "--kmax", "60", "--json"],
          "8265168c519431bb6c2f87dbf9ad090fc183785a1660d50e10f89f0b005e1d8a"),
     ], ids=["verify-all-seed-1", "omega-d3-q2/7"])
@@ -403,7 +423,8 @@ class TestExactOutputPinned:
 
     def test_exact_suites_digest(self, capsys):
         # the report lines of the exact suites in `verify all --json --seed 1`,
-        # recorded while the float suites still ran on numpy
+        # recorded while the float suites still ran on numpy, and re-recorded
+        # for the renamed harmonics case above, the only change
         code, out = run_cli(capsys, "verify", "all", "--json", "--seed", "1")
         assert code == 0
         exact = [line + "\n" for line in out.splitlines()
@@ -411,7 +432,7 @@ class TestExactOutputPinned:
                  ("sl2", "intertwine", "radial", "harmonics", "hahn")]
         assert len(exact) == 21
         assert hashlib.sha256("".join(exact).encode()).hexdigest() == (
-            "fa990c0d8102149e6d73982e725eaddb8d7de8ed5b8f1f43525d5f0402220640")
+            "42d08d565dd0a31432418cc383fad2226791e92c749786794f228ee31e29776e")
 
     # the element verbs read their input through the expression parser;
     # digests recorded before the parser evaluated as it read, for the

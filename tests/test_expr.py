@@ -64,7 +64,7 @@ class TestParseWeyl:
             WeylElement.monomial(1, (2,), (0,))
             + WeylElement.monomial(1, (0,), (2,))
             + WeylElement.monomial(1, (1,), (1,), 2)
-            + WeylElement.unit(1)
+            + WeylElement.one(1)
         )
         assert w == expected
 
