@@ -325,6 +325,23 @@ def genfun_eval(q, d: int, lam, s) -> complex:
     return _genfun(q, d, lam)(s)
 
 
+def genfun_extraction_radius(q, order: int, radius: float | None = None) -> float:
+    """Radius r of the circle `genfun_taylor_coefficients` extracts on:
+    ``radius``, or half the branch-point radius.  A circle at BRANCH_GUARD
+    times that radius or beyond, and an order whose scale 1/r^order (the
+    largest the extraction divides by) overflows a float, are refused."""
+    r_sing = genfun_singularity_radius(q)
+    r = radius if radius is not None else 0.5 * r_sing
+    if r >= BRANCH_GUARD * r_sing:
+        raise BranchCutProximityError("extraction circle too large")
+    try:
+        r ** -order
+    except OverflowError:
+        raise ValueError(f"order {order} is too large: the scale 1/r^{order} at the "
+                         f"extraction radius r = {r:.3g} overflows a float") from None
+    return r
+
+
 def genfun_taylor_coefficients(q, d: int, lam, order: int,
                                radius: float | None = None) -> list:
     """Taylor coefficients 0..order of the generating function at s = 0.
@@ -335,15 +352,7 @@ def genfun_taylor_coefficients(q, d: int, lam, order: int,
     order.  Uniform accuracy across orders, unlike iterated numerical
     differentiation.
     """
-    r_sing = genfun_singularity_radius(q)
-    r = radius if radius is not None else 0.5 * r_sing
-    if r >= BRANCH_GUARD * r_sing:
-        raise BranchCutProximityError("extraction circle too large")
-    try:
-        r ** -order  # the largest scale 1/r^k the extraction divides by
-    except OverflowError:
-        raise ValueError(f"order {order} is too large: the scale 1/r^{order} at the "
-                         f"extraction radius r = {r:.3g} overflows a float") from None
+    r = genfun_extraction_radius(q, order, radius)
     g = _genfun(q, d, lam)
     roots = [cmath.exp(2j * math.pi * j / DFT_NODES) for j in range(DFT_NODES)]
     values = [g(r * z) for z in roots]

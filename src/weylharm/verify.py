@@ -8,12 +8,28 @@ returns a plain report dict::
 
 Reports are built in a fixed order so identical invocations serialize to
 byte-identical JSON.
+
+The transported triple is the classical one conjugated by the ordering
+map, so part of `suite_sl2` and `suite_intertwine` does not depend on q,
+and calls that differ only in q share it:
+
+- `_sl2_samples` holds the w of each of sl2's seeded (p, w) draws and
+  its three `poly:` verdicts on the p;
+- `_intertwine_samples` holds intertwine's seeded homogeneous samples and
+  their images under R, L and E.
+
+Each is a `functools.lru_cache` keyed by ``(d, deg, count, seed)`` and
+bounded to one entry, so `suite_all`'s loop (d outside, q inside) computes
+each once per d, and memory stays that of one suite call.  The values are
+tuples of immutable term maps.  Within one call, `suite_harmonics` orders
+each basis element once per distinct q of `HARMONIC_Q_PAIRS`.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, isfinite
 
 from . import linalg
@@ -66,6 +82,11 @@ HARMONIC_Q_PAIRS = (
 # the largest k_max whose orthogonality suite passes for d = 1..3 in about
 # 10 s cold (d = 1, the slowest, took 9.7 s on a 2-core x86-64 machine)
 ORTHOGONALITY_KMAX = 90
+# the largest genfun order: cold, order 170 took at most 0.8 s for
+# q in {1/2, 1/4, 1/3, 1/10, 1/100} and d in {1, 10, 100, 1000}, while at
+# q = 1/2 order 400 took 2.5 s and order 1000 55 s (2-core x86-64 machine);
+# k! up to 170 is also a finite float, which the general-q case divides by
+GENFUN_ORDER_MAX = 170
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +170,42 @@ def _check_tol(tol: float) -> None:
 
 
 # ---------------------------------------------------------------------------
+# q-independent work, shared by consecutive suite calls
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=1)
+def _sl2_samples(d: int, deg: int, count: int, seed: int) -> tuple:
+    """suite_sl2's Weyl samples, and its verdicts on the three relations
+    over its polynomial samples.  Each round draws p, then w; neither the
+    draws nor R, L and E depend on q."""
+    rng = random.Random(seed)
+    ok = [True, True, True]
+    samples = []
+    for _ in range(count):
+        p = random_cpoly(rng, d, deg)
+        r, low, e = op_R(p), op_L(p), op_E(p)
+        ok[0] &= (op_R(low) - op_L(r)) == -e
+        ok[1] &= (op_E(r) - op_R(e)) == 2 * r
+        ok[2] &= (op_E(low) - op_L(e)) == -2 * low
+        samples.append(random_weyl(rng, d, deg))
+    return tuple(samples), tuple(ok)
+
+
+@lru_cache(maxsize=1)
+def _intertwine_samples(d: int, deg: int, count: int, seed: int) -> tuple:
+    """suite_intertwine's homogeneous samples, each with its images under
+    R, L and E, as (p, R p, L p, E p)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        degree = rng.randint(0, deg)
+        p = random_homogeneous_cpoly(rng, d, degree)
+        out.append((p, op_R(p), op_L(p), op_E(p)))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
@@ -156,17 +213,10 @@ def _check_tol(tol: float) -> None:
 def suite_sl2(d: int, q: Fraction, deg: int = 4, count: int = 20, seed: int = 0) -> dict:
     """Commutation relations of the triple, on both algebras."""
     _check_sizes(deg=deg, count=count)
-    rng = random.Random(seed)
     ctx = OrderingContext(d, q)
-    ok_p = [True, True, True]
+    samples, ok_p = _sl2_samples(d, deg, count, seed)
     ok_w = [True, True, True]
-    for _ in range(count):
-        p = random_cpoly(rng, d, deg)
-        r, low, e = op_R(p), op_L(p), op_E(p)
-        ok_p[0] &= (op_R(low) - op_L(r)) == -e
-        ok_p[1] &= (op_E(r) - op_R(e)) == 2 * r
-        ok_p[2] &= (op_E(low) - op_L(e)) == -2 * low
-        w = random_weyl(rng, d, deg)
+    for w in samples:
         r, low, e = cal_R(ctx, w), cal_L(ctx, w), cal_E(ctx, w)
         ok_w[0] &= (cal_R(ctx, low) - cal_L(ctx, r)) == -e
         ok_w[1] &= (cal_E(ctx, r) - cal_R(ctx, e)) == r.scale(2)
@@ -186,16 +236,13 @@ def suite_intertwine(
 ) -> dict:
     """Ordering map commutes with the triple on homogeneous inputs."""
     _check_sizes(deg=deg, count=count)
-    rng = random.Random(seed)
     ctx = OrderingContext(d, q)
     ok = [True, True, True]
-    for _ in range(count):
-        degree = rng.randint(0, deg)
-        p = random_homogeneous_cpoly(rng, d, degree)
+    for p, rp, lp, ep in _intertwine_samples(d, deg, count, seed):
         w = order_q(ctx, p)
-        ok[0] &= order_q(ctx, op_R(p)) == cal_R(ctx, w)
-        ok[1] &= order_q(ctx, op_L(p)) == cal_L(ctx, w)
-        ok[2] &= order_q(ctx, op_E(p)) == cal_E(ctx, w)
+        ok[0] &= order_q(ctx, rp) == cal_R(ctx, w)
+        ok[1] &= order_q(ctx, lp) == cal_L(ctx, w)
+        ok[2] &= order_q(ctx, ep) == cal_E(ctx, w)
     detail = f"{count} random homogeneous elements, degree <= {deg}"
     cases = [
         _case("order∘R = R∘order", ok[0], detail),
@@ -306,11 +353,13 @@ def suite_harmonics(
                        ",".join(detail_dims)))
 
     # order_q is exp((1-q)L) in normal coordinates, so it fixes each
-    # harmonic: element by element, not only span by span
-    ok_fixed = True
-    for q1, q2 in HARMONIC_Q_PAIRS:
-        c1, c2 = OrderingContext(d, q1), OrderingContext(d, q2)
-        ok_fixed &= all(order_q(c1, h) == order_q(c2, h) for basis in bases for h in basis)
+    # harmonic: element by element, not only span by span.  Each basis
+    # element is ordered once per distinct q, and both cases read the images
+    images = {
+        q: [[order_q(OrderingContext(d, q), h) for h in basis] for basis in bases]
+        for q in dict.fromkeys(q for pair in HARMONIC_Q_PAIRS for q in pair)
+    }
+    ok_fixed = all(images[q1] == images[q2] for q1, q2 in HARMONIC_Q_PAIRS)
     cases.append(
         _case(
             "Weyl harmonics independent of ordering parameter",
@@ -321,10 +370,9 @@ def suite_harmonics(
 
     ok_member = True
     for q1, _ in HARMONIC_Q_PAIRS:
-        ctx = OrderingContext(d, q1)
-        for basis in bases:
-            for h in basis[:3]:
-                ok_member &= is_harmonic(order_q(ctx, h))
+        for ordered in images[q1]:
+            for w in ordered[:3]:
+                ok_member &= is_harmonic(w)
     cases.append(_case("ordered harmonics pass the kernel membership test", ok_member, ""))
 
     ok_round = True
@@ -436,18 +484,34 @@ def suite_genfun(
     tol: float = 1e-10,
     seed: int = 0,
 ) -> dict:
+    """Taylor coefficients and ODE of the generating function of the
+    renormalized radial family, for order up to GENFUN_ORDER_MAX."""
+    if d < 1:
+        raise ValueError("mode count d must be >= 1")
+    _check_sizes(order=order)
+    _check_tol(tol)
+    try:
+        cases = _genfun_cases(q, d, order, tol)
+    except OverflowError:
+        # an exact coefficient, a power of alpha or a value of the generating
+        # function left the float range: the input, not a case, is at fault
+        raise ValueError(f"d = {d}, q = {q}, order = {order}: the generating function "
+                         "or its exact coefficients overflow a float") from None
+    return _report(
+        "genfun", {"q": str(q), "d": d, "order": order, "tol": tol}, seed, cases
+    )
+
+
+def _genfun_cases(q: Fraction, d: int, order: int, tol: float) -> list:
     from .numerics import (
         genfun_ode_residual,
         genfun_taylor_coefficients,
         unipoly_eval_float,
     )
 
-    if d < 1:
-        raise ValueError("mode count d must be >= 1")
-    _check_sizes(order=order)
-    _check_tol(tol)
     cases = []
     if q == Fraction(1, 2):
+        _check_genfun_order(q, order)
         worst = 0.0
         for lam in (0.0, 1.0, 2.5):
             coeffs = genfun_taylor_coefficients(q, d, lam, order)
@@ -462,6 +526,7 @@ def suite_genfun(
         ctx = RadialContext(d, q)
         alpha = float(ctx.alpha_squared) ** 0.5
         t0 = float(ctx.t0)
+        _check_genfun_order(q, order)
         worst = 0.0
         for t in (0, 1, 2):
             lam = 1j * alpha * (t + t0)
@@ -486,9 +551,17 @@ def suite_genfun(
         _case("first-order ODE residual", worst_res < 1e-8,
               f"max residual {worst_res:.3e}")
     )
-    return _report(
-        "genfun", {"q": str(q), "d": d, "order": order, "tol": tol}, seed, cases
-    )
+    return cases
+
+
+def _check_genfun_order(q: Fraction, order: int) -> None:
+    from .numerics import genfun_extraction_radius
+
+    # the 1/r^order rule first, so an order it refuses keeps its message
+    genfun_extraction_radius(q, order)
+    if order > GENFUN_ORDER_MAX:
+        raise ValueError(f"order must be <= {GENFUN_ORDER_MAX} for genfun "
+                         "(its time grows about as order^3)")
 
 
 def suite_all(seed: int = 0, quick: bool = True) -> list:

@@ -10,7 +10,7 @@ import textwrap
 import pytest
 
 from weylharm.cli import main
-from weylharm.verify import ORTHOGONALITY_KMAX
+from weylharm.verify import GENFUN_ORDER_MAX, ORTHOGONALITY_KMAX
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -142,6 +142,24 @@ class TestElementCommands:
             (["verify", "genfun", "--q", "1/1000000", "--order", "120"],
              "order 120 is too large: the scale 1/r^120 at the extraction "
              "radius r = 0.0005 overflows a float"),
+            # orders the 1/r^k rule accepts but whose time grows about as
+            # order^3 (order 175 at q = 1/4 also reached 175! as a float)
+            *[(["verify", "genfun", *extra, "--order", order],
+               f"order must be <= {GENFUN_ORDER_MAX} for genfun "
+               "(its time grows about as order^3)")
+              for extra, order in (([], str(GENFUN_ORDER_MAX + 1)), ([], "1000"),
+                                   (["--q", "1/4"], "175"))],
+            # an exact coefficient, or the generating function at a large d,
+            # leaves the float range below the bound
+            (["verify", "genfun", "--q", "1/1000", "--order", "170"],
+             "d = 2, q = 1/1000, order = 170: the generating function or its "
+             "exact coefficients overflow a float"),
+            (["verify", "genfun", "--d", "1000000000", "--order", "100"],
+             "d = 1000000000, q = 1/2, order = 100: the generating function or "
+             "its exact coefficients overflow a float"),
+            (["verify", "genfun", "--q", "1/4", "--d", "1000000000"],
+             "d = 1000000000, q = 1/4, order = 10: the generating function or "
+             "its exact coefficients overflow a float"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
@@ -164,6 +182,13 @@ class TestElementCommands:
         monkeypatch.setattr(numerics, "orthogonality_stable", stub)
         argv = ["verify", "orthogonality", "--d", "1", "--kmax", str(ORTHOGONALITY_KMAX)]
         assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_genfun_order_bound(self, capsys):
+        # the bound itself is accepted and runs (its coefficient case fails
+        # genuinely there), with 170! still a finite float
+        argv = ["verify", "genfun", "--q", "1/4", "--d", "1", "--order", str(GENFUN_ORDER_MAX)]
+        assert main(argv) == 1
         assert capsys.readouterr().err == ""
 
     def test_exponent_just_below_bound_accepted(self, capsys):

@@ -6,6 +6,9 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
+from weylharm import ordering, poly
 from weylharm import verify as V
 from weylharm.poly import CPolynomial
 from weylharm.scalars import GaussRational
@@ -91,3 +94,118 @@ def test_quick_battery_under_budget():
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     assert reports and all(not V.report_failed(r) for r in reports)
+
+
+MEMOS = (V._sl2_samples, V._intertwine_samples)
+
+
+@pytest.fixture
+def cold_memos():
+    # a memo left warm by another test, or holding a faulty verdict from
+    # this one, must not reach the next test
+    for memo in MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def _battery_calls(monkeypatch, seed, quick):
+    """suite_all's reports, each with the suite call that made it."""
+    calls = []
+    for name in ("suite_sl2", "suite_intertwine", "suite_radial", "suite_harmonics",
+                 "suite_hahn", "suite_orthogonality", "suite_genfun"):
+        def record(*args, _fn=getattr(V, name), **kwargs):
+            report = _fn(*args, **kwargs)
+            calls.append((_fn, args, kwargs, report))
+            return report
+        monkeypatch.setattr(V, name, record)
+    reports = V.suite_all(seed=seed, quick=quick)
+    monkeypatch.undo()
+    assert [report for *_, report in calls] == reports
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_warm_memo_report_equals_cold(monkeypatch, cold_memos, seed, quick):
+    # in suite_all the memos are warm for the second and third q of each d;
+    # each report must equal its suite run alone from cold memos
+    calls = _battery_calls(monkeypatch, seed, quick)
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1
+    assert sum(V._sl2_samples.cache_info()[:2]) == 6  # hits + misses: one per sl2 call
+    assert V._sl2_samples.cache_info().misses == 2  # one per d
+    for fn, args, kwargs, report in calls:
+        for memo in MEMOS:
+            memo.cache_clear()
+        assert fn(*args, **kwargs) == report
+
+
+def test_memo_does_not_hide_a_faulty_operator(monkeypatch, cold_memos):
+    # R + E in place of R breaks [raise,lower] and [grade,raise] on the
+    # polynomial side; the verdicts come from the memo at the second and
+    # third q, so they must carry the fault there too
+    real_r = V.op_R
+    monkeypatch.setattr(V, "op_R", lambda p: real_r(p) + V.op_E(p))
+    reports = V.suite_all(seed=1, quick=True)
+    sl2 = [r for r in reports if r["suite"] == "sl2"]
+    intertwine = [r for r in reports if r["suite"] == "intertwine"]
+    assert len(sl2) == len(intertwine) == 6
+    assert {(r["params"]["d"], r["params"]["q"]) for r in sl2} == {
+        (d, q) for d in (1, 2) for q in ("0", "1/2", "3/4")}
+    for report in sl2:
+        status = {c["id"]: c["status"] for c in report["cases"]}
+        assert status == {
+            "poly:[raise,lower]=-grade": "FAIL",
+            "poly:[grade,raise]=2raise": "FAIL",
+            "poly:[grade,lower]=-2lower": "PASS",
+            "weyl:[raise,lower]=-grade": "PASS",
+            "weyl:[grade,raise]=2raise": "PASS",
+            "weyl:[grade,lower]=-2lower": "PASS",
+        }
+    for report in intertwine:
+        status = {c["id"]: c["status"] for c in report["cases"]}
+        assert status == {"order∘R = R∘order": "FAIL", "order∘L = L∘order": "PASS",
+                          "order∘E = E∘order": "PASS"}
+
+
+def test_battery_work_counts(monkeypatch, cold_memos):
+    # the full battery at seed 1 draws 140 random elements (380 before the
+    # memos), runs the triple kernel 2560 times (3520) and the ordering
+    # closed form 925 times (1141, before the harmonics suite ordered each
+    # basis element once per distinct q)
+    counts = dict.fromkeys(("random_element", "_triple", "_closed_form"), 0)
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def count(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, count)
+
+    counting(V, "random_element")
+    counting(poly, "_triple")
+    counting(ordering, "_triple")
+    counting(ordering, "_closed_form")
+    V.suite_all(seed=1, quick=False)
+    assert counts == {"random_element": 140, "_triple": 2560, "_closed_form": 925}
+
+
+@pytest.mark.parametrize("d, deg, count, seed", [(1, 3, 6, 1), (2, 4, 20, 3), (3, 2, 5, 0)])
+def test_memos_keep_the_draw_order(cold_memos, d, deg, count, seed):
+    # the reports only say PASS or FAIL, so the samples are compared with
+    # the draws of one loop over p then w (sl2) and degree then p (intertwine)
+    rng = random.Random(seed)
+    weyl = []
+    for _ in range(count):
+        V.random_cpoly(rng, d, deg)
+        weyl.append(V.random_weyl(rng, d, deg))
+    assert V._sl2_samples(d, deg, count, seed)[0] == tuple(weyl)
+    rng = random.Random(seed)
+    homogeneous = [V.random_homogeneous_cpoly(rng, d, rng.randint(0, deg))
+                   for _ in range(count)]
+    assert V._intertwine_samples(d, deg, count, seed) == tuple(
+        (p, V.op_R(p), V.op_L(p), V.op_E(p)) for p in homogeneous)
