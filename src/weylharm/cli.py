@@ -19,17 +19,20 @@ output.  Exit status is 0 on success, 1 when a verification case fails,
 2 on bad input, which includes a flag that is not spelled in full, and
 141 (128 + SIGPIPE) with nothing on stderr when the reader closes
 standard output early, as ``| head`` does.
+
+A process enters through `run`, which freezes the collector on its way
+out; `main` has no process-wide effect.  ``json`` and `weylharm.expr` are
+imported only where they are used.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import sys
 from fractions import Fraction
 
-from .expr import format_cpoly, format_weyl, parse_poly, parse_weyl
 from .ordering import OrderingContext, order_q, unorder_q
 from .radial import RadialContext, decompose_weyl, eta, omega_table
 
@@ -117,6 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(payload: dict, as_json: bool, human: str) -> None:
     if as_json:
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         print(human)
@@ -124,6 +129,8 @@ def _emit(payload: dict, as_json: bool, human: str) -> None:
 
 def _print_report(report: dict, as_json: bool) -> None:
     if as_json:
+        import json
+
         print(json.dumps(report, sort_keys=True))
         return
     header = f"suite {report['suite']}  params {report['params']}  seed {report['seed']}"
@@ -164,13 +171,29 @@ def main(argv=None) -> int:
         return EXIT_CLOSED_PIPE
 
 
+def run() -> int:
+    """The process entry point: `main` on ``sys.argv``, then, on every way
+    out (a returned status, or argparse's SystemExit, ``--help`` included),
+    freeze the collector.  Everything the imports built lives until the
+    process ends, and frozen objects are left out of the full collections
+    the interpreter runs at shutdown, which otherwise traverse every one."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 def _dispatch(args) -> int:
     if args.command == "normal-order":
+        from .expr import format_weyl, parse_weyl
+
         w = parse_weyl(args.expression, args.d)
         _emit(w.to_json_dict(), args.json, format_weyl(w))
         return 0
 
     if args.command == "order":
+        from .expr import format_weyl, parse_poly
+
         p = parse_poly(args.expression, args.d)
         ctx = OrderingContext(p.d, args.q)
         w = order_q(ctx, p)
@@ -178,6 +201,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "unorder":
+        from .expr import format_cpoly, parse_weyl
+
         w = parse_weyl(args.expression, args.d)
         ctx = OrderingContext(w.d, args.q)
         p = unorder_q(ctx, w)
@@ -185,6 +210,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "decompose":
+        from .expr import format_cpoly, parse_weyl
+
         w = parse_weyl(args.expression, args.d)
         ctx = RadialContext(w.d, args.q)
         parts = decompose_weyl(ctx, w)
@@ -206,6 +233,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "eta":
+        from .expr import format_weyl
+
         ctx = RadialContext(args.d, args.q)
         w = eta(ctx, args.k)
         _emit(w.to_json_dict(), args.json, format_weyl(w))
@@ -252,4 +281,4 @@ def _run_suite(args) -> list:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

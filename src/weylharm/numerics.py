@@ -162,10 +162,14 @@ def integrate(f, spec: QuadratureSpec) -> float:
 
 
 def unipoly_eval_float(p: UniPoly, x) -> complex:
-    """Horner evaluation of an exact polynomial in floating point."""
-    acc = 0j
-    for c in reversed(p.coeffs):
-        acc = acc * x + complex(c)
+    """Horner evaluation of an exact polynomial in floating point.
+
+    Coefficient k is (_re[k] + _im[k] i)/_den; int / int rounds correctly,
+    so each float equals complex() of the reduced GaussRational, without
+    building it."""
+    den, acc = p._den, 0j
+    for n, m in zip(reversed(p._re), reversed(p._im or (0,) * len(p._re))):
+        acc = acc * x + complex(n / den, m / den)
     return acc
 
 

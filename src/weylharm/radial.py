@@ -66,13 +66,16 @@ class RadialContext(OrderingContext):
 # ---------------------------------------------------------------------------
 
 
-def _chain_level(cache: dict, key, seed: list, step, k: int):
+def _chain_level(cache: dict, key, seed, step, k: int):
     """Level k of the chain memoised as ``cache[key]``.
 
-    A missing chain starts as ``seed``; the chain grows by appending
-    ``step(chain)`` until it has level k, and is never rebuilt.
+    A missing chain starts as the list ``seed()``, built only then; the
+    chain grows by appending ``step(chain)`` until it has level k, and is
+    never rebuilt.
     """
-    chain = cache.setdefault(key, seed)
+    chain = cache.get(key)
+    if chain is None:
+        chain = cache[key] = seed()
     while len(chain) <= k:
         chain.append(step(chain))
     return chain[k]
@@ -85,7 +88,7 @@ def eta(ctx: RadialContext, k: int) -> WeylElement:
     """The k-th iterate of the raising operator on the unit."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _chain_level(_eta_cache, (ctx.d, ctx.q), [WeylElement.one(ctx.d)],
+    return _chain_level(_eta_cache, (ctx.d, ctx.q), lambda: [WeylElement.one(ctx.d)],
                         lambda chain: cal_R(ctx, chain[-1]), k)
 
 
@@ -161,7 +164,7 @@ def omega_by_raising(ctx: RadialContext, k: int) -> UniPoly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _chain_level(_raising_cache, (ctx.d, ctx.q), [UniPoly((GR_ONE,))],
+    return _chain_level(_raising_cache, (ctx.d, ctx.q), lambda: [UP_ONE],
                         lambda chain: apply_Rq_univariate(ctx, chain[-1]), k)
 
 
@@ -185,7 +188,7 @@ def omega(ctx: RadialContext, k: int) -> UniPoly:
         return chain[n]._recur((1 - q) * ctx.d - (2 * q - 1) * n,
                                q * (1 - q) * n * (n + ctx.d - 1), prev)
 
-    return _chain_level(_omega_cache, (ctx.d, ctx.q), [UniPoly((GR_ONE,))], step, k)
+    return _chain_level(_omega_cache, (ctx.d, ctx.q), lambda: [UP_ONE], step, k)
 
 
 def omega_table(d: int, q: Fraction, k_max: int) -> list:
@@ -313,13 +316,12 @@ def g_poly_symmetric(d: int, k: int) -> UniPoly:
     """
     if d < 1 or k < 0:
         raise ValueError("need d >= 1 and k >= 0")
-    lam = UniPoly.x()
 
     def step(chain):
         n = len(chain) - 2  # recurrence index: computing g_{n+2}
-        return (lam * chain[n + 1] - chain[n] * (n + d)) / Fraction(n + 2)
+        return (UniPoly.x() * chain[n + 1] - chain[n] * (n + d)) / Fraction(n + 2)
 
-    return _chain_level(_g_cache, d, [UniPoly((GR_ONE,)), UniPoly.x()], step, k)
+    return _chain_level(_g_cache, d, lambda: [UP_ONE, UniPoly.x()], step, k)
 
 
 def check_fg_recurrence(ctx: RadialContext, k_max: int) -> bool:

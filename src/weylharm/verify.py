@@ -368,8 +368,8 @@ def suite_harmonics(
         )
     )
 
-    ok_member = True
-    for q1, _ in HARMONIC_Q_PAIRS:
+    ok_member = True  # each distinct first q once; the pairs repeat q = 0
+    for q1 in dict.fromkeys(q1 for q1, _ in HARMONIC_Q_PAIRS):
         for ordered in images[q1]:
             for w in ordered[:3]:
                 ok_member &= is_harmonic(w)

@@ -1,5 +1,6 @@
 """Command surface: subcommands, exit codes, deterministic JSON reports."""
 
+import gc
 import hashlib
 import json
 import os
@@ -280,6 +281,91 @@ class TestElementCommands:
         report = json.loads(proc.stdout.splitlines()[-1])
         assert report["suite"] == "sl2"
         assert all(case["status"] == "PASS" for case in report["cases"])
+
+
+def cold_call(*args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, **kwargs)
+
+
+class TestEntryPoint:
+    """`run` is the process entry: `main`, then gc.freeze() on every way
+    out.  `main` itself changes nothing process-wide."""
+
+    @pytest.mark.parametrize("argv", [
+        ["omega", "--d", "1", "--q", "1/2", "--kmax", "3"],
+        ["eta", "--d", "0", "--q", "1/2", "--k", "2"],
+        ["--help"],
+        ["order", "z1", "--q", "1/2", "--bogus"],
+    ])
+    def test_main_leaves_collector_unfrozen(self, capsys, argv):
+        before = gc.get_freeze_count()
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    def test_run_freezes_on_every_way_out(self):
+        script = textwrap.dedent("""
+            import gc
+            import sys
+            from weylharm.cli import run
+
+            for argv, expected in ((["omega", "--q", "0", "--kmax", "2"], 0),
+                                   (["eta", "--d", "0", "--q", "1/2", "--k", "2"], 2),
+                                   (["--help"], 0),
+                                   (["omega", "--kmax", "2"], 2)):
+                gc.unfreeze()
+                sys.argv = ["weylharm", *argv]
+                try:
+                    code = run()
+                except SystemExit as exc:
+                    code = exc.code
+                assert code == expected, (argv, code)
+                assert gc.get_freeze_count() > 0, argv
+        """)
+        proc = cold_call("-c", script)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["omega", "--d", "2", "--q", "1/3", "--kmax", "4"], []),
+        (["verify", "sl2", "--d", "1", "--count", "2", "--deg", "2"], []),
+        (["omega", "--d", "2", "--q", "1/3", "--kmax", "4", "--json"], ["json"]),
+        (["eta", "--d", "2", "--q", "1/3", "--k", "2"], ["weylharm.expr"]),
+    ], ids=["omega", "verify-sl2", "omega-json", "eta"])
+    def test_cold_call_loads_json_and_expr_only_when_used(self, argv, loaded):
+        script = textwrap.dedent("""
+            import sys
+            import weylharm.cli as cli
+
+            assert cli.main(sys.argv[1:]) == 0
+            print([m for m in ("json", "weylharm.expr") if m in sys.modules])
+        """)
+        proc = cold_call("-c", script, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+    @pytest.mark.parametrize("argv, code, err_lines", [
+        (["omega", "--d", "2", "--q", "1/3", "--kmax", "4"], 0, 0),
+        (["eta", "--d", "0", "--q", "1/2", "--k", "2"], 2, 1),
+        (["omega", "--k", "3", "--q", "0"], 2, 1),
+        (["--help"], 0, 0),
+    ], ids=["pass", "bad-value", "usage-error", "help"])
+    def test_module_exit_status(self, capsys, monkeypatch, argv, code, err_lines):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width in both
+        proc = cold_call("-m", "weylharm.cli", *argv)
+        assert proc.returncode == code
+        lines = proc.stderr.splitlines()
+        assert len(lines) == err_lines
+        assert all(line.startswith("weylharm") and ": error: " in line for line in lines)
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert proc.stdout == capsys.readouterr().out
 
 
 class TestClosedPipe:

@@ -378,6 +378,30 @@ def test_exact_float_bridge():
     assert exact_float_bridge_error(ctx, 6, pts) < 1e-12
 
 
+def test_float_evaluation_matches_gauss_rational_route():
+    # Horner on the stored numerators gives the floats of Horner on
+    # complex(GaussRational) coefficients bit for bit: int / int rounds
+    # correctly, so the unreduced numerator over the common denominator
+    # rounds to the same float as the reduced coefficient
+    from weylharm.specfun import continuous_hahn_poly
+
+    polys = [g_poly_symmetric(d, k) for d in (1, 3) for k in range(0, 25, 4)]
+    polys += [omega_by_raising(RadialContext(d, q), k)
+              for d, q in ((1, Fraction(1, 3)), (2, Fraction(-2, 7)))
+              for k in range(0, 13, 3)]
+    # a != c: complex coefficients from k = 1 on
+    polys += [continuous_hahn_poly(k, Fraction(1, 2), Fraction(1, 3),
+                                   Fraction(1, 5), Fraction(1, 3)) for k in range(8)]
+    assert any(p._im for p in polys)
+    points = [0.0, 1.0, -2.5, 1 / 3, 7.25, 0.1 + 0.7j]
+    for p in polys:
+        for x in points:
+            expected = 0j
+            for c in reversed(p.coeffs):
+                expected = expected * x + complex(c)
+            assert repr(unipoly_eval_float(p, x)) == repr(expected), (p, x)
+
+
 def test_float_layer_runs_without_numpy():
     # the float suites need nothing outside the standard library: with
     # numpy blocked, the battery and both float verbs still pass

@@ -30,7 +30,7 @@ from weylharm.radial import (
 )
 from weylharm.scalars import GR_ONE, GaussRational, UniPoly
 from weylharm.verify import Q_GRID, random_weyl
-from weylharm.weyl import NormalMonomial, WeylElement, number_operator, weyl_mul
+from weylharm.weyl import NormalMonomial, TermMap, WeylElement, number_operator, weyl_mul
 
 T = UniPoly.x()
 RAISING_CONTEXTS = [(1, Fraction(1, 3)), (2, Fraction(1, 3)), (2, Fraction(2, 3))]
@@ -139,6 +139,23 @@ class TestEta:
         with pytest.raises(TypeError):
             eta(ctx, 2).terms[next(iter(before))] = GR_ONE
         assert dict(eta(ctx, 2).terms) == before != {}
+
+    def test_cached_level_builds_nothing(self, monkeypatch):
+        # a lookup of a level already in the chain builds no map, not even
+        # the seed a missing chain would start from
+        ctx = RadialContext(2, Fraction(2, 9))
+        first = eta(ctx, 3)
+        built = []
+        wrap = TermMap._wrap.__func__
+
+        def counting_wrap(cls, *args):
+            built.append(cls)
+            return wrap(cls, *args)
+
+        monkeypatch.setattr(TermMap, "_wrap", classmethod(counting_wrap))
+        assert eta(ctx, 3) is first
+        assert eta(ctx, 0) == WeylElement.one(2)
+        assert built == [WeylElement]  # the one() of the line above
 
 
 class TestExpressInN:
