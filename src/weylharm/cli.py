@@ -21,8 +21,8 @@ output.  Exit status is 0 on success, 1 when a verification case fails,
 standard output early, as ``| head`` does.
 
 A process enters through `run`, which freezes the collector on its way
-out; `main` has no process-wide effect.  ``json`` and `weylharm.expr` are
-imported only where they are used.
+out; `main` has no process-wide effect.  A call builds only the rendering
+it prints, and imports ``json`` and `weylharm.expr` only where it uses them.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import sys
 from fractions import Fraction
 
 from .ordering import OrderingContext, order_q, unorder_q
+from .poly import CPolynomial
 from .radial import RadialContext, decompose_weyl, eta, omega_table
 
 EXIT_CLOSED_PIPE = 141  # what a shell reports for a process SIGPIPE ended
@@ -118,33 +119,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, as_json: bool, human: str) -> None:
+def _print(as_json: bool, payload, text) -> None:
+    """Print ``payload()`` as JSON or ``text()``; only that one is called."""
     if as_json:
         import json
 
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     else:
-        print(human)
+        print(text())
 
 
-def _print_report(report: dict, as_json: bool) -> None:
-    if as_json:
-        import json
-
-        print(json.dumps(report, sort_keys=True))
-        return
-    header = f"suite {report['suite']}  params {report['params']}  seed {report['seed']}"
-    print(header)
+def _report_text(report: dict) -> str:
     width = max((len(c["id"]) for c in report["cases"]), default=10)
+    lines = [f"suite {report['suite']}  params {report['params']}  seed {report['seed']}"]
     for case in report["cases"]:
-        line = f"  [{case['status']}] {case['id']:<{width}}"
-        if case["detail"]:
-            line += f"  {case['detail']}"
-        print(line)
+        detail = f"  {case['detail']}" if case["detail"] else ""
+        lines.append(f"  [{case['status']}] {case['id']:<{width}}{detail}")
     if "table" in report:
-        print("  k : coefficients (ascending degree)")
-        for row in report["table"]:
-            print(f"  {row['k']:>2} : {', '.join(row['coeffs'])}")
+        lines.append("  k : coefficients (ascending degree)")
+        lines += [f"  {row['k']:>2} : {', '.join(row['coeffs'])}"
+                  for row in report["table"]]
+    return "\n".join(lines)
+
+
+def _text(x) -> str:
+    """The printed form of a polynomial or a Weyl element."""
+    from . import expr
+
+    return (expr.format_cpoly if isinstance(x, CPolynomial) else expr.format_weyl)(x)
 
 
 def main(argv=None) -> int:
@@ -184,72 +186,44 @@ def run() -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "normal-order":
-        from .expr import format_weyl, parse_weyl
+    if args.command == "verify":
+        # the battery is imported here only, so the exact verbs never load it
+        from .verify import report_failed
 
-        w = parse_weyl(args.expression, args.d)
-        _emit(w.to_json_dict(), args.json, format_weyl(w))
-        return 0
-
-    if args.command == "order":
-        from .expr import format_weyl, parse_poly
-
-        p = parse_poly(args.expression, args.d)
-        ctx = OrderingContext(p.d, args.q)
-        w = order_q(ctx, p)
-        _emit(w.to_json_dict(), args.json, format_weyl(w))
-        return 0
-
-    if args.command == "unorder":
-        from .expr import format_cpoly, parse_weyl
-
-        w = parse_weyl(args.expression, args.d)
-        ctx = OrderingContext(w.d, args.q)
-        p = unorder_q(ctx, w)
-        _emit(p.to_json_dict(), args.json, format_cpoly(p))
-        return 0
-
-    if args.command == "decompose":
-        from .expr import format_cpoly, parse_weyl
-
-        w = parse_weyl(args.expression, args.d)
-        ctx = RadialContext(w.d, args.q)
-        parts = decompose_weyl(ctx, w)
-        payload = {
-            "d": w.d,
-            "q": str(args.q),
-            "parts": [{"k": k, "harmonic": h.to_json_dict()} for k, h in parts],
-        }
-        human = "\n".join(f"k={k}: {format_cpoly(h)}" for k, h in parts) or "0"
-        _emit(payload, args.json, human)
-        return 0
+        reports = _run_suite(args)
+        for report in reports:
+            _print(args.json, lambda: report, lambda: _report_text(report))
+        return 1 if any(map(report_failed, reports)) else 0
 
     if args.command == "omega":
         table = omega_table(args.d, args.q, args.kmax)
-        payload = {"d": args.d, "q": str(args.q), "omegas": table}
-        lines = [" k : coefficients (ascending degree)"]
-        lines += [f"{row['k']:>2} : {', '.join(row['coeffs'])}" for row in table]
-        _emit(payload, args.json, "\n".join(lines))
+        _print(args.json, lambda: {"d": args.d, "q": str(args.q), "omegas": table},
+               lambda: "\n".join([" k : coefficients (ascending degree)"] + [
+                   f"{row['k']:>2} : {', '.join(row['coeffs'])}" for row in table]))
         return 0
 
     if args.command == "eta":
-        from .expr import format_weyl
+        x = eta(RadialContext(args.d, args.q), args.k)
+    elif args.command == "order":
+        from .expr import parse_poly
 
-        ctx = RadialContext(args.d, args.q)
-        w = eta(ctx, args.k)
-        _emit(w.to_json_dict(), args.json, format_weyl(w))
-        return 0
+        p = parse_poly(args.expression, args.d)
+        x = order_q(OrderingContext(p.d, args.q), p)
+    else:
+        from .expr import parse_weyl
 
-    # verify; the battery is imported here only, so the exact verbs above
-    # never load it
-    from .verify import report_failed
-
-    reports = _run_suite(args)
-    failed = False
-    for report in reports:
-        _print_report(report, args.json)
-        failed |= report_failed(report)
-    return 1 if failed else 0
+        x = parse_weyl(args.expression, args.d)
+        if args.command == "unorder":
+            x = unorder_q(OrderingContext(x.d, args.q), x)
+        elif args.command == "decompose":
+            parts = decompose_weyl(RadialContext(x.d, args.q), x)
+            _print(args.json,
+                   lambda: {"d": x.d, "q": str(args.q), "parts": [
+                       {"k": k, "harmonic": h.to_json_dict()} for k, h in parts]},
+                   lambda: "\n".join(f"k={k}: {_text(h)}" for k, h in parts) or "0")
+            return 0
+    _print(args.json, x.to_json_dict, lambda: _text(x))
+    return 0
 
 
 def _run_suite(args) -> list:

@@ -17,7 +17,8 @@ one int add: R and L add or subtract a mode's step, a contraction
 subtracts an offset, a Weyl product key is k1 + k2 - offset.  Fields never
 carry, since exponents stay below EXPONENT_BOUND = 2^31: larger ones are
 refused on entry, and so are products in which the two factors' largest
-exponents in some field sum to it and raisings that would reach it.
+exponents in some field sum to it, powers that would reach it (before
+any product) and raisings that would reach it.
 
 The coefficients are stored as FLINT's ``fmpq_mpoly`` stores them: one
 int denominator per map and, per key, a list [re, im] holding the
@@ -339,6 +340,15 @@ class TermMap:
         return NotImplemented
 
     def __pow__(self, n: int):
+        # Each field's largest exponent in x^n is n times that in x (the
+        # leading parts multiply as in the polynomial ring, and contractions
+        # only lower exponents), so this refuses exactly the powers whose
+        # last product `_check_product` would refuse, before any product.
+        if isinstance(n, int) and n > 1 and self._terms:
+            top = max(_field_max(self))
+            if n * top >= EXPONENT_BOUND:
+                raise ValueError(f"power {n} of an element with exponent {top} would "
+                                 f"reach the exponent bound 2^{FIELD_BITS - 1}")
         return _power(self, n, self.one(self.d))
 
     # -- serialization --------------------------------------------------------

@@ -64,6 +64,30 @@ class TestElementCommands:
         assert code == 0
         assert out.strip() == "c1*a1 + 1/2"
 
+    @pytest.mark.parametrize("argv", [
+        ["normal-order", "(a1+c1)^3*a2"],
+        ["order", "(z1+zb1)^3", "--q", "1/3"],
+        ["unorder", "(a1+c1)^3", "--q", "1/3"],
+        ["decompose", "c1^2*a1^2", "--q", "1/2"],
+        ["eta", "--d", "2", "--q", "1/4", "--k", "2"],
+    ])
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    def test_only_the_printed_rendering_is_built(self, capsys, monkeypatch, argv,
+                                                 as_json):
+        import weylharm.expr as expr
+        from weylharm.weyl import TermMap
+
+        def unused(*args):
+            raise AssertionError("a rendering that is not printed was built")
+
+        if as_json:
+            monkeypatch.setattr(expr, "format_weyl", unused)
+            monkeypatch.setattr(expr, "format_cpoly", unused)
+        else:
+            monkeypatch.setattr(TermMap, "to_json_dict", unused)
+        assert main(argv + ["--json"] * as_json) == 0
+        assert capsys.readouterr().out
+
     def test_bad_rational_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["order", "z1", "--q", "0.5"])
@@ -115,9 +139,10 @@ class TestElementCommands:
             (["verify", "orthogonality", "--d", "1", "--kmax", str(ORTHOGONALITY_KMAX + 1)],
              f"k_max must be <= {ORTHOGONALITY_KMAX} for orthogonality "
              "(its time grows as k_max^3)"),
-            # exponents stay below 2^31, the bound of the packed keys
+            # exponents stay below 2^31, the bound of the packed keys; a
+            # power is refused before its first product
             (["normal-order", "--d", "1", "--", "c1^2147483648"],
-             "product of degrees 1073741824 and 1073741824 would reach the "
+             "power 2147483648 of an element with exponent 1 would reach the "
              "exponent bound 2^31"),
             (["normal-order", "--", "c1^1073741824 * c1^1073741824"],
              "product of degrees 1073741824 and 1073741824 would reach the "
@@ -191,6 +216,29 @@ class TestElementCommands:
         argv = ["verify", "genfun", "--q", "1/4", "--d", "1", "--order", str(GENFUN_ORDER_MAX)]
         assert main(argv) == 1
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["normal-order", "--d", "1", "--", "(a1+c1)^3000000000"],
+        ["order", "--q", "1/2", "--", "(z1+zb1)^3000000000"],
+        ["normal-order", "--", "a1^3000000000"],
+    ])
+    def test_power_past_bound_refused_before_any_product(self, capsys, monkeypatch,
+                                                         argv):
+        # squaring toward these powers runs for minutes before a product
+        # reaches the bound, so none may be taken
+        import weylharm.poly as poly
+        import weylharm.weyl as weyl
+
+        def no_product(*args):
+            raise AssertionError("a product was taken")
+
+        monkeypatch.setattr(weyl, "_mul_terms", no_product)
+        monkeypatch.setattr(poly, "_mul_terms", no_product)
+        assert main(argv) == 2
+        exponent = argv[-1].rpartition("^")[2]
+        assert capsys.readouterr().err == (
+            f"weylharm: error: power {exponent} of an element with exponent 1 "
+            "would reach the exponent bound 2^31\n")
 
     def test_exponent_just_below_bound_accepted(self, capsys):
         code, out = run_cli(capsys, "normal-order", "--",
@@ -335,7 +383,8 @@ class TestEntryPoint:
         (["verify", "sl2", "--d", "1", "--count", "2", "--deg", "2"], []),
         (["omega", "--d", "2", "--q", "1/3", "--kmax", "4", "--json"], ["json"]),
         (["eta", "--d", "2", "--q", "1/3", "--k", "2"], ["weylharm.expr"]),
-    ], ids=["omega", "verify-sl2", "omega-json", "eta"])
+        (["eta", "--d", "2", "--q", "1/3", "--k", "2", "--json"], ["json"]),
+    ], ids=["omega", "verify-sl2", "omega-json", "eta", "eta-json"])
     def test_cold_call_loads_json_and_expr_only_when_used(self, argv, loaded):
         script = textwrap.dedent("""
             import sys
@@ -526,7 +575,16 @@ class TestExactOutputPinned:
          "fc5019787f0495b7dbcd830cdc072f1b957447cb67643bd56c6314153fe5032c"),
         (["omega", "--d", "3", "--q=2/7", "--kmax", "60", "--json"],
          "8265168c519431bb6c2f87dbf9ad090fc183785a1660d50e10f89f0b005e1d8a"),
-    ], ids=["verify-all-seed-1", "omega-d3-q2/7"])
+        (["verify", "all", "--seed", "1"],
+         "ea07af8f8dc1afcdba462b5971bf01fda70499d80946b8e03639ac690f273f4d"),
+        (["omega", "--d", "3", "--q=2/7", "--kmax", "60"],
+         "44cc3f800ebad8eb6d86b2dbff12ea6e3ce706ea12660ef9a7bf2bcf4942ce79"),
+        (["eta", "--d", "2", "--q=1/4", "--k", "3"],
+         "3086d9dcf51539e2feacbd103803b7eb054e5c0c63918547dca60ec72e4dd7e0"),
+        (["eta", "--d", "2", "--q=1/4", "--k", "3", "--json"],
+         "e57a40e034f85c61956fa1dbcbea5dbfeb0e752a289449762ba8754f0702392c"),
+    ], ids=["verify-all-seed-1", "omega-d3-q2/7", "verify-all-seed-1-text",
+            "omega-d3-q2/7-text", "eta-d2-q1/4-text", "eta-d2-q1/4"])
     def test_output_digest(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv)
         assert code == 0
