@@ -67,6 +67,7 @@ from .weyl import (
     ModeMismatchError,
     NormalMonomial,
     WeylElement,
+    clear_caches,
     commutator,
     number_operator,
     weyl_mul,
@@ -95,6 +96,7 @@ __all__ = [
     "cal_R",
     "check_difference_equation",
     "check_fg_recurrence",
+    "clear_caches",
     "commutator",
     "continuous_hahn_poly",
     "decompose_weyl",

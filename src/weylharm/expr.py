@@ -17,12 +17,18 @@ generator), and the operators combine elements in written order.  Weyl
 products are therefore normal-ordered as they are formed, and printing a
 parsed expression yields its canonical form.  Errors are reported in
 reading order: the first bad token or foreign generator is the one named.
+Input whose integers could not be printed is refused before any arithmetic:
+a run of digits longer than `sys.get_int_max_str_digits` allows, and a
+power one of whose coefficients would be that long.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from math import log2
+from string import ascii_letters
 from typing import NamedTuple
 
 from .poly import CPolynomial
@@ -54,6 +60,7 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str) -> list:
+    limit = sys.get_int_max_str_digits()
     tokens = []
     pos = 0
     while pos < len(text):
@@ -65,7 +72,12 @@ def tokenize(text: str) -> list:
             raise ParseError(f"unexpected character {stripped[0]!r}", pos)
         if m.lastgroup is None:
             break
-        tokens.append(Token(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        tok = Token(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
+        digits = len(tok.text.lstrip(ascii_letters))  # of an integer or a variable index
+        if limit and digits > limit:
+            raise ParseError(f"integer of {digits} digits is longer than {limit} digits",
+                             tok.position)
+        tokens.append(tok)
         pos = m.end()
     tokens.append(Token("end", "", len(text)))
     return tokens
@@ -132,7 +144,9 @@ class _Parser:
         value = self.atom()
         if self.accept("^"):
             etok = self.expect_int("exponent must be a nonnegative integer")
-            return value ** int(etok.text)
+            n = int(etok.text)
+            _check_power_digits(value, n, etok.position)
+            return value ** n
         return value
 
     def atom(self):
@@ -164,6 +178,27 @@ class _Parser:
                 raise ParseError("expected ')'", self.tokens[self.pos].position)
             return value
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.position)
+
+
+def _check_power_digits(x, n: int, position: int) -> None:
+    """Refuse x^n if some coefficient of it would have more decimal digits
+    than `sys.get_int_max_str_digits` allows (no limit when it is 0).
+
+    Products add packed keys and contractions only lower them, so the
+    largest key of x^n is n times that of x, with coefficient c^n for c
+    the coefficient there.  A nonzero part of c^n has a numerator of at
+    least |c|^n / sqrt 2 (|c| > 1) or a denominator of at least |c|^-n
+    (|c| < 1): at least n |log2 |c|| - 1/2 bits.  So a refused power could
+    not have been printed.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not (limit and n > 1 and x._terms):
+        return
+    real, imag = x._terms[max(x._terms)]
+    bits = n * abs(log2(real * real + imag * imag) / 2 - log2(x._den)) - 0.5
+    if bits > limit * log2(10):
+        raise ParseError(f"power {n} would have a coefficient of more than {limit} digits",
+                         position)
 
 
 def parse_poly(text: str, d: int | None = None) -> CPolynomial:

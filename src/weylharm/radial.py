@@ -12,13 +12,15 @@ Quantities involving the irrational scale alpha = (q(1-q))^(-1/2) are
 never materialized: identities containing alpha are verified after
 pulling them back to Q with alpha^2 = 1/(q(1-q)).
 
-Four chains are memoised for the life of the process, each grown on
-demand by one helper (`_chain_level`) and never rebuilt: `eta`, `omega`
-and `omega_by_raising` per (d, q), and per d the symmetric family
-`g_poly_symmetric`.  The three UniPoly chains hold only immutable values,
-so handing out a cached level cannot change a later result.  The
-WeylElements of `eta` expose their `terms` as read-only
-`MappingProxyType`s, so they cannot be changed either.
+Four chains are memoised, each the list of levels returned by an
+unbounded `weyl._memo` seed function: `eta`, `omega` and
+`omega_by_raising` per (d, q), and per d the symmetric family
+`g_poly_symmetric`.  Each route appends the missing levels to its list
+in place and never rebuilds it; `weylharm.clear_caches` drops them all.
+The three UniPoly chains hold only immutable values, so handing out a
+cached level cannot change a later result.  The WeylElements of `eta`
+expose their `terms` as read-only `MappingProxyType`s, so they cannot be
+changed either.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .ordering import OrderingContext, cal_R, order_q, unorder_q
 from .poly import harmonic_decompose
 from .scalars import GR_ONE, UP_ONE, GaussRational, UniPoly
 from .specfun import hyp2F1_terminating_poly, pochhammer
-from .weyl import WeylElement, _layout
+from .weyl import WeylElement, _layout, _memo
 
 
 class NotRadialError(ValueError):
@@ -66,30 +68,19 @@ class RadialContext(OrderingContext):
 # ---------------------------------------------------------------------------
 
 
-def _chain_level(cache: dict, key, seed, step, k: int):
-    """Level k of the chain memoised as ``cache[key]``.
-
-    A missing chain starts as the list ``seed()``, built only then; the
-    chain grows by appending ``step(chain)`` until it has level k, and is
-    never rebuilt.
-    """
-    chain = cache.get(key)
-    if chain is None:
-        chain = cache[key] = seed()
-    while len(chain) <= k:
-        chain.append(step(chain))
-    return chain[k]
-
-
-_eta_cache: dict = {}
+@_memo()
+def _eta_chain(d: int, q: Fraction) -> list:
+    return [WeylElement.one(d)]
 
 
 def eta(ctx: RadialContext, k: int) -> WeylElement:
     """The k-th iterate of the raising operator on the unit."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _chain_level(_eta_cache, (ctx.d, ctx.q), lambda: [WeylElement.one(ctx.d)],
-                        lambda chain: cal_R(ctx, chain[-1]), k)
+    chain = _eta_chain(ctx.d, ctx.q)
+    while len(chain) <= k:
+        chain.append(cal_R(ctx, chain[-1]))
+    return chain[k]
 
 
 def express_in_N(w: WeylElement) -> UniPoly:
@@ -153,7 +144,9 @@ def apply_Rq_univariate(ctx: RadialContext, p: UniPoly) -> UniPoly:
     return out
 
 
-_raising_cache: dict = {}
+@_memo()
+def _raising_chain(d: int, q: Fraction) -> list:
+    return [UP_ONE]
 
 
 def omega_by_raising(ctx: RadialContext, k: int) -> UniPoly:
@@ -164,11 +157,15 @@ def omega_by_raising(ctx: RadialContext, k: int) -> UniPoly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _chain_level(_raising_cache, (ctx.d, ctx.q), lambda: [UP_ONE],
-                        lambda chain: apply_Rq_univariate(ctx, chain[-1]), k)
+    chain = _raising_chain(ctx.d, ctx.q)
+    while len(chain) <= k:
+        chain.append(apply_Rq_univariate(ctx, chain[-1]))
+    return chain[k]
 
 
-_omega_cache: dict = {}
+@_memo()
+def _omega_chain(d: int, q: Fraction) -> list:
+    return [UP_ONE]
 
 
 def omega(ctx: RadialContext, k: int) -> UniPoly:
@@ -180,15 +177,13 @@ def omega(ctx: RadialContext, k: int) -> UniPoly:
     with omega_0 = 1 (and omega_{-1} = 0)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    q = ctx.q
-
-    def step(chain):
-        n = len(chain) - 1
+    d, q = ctx.d, ctx.q
+    chain = _omega_chain(d, q)
+    for n in range(len(chain) - 1, k):  # computing omega_{n+1}
         prev = chain[n - 1] if n >= 1 else UniPoly()
-        return chain[n]._recur((1 - q) * ctx.d - (2 * q - 1) * n,
-                               q * (1 - q) * n * (n + ctx.d - 1), prev)
-
-    return _chain_level(_omega_cache, (ctx.d, ctx.q), lambda: [UP_ONE], step, k)
+        chain.append(chain[n]._recur((1 - q) * d - (2 * q - 1) * n,
+                                     q * (1 - q) * n * (n + d - 1), prev))
+    return chain[k]
 
 
 def omega_table(d: int, q: Fraction, k_max: int) -> list:
@@ -306,7 +301,9 @@ def nonorthogonality_certificate(ctx: RadialContext, k: int) -> GaussRational:
 # The renormalized symmetric family g_k
 # ---------------------------------------------------------------------------
 
-_g_cache: dict = {}
+@_memo()
+def _g_chain(d: int) -> list:
+    return [UP_ONE, UniPoly.x()]
 
 
 def g_poly_symmetric(d: int, k: int) -> UniPoly:
@@ -316,12 +313,10 @@ def g_poly_symmetric(d: int, k: int) -> UniPoly:
     """
     if d < 1 or k < 0:
         raise ValueError("need d >= 1 and k >= 0")
-
-    def step(chain):
-        n = len(chain) - 2  # recurrence index: computing g_{n+2}
-        return (UniPoly.x() * chain[n + 1] - chain[n] * (n + d)) / Fraction(n + 2)
-
-    return _chain_level(_g_cache, d, lambda: [UP_ONE, UniPoly.x()], step, k)
+    chain = _g_chain(d)
+    for n in range(len(chain) - 2, k - 1):  # computing g_{n+2}
+        chain.append((UniPoly.x() * chain[n + 1] - chain[n] * (n + d)) / Fraction(n + 2))
+    return chain[k]
 
 
 def check_fg_recurrence(ctx: RadialContext, k_max: int) -> bool:

@@ -18,9 +18,9 @@ and calls that differ only in q share it:
 - `_intertwine_samples` holds intertwine's seeded homogeneous samples and
   their images under R, L and E.
 
-Each is a `functools.lru_cache` keyed by ``(d, deg, count, seed)`` and
-bounded to one entry, so `suite_all`'s loop (d outside, q inside) computes
-each once per d, and memory stays that of one suite call.  The values are
+Each is a `weyl._memo` keyed by ``(d, deg, count, seed)`` and bounded to
+one entry, so `suite_all`'s loop (d outside, q inside) computes each once
+per d, and memory stays that of one suite call.  The values are
 tuples of immutable term maps.  Within one call, `suite_harmonics` orders
 each basis element once per distinct q of `HARMONIC_Q_PAIRS`.
 """
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, isfinite
 
 from . import linalg
@@ -69,7 +68,7 @@ from .specfun import (
     meixner_pollaczek_poly,
     pochhammer,
 )
-from .weyl import TermMap, WeylElement, compositions
+from .weyl import TermMap, WeylElement, _memo, compositions
 
 Q_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 # the ordering-parameter pairs whose harmonics the harmonics suite compares
@@ -174,7 +173,7 @@ def _check_tol(tol: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
+@_memo(1)
 def _sl2_samples(d: int, deg: int, count: int, seed: int) -> tuple:
     """suite_sl2's Weyl samples, and its verdicts on the three relations
     over its polynomial samples.  Each round draws p, then w; neither the
@@ -192,7 +191,7 @@ def _sl2_samples(d: int, deg: int, count: int, seed: int) -> tuple:
     return tuple(samples), tuple(ok)
 
 
-@lru_cache(maxsize=1)
+@_memo(1)
 def _intertwine_samples(d: int, deg: int, count: int, seed: int) -> tuple:
     """suite_intertwine's homogeneous samples, each with its images under
     R, L and E, as (p, R p, L p, E p)."""
@@ -504,7 +503,9 @@ def suite_genfun(
 
 def _genfun_cases(q: Fraction, d: int, order: int, tol: float) -> list:
     from .numerics import (
+        BRANCH_GUARD,
         genfun_ode_residual,
+        genfun_singularity_radius,
         genfun_taylor_coefficients,
         unipoly_eval_float,
     )
@@ -543,10 +544,16 @@ def _genfun_cases(q: Fraction, d: int, order: int, tol: float) -> list:
                   "imaginary line", worst < max(tol, 1e-9),
                   f"max err {worst:.3e}, order <= {order}")
         )
+    # the stencil reaches |s| = 0.1 + 2 step; inside a smaller branch-point
+    # radius R, points and step are scaled by 5R, so the largest is R/2
+    points, step = (0.05, 0.1, -0.08), 1e-3
+    radius = genfun_singularity_radius(q)
+    if 0.1 + 2 * step >= BRANCH_GUARD * radius:
+        points, step = tuple(5 * radius * s for s in points), 5 * radius * step
     worst_res = 0.0
-    for s in (0.05, 0.1, -0.08):
+    for s in points:
         for lam in (0.3, 1.0):
-            worst_res = max(worst_res, abs(genfun_ode_residual(q, d, lam, s)))
+            worst_res = max(worst_res, abs(genfun_ode_residual(q, d, lam, s, step)))
     cases.append(
         _case("first-order ODE residual", worst_res < 1e-8,
               f"max residual {worst_res:.3e}")

@@ -27,6 +27,9 @@ ordering map, the triple) reads those ints, accumulates fresh lists and
 hands them to `TermMap._wrap`, which takes one gcd per result and owns
 them from then on; a GaussRational is built only where a coefficient is
 read (``terms``, ``coefficient``, JSON, pickling).
+
+Every memo of the package is a `functools.lru_cache` made by `_memo`,
+which registers it, so `clear_caches` empties them all in one call.
 """
 
 from __future__ import annotations
@@ -75,6 +78,26 @@ def check_exponents(*vectors) -> None:
                              f"2^{FIELD_BITS - 1}, got {tuple(vec)}")
 
 
+_MEMOS: list = []
+
+
+def _memo(maxsize=None):
+    """Decorator: memoise with ``lru_cache(maxsize)`` and register the
+    wrapper for `clear_caches`."""
+    def register(fn):
+        _MEMOS.append(memo := lru_cache(maxsize)(fn))
+        return memo
+    return register
+
+
+def clear_caches() -> None:
+    """Empty every memo of the package: the packed layouts, the
+    contraction kernel, the radial chains and the battery's samples.
+    Values and outputs do not change; the memos refill on demand."""
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
 class _Layout:
     """Packed keys over d modes: field j holds alpha[j], field d + j beta[j].
 
@@ -107,7 +130,7 @@ class _Layout:
         return sum(self.fields(k))
 
 
-_layout = lru_cache(maxsize=None)(_Layout)
+_layout = _memo()(_Layout)
 
 
 def _check_mode(d: int, j: int):
@@ -410,7 +433,7 @@ class WeylElement(TermMap):
         return f"<WeylElement d={self.d}: {format_weyl(self)}>"
 
 
-@lru_cache(maxsize=None)
+@_memo()
 def contractions(ann: int, cre: int, d: int) -> tuple:
     """Wick expansion of a^ann (a+)^cre, the one contraction primitive.
 

@@ -245,6 +245,65 @@ class TestElementCommands:
                             "c1^1073741824 * c1^1073741823")
         assert code == 0 and out.strip() == "c1^2147483647"
 
+    @pytest.fixture
+    def digit_limit(self):
+        # the interpreter's limit on printed digits, pinned to its default
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield 4300
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("argv, message", [
+        # |c|^n with c the coefficient at the largest key bounds some part
+        # of the result below: 2^14300 would have 4305 digits
+        (["normal-order", "--d", "1", "--", "2^10000000"], "power 10000000 {} (at position 2)"),
+        (["normal-order", "--d", "1", "--", "(1+i)^1000000"], "power 1000000 {} (at position 6)"),
+        (["normal-order", "--d", "1", "--", "(2*c1)^20000"], "power 20000 {} (at position 7)"),
+        (["normal-order", "--d", "1", "--", "2^3000000000"], "power 3000000000 {} (at position 2)"),
+        (["normal-order", "--", "(1/2*a1 + 1/3*c1)^9100"], "power 9100 {} (at position 18)"),
+        (["order", "--q", "1/2", "--", "(z1 + 3*zb1)^9100"], "power 9100 {} (at position 13)"),
+        (["normal-order", "--", "2^14300"], "power 14300 {} (at position 2)"),
+        (["normal-order", "--", "1" * 4301], "integer of 4301 digits is longer than 4300 "
+                                             "digits (at position 0)"),
+        (["normal-order", "--", "c1^2 + 1/" + "3" * 4301], "integer of 4301 digits is "
+                                                           "longer than 4300 digits (at position 9)"),
+        (["normal-order", "--", "c" + "1" * 4301], "integer of 4301 digits is longer than "
+                                                   "4300 digits (at position 0)"),
+    ])
+    def test_unprintable_power_refused_before_it_is_taken(self, capsys, monkeypatch,
+                                                          digit_limit, argv, message):
+        # the interpreter would refuse to print such a result only after
+        # computing it, naming its own setting
+        from weylharm.weyl import TermMap
+
+        def no_power(*args):
+            raise AssertionError("a power was taken")
+
+        monkeypatch.setattr(TermMap, "__pow__", no_power)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        expected = message.format(f"would have a coefficient of more than {digit_limit} digits")
+        assert err == f"weylharm: error: {expected}\n"
+        assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("text, value", [
+        ("2^14284", 2 ** 14284),  # 4300 digits, the most the limit prints
+        ("2^14000", 2 ** 14000),
+        ("(1/2)^14000", None),  # a denominator of 4215 digits
+        ("(1+c1)^3", None),
+        ("7" * 4300, int("7" * 4300)),
+    ])
+    def test_printable_power_accepted(self, capsys, digit_limit, text, value):
+        code, out = run_cli(capsys, "normal-order", "--", text)
+        assert code == 0
+        if value is not None:
+            assert out.strip() == str(value)
+
+    def test_no_digit_limit_no_refusal(self, capsys, digit_limit):
+        sys.set_int_max_str_digits(0)
+        code, out = run_cli(capsys, "normal-order", "--", "2^20000")
+        assert code == 0 and out.strip() == str(2 ** 20000)
+
     @pytest.mark.parametrize(
         "argv, expected",
         [

@@ -1,15 +1,20 @@
 """Package surface: the names ``weylharm`` exports and its value classes."""
 
 import copy
+import functools
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
 import weylharm
+from weylharm import weyl
 from weylharm.numerics import QuadratureSpec
 from weylharm.ordering import OrderingContext
-from weylharm.radial import RadialContext
+from weylharm.radial import RadialContext, eta, g_poly_symmetric, omega
+from weylharm.verify import suite_all
 
 
 def test_star_import_binds_every_public_name():
@@ -17,6 +22,28 @@ def test_star_import_binds_every_public_name():
     exec("from weylharm import *", namespace)
     for name in weylharm.__all__:
         assert namespace[name] is getattr(weylharm, name)
+
+
+def test_every_memo_is_registered_and_cleared():
+    # every lru_cache in the package goes through weyl._memo, so
+    # clear_caches reaches it, and values do not depend on a warm memo
+    memos = set()
+    for info in pkgutil.iter_modules(weylharm.__path__):
+        module = importlib.import_module(f"weylharm.{info.name}")
+        memos.update(v for v in vars(module).values()
+                     if isinstance(v, functools._lru_cache_wrapper))
+    assert memos == set(weyl._MEMOS) and len(memos) == 8
+
+    def values():
+        ctx = RadialContext(2, Fraction(1, 3))
+        return omega(ctx, 6), eta(ctx, 3), g_poly_symmetric(2, 5), weyl.contractions(2, 3, 1)
+
+    suite_all(seed=1, quick=True)
+    warm = values()
+    assert all(memo.cache_info().currsize for memo in memos)
+    weylharm.clear_caches()
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
+    assert values() == warm
 
 
 @pytest.mark.parametrize("value, text", [

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylharm import ordering, poly, radial
+from weylharm import clear_caches, ordering, poly
 from weylharm import verify as V
 from weylharm.poly import CPolynomial
 from weylharm.scalars import GaussRational
@@ -103,11 +103,9 @@ MEMOS = (V._sl2_samples, V._intertwine_samples)
 def cold_memos():
     # a memo left warm by another test, or holding a faulty verdict from
     # this one, must not reach the next test
-    for memo in MEMOS:
-        memo.cache_clear()
+    clear_caches()
     yield
-    for memo in MEMOS:
-        memo.cache_clear()
+    clear_caches()
 
 
 def _battery_calls(monkeypatch, seed, quick):
@@ -138,8 +136,7 @@ def test_warm_memo_report_equals_cold(monkeypatch, cold_memos, seed, quick):
     assert sum(V._sl2_samples.cache_info()[:2]) == 6  # hits + misses: one per sl2 call
     assert V._sl2_samples.cache_info().misses == 2  # one per d
     for fn, args, kwargs, report in calls:
-        for memo in MEMOS:
-            memo.cache_clear()
+        clear_caches()
         assert fn(*args, **kwargs) == report
 
 
@@ -177,8 +174,6 @@ def test_battery_work_counts(monkeypatch, cold_memos):
     # elements (380 before the memos), runs the triple kernel 2574 times and
     # the ordering closed form 925 times (1141, before the harmonics suite
     # ordered each basis element once per distinct q)
-    for chain in ("_eta_cache", "_raising_cache", "_omega_cache", "_g_cache"):
-        monkeypatch.setattr(radial, chain, {})
     counts = dict.fromkeys(("random_element", "_triple", "_closed_form"), 0)
 
     def counting(module, name):
@@ -212,3 +207,13 @@ def test_memos_keep_the_draw_order(cold_memos, d, deg, count, seed):
                    for _ in range(count)]
     assert V._intertwine_samples(d, deg, count, seed) == tuple(
         (p, V.op_R(p), V.op_L(p), V.op_E(p)) for p in homogeneous)
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 1000), Fraction(1, 100)])
+@pytest.mark.parametrize("d", [1, 3])
+def test_genfun_ode_points_fit_a_small_branch_radius(q, d):
+    # the fixed stencil reaches |s| = 0.102, past 0.9 R for these q, so
+    # its points and step scale with R instead of refusing every order
+    report = V.suite_genfun(q, d, order=10)
+    status = {c["id"]: c["status"] for c in report["cases"]}
+    assert status["first-order ODE residual"] == "PASS"
