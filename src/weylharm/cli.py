@@ -120,13 +120,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print(as_json: bool, payload, text) -> None:
-    """Print ``payload()`` as JSON or ``text()``; only that one is called."""
-    if as_json:
-        import json
+    """Print ``payload()`` as JSON or ``text()``; only that one is called.
 
-        print(json.dumps(payload(), sort_keys=True))
-    else:
-        print(text())
+    Everything is computed before this point, so a ValueError while
+    rendering is the interpreter refusing to write an int of more digits
+    than `sys.get_int_max_str_digits` allows; it becomes bad input in the
+    package's words, and nothing is printed."""
+    try:
+        if as_json:
+            import json
+
+            out = json.dumps(payload(), sort_keys=True)
+        else:
+            out = text()
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            raise
+        raise ValueError(f"the result has a coefficient of more than {limit} digits, "
+                         "too long to print") from None
+    print(out)
 
 
 def _report_text(report: dict) -> str:

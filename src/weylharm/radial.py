@@ -12,6 +12,13 @@ Quantities involving the irrational scale alpha = (q(1-q))^(-1/2) are
 never materialized: identities containing alpha are verified after
 pulling them back to Q with alpha^2 = 1/(q(1-q)).
 
+The univariate routes take q = a/b as the ints (a, b, c = b - a) once per
+call, so q(1-q) = ac/b^2 and every recurrence step, raising step,
+difference operator and certificate identity is a sum of rows
+(alpha*t + beta) p(t + s) with int weights over a power of b: one
+`scalars._shifted_sum` call per result, with no Fraction arithmetic per
+level.
+
 Four chains are memoised, each the list of levels returned by an
 unbounded `weyl._memo` seed function: `eta`, `omega` and
 `omega_by_raising` per (d, q), and per d the symmetric family
@@ -30,8 +37,8 @@ from math import comb, factorial, prod
 
 from .ordering import OrderingContext, cal_R, order_q, unorder_q
 from .poly import harmonic_decompose
-from .scalars import GR_ONE, UP_ONE, GaussRational, UniPoly
-from .specfun import hyp2F1_terminating_poly, pochhammer
+from .scalars import GR_ONE, UP_I, UP_ONE, UP_ZERO, GaussRational, UniPoly, _shifted_sum
+from .specfun import hyp2F1_terminating_poly
 from .weyl import WeylElement, _layout, _memo
 
 
@@ -117,15 +124,29 @@ def express_in_N(w: WeylElement) -> UniPoly:
             mult = top // prod(map(factorial, beta))
             if re != lead_re * mult or im != lead_im * mult:
                 raise NotRadialError(f"level {k} is not a multiple of :N^{k}:")
-    out = UniPoly()
+    out = UP_ZERO
     for k in range(len(c) - 1, -1, -1):
-        out = out._recur(-k, GaussRational(*c[k]), UP_ONE)  # out*(t - k) + c_k
+        re, im = c[k]  # out*(t - k) + c_k
+        out = _shifted_sum(((out, 0, 1, -k), (UP_ONE, 0, 0, re), (UP_I, 0, 0, im)))
     return out._scale(1, 0, w._den)
 
 
 # ---------------------------------------------------------------------------
 # omega_k: univariate raising, recurrence, closed form
 # ---------------------------------------------------------------------------
+
+
+def _q_ints(q: Fraction) -> tuple:
+    """(a, b, c) with q = a/b in lowest terms, b > 0 and 1 - q = c/b."""
+    a, b = q.numerator, q.denominator
+    return a, b, b - a
+
+
+def _raise(d: int, a: int, b: int, c: int, p: UniPoly, shifts=None) -> UniPoly:
+    """`apply_Rq_univariate` at q = a/b, 1 - q = c/b, as one kernel call
+    over b^2."""
+    return _shifted_sum(((p, 0, 2 * a * c, a * c * d), (p, 1, c * c, c * c * d),
+                         (p, -1, a * a, 0)), b * b, shifts)
 
 
 def apply_Rq_univariate(ctx: RadialContext, p: UniPoly) -> UniPoly:
@@ -135,13 +156,7 @@ def apply_Rq_univariate(ctx: RadialContext, p: UniPoly) -> UniPoly:
 
     Raises polynomial degree by exactly one.
     """
-    q = ctx.q
-    qc = 1 - q
-    t = UniPoly.x()
-    out = (t * 2 + ctx.d) * p * (q * qc)
-    out = out + (t + ctx.d) * p.compose_shift(1) * (qc * qc)
-    out = out + t * p.compose_shift(-1) * (q * q)
-    return out
+    return _raise(ctx.d, *_q_ints(ctx.q), p)
 
 
 @_memo()
@@ -157,10 +172,16 @@ def omega_by_raising(ctx: RadialContext, k: int) -> UniPoly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    return _raising_levels(ctx, k)[k]
+
+
+def _raising_levels(ctx: RadialContext, k: int) -> list:
+    """The memoised raising chain of ctx, grown to at least level k."""
     chain = _raising_chain(ctx.d, ctx.q)
+    ints = _q_ints(ctx.q)
     while len(chain) <= k:
-        chain.append(apply_Rq_univariate(ctx, chain[-1]))
-    return chain[k]
+        chain.append(_raise(ctx.d, *ints, chain[-1]))
+    return chain
 
 
 @_memo()
@@ -174,15 +195,18 @@ def omega(ctx: RadialContext, k: int) -> UniPoly:
         omega_{k+1} = [t + (1-q)d - (2q-1)k] omega_k
                       + q(1-q) k (k+d-1) omega_{k-1},
 
-    with omega_0 = 1 (and omega_{-1} = 0)."""
+    with omega_0 = 1 (and omega_{-1} = 0).  Over b^2 for q = a/b and
+    1 - q = c/b, a step is [b^2 t + b(cd - (2a-b)k)] omega_k
+    + ac k(k+d-1) omega_{k-1}, one kernel call on ints."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    d, q = ctx.d, ctx.q
-    chain = _omega_chain(d, q)
+    d = ctx.d
+    a, b, c = _q_ints(ctx.q)
+    chain = _omega_chain(d, ctx.q)
     for n in range(len(chain) - 1, k):  # computing omega_{n+1}
-        prev = chain[n - 1] if n >= 1 else UniPoly()
-        chain.append(chain[n]._recur((1 - q) * d - (2 * q - 1) * n,
-                                     q * (1 - q) * n * (n + d - 1), prev))
+        prev = chain[n - 1] if n >= 1 else UP_ZERO
+        chain.append(_shifted_sum(((chain[n], 0, b * b, b * (c * d - (2 * a - b) * n)),
+                                   (prev, 0, 0, a * c * n * (n + d - 1))), b * b))
     return chain[k]
 
 
@@ -213,9 +237,9 @@ def omega_closed_form(ctx: RadialContext, k: int) -> UniPoly:
         for m in range(k):
             out = out * (t - m)
         return out
-    qc = 1 - ctx.q
-    series = hyp2F1_terminating_poly(k, Fraction(ctx.d), 1 / qc)
-    return series * (pochhammer(Fraction(ctx.d), k) * qc**k)
+    a, b, c = _q_ints(ctx.q)
+    series = hyp2F1_terminating_poly(k, Fraction(ctx.d), Fraction(b, c))
+    return series._scale(prod(range(ctx.d, ctx.d + k)) * c**k, 0, b**k)
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +256,17 @@ def difference_triple(ctx: RadialContext, p: UniPoly) -> tuple:
         L~ p = (t+d) Dp - t Np
         E~ p = 2(1-q)(t+d) Dp + 2q t Np + d p
 
-    with D and N the forward and backward difference operators.
+    with D and N the forward and backward difference operators.  Expanded
+    in p(t+1), p(t), p(t-1), R~ is `apply_Rq_univariate`; the three are
+    kernel calls over b^2, 1 and b (q = a/b) sharing the two shifts of p.
     """
-    q = ctx.q
-    qc = 1 - q
-    t = UniPoly.x()
-    fwd = p.forward_difference()
-    bwd = p.backward_difference()
-    td = t + ctx.d
-    raising = td * fwd * (qc * qc) - t * bwd * (q * q) + (t + ctx.t0) * p
-    lowering = td * fwd - t * bwd
-    grading = td * fwd * (2 * qc) + t * bwd * (2 * q) + p * ctx.d
+    d = ctx.d
+    a, b, c = _q_ints(ctx.q)
+    shifts: dict = {}
+    raising = _raise(d, a, b, c, p, shifts)
+    lowering = _shifted_sum(((p, 1, 1, d), (p, 0, -2, -d), (p, -1, 1, 0)), 1, shifts)
+    grading = _shifted_sum(((p, 1, 2 * c, 2 * c * d), (p, 0, 2 * (a - c), (a - c) * d),
+                            (p, -1, -2 * a, 0)), b, shifts)
     return raising, lowering, grading
 
 
@@ -251,11 +275,11 @@ def check_difference_equation(ctx: RadialContext, k: int) -> bool:
     if k < 0:
         raise ValueError("k must be >= 0")
     w = omega(ctx, k)
-    t = UniPoly.x()
-    lhs = t * w.backward_difference() * ctx.q + (t + ctx.d) * w.forward_difference() * (
-        1 - ctx.q
-    )
-    return lhs == w * k
+    d = ctx.d
+    a, b, c = _q_ints(ctx.q)
+    # b times (left side - k omega_k), in omega_k(t+1), omega_k(t), omega_k(t-1)
+    return _shifted_sum(((w, 1, c, c * d), (w, 0, a - c, -c * d - k * b),
+                         (w, -1, -a, 0))).is_zero()
 
 
 def three_term_coefficients(ctx: RadialContext, k: int) -> tuple:
@@ -332,18 +356,17 @@ def check_fg_recurrence(ctx: RadialContext, k_max: int) -> bool:
         -(alpha^2/(k+1)) omega_{k+2} + (k+d) omega_k
         + (alpha^2/(k+1)) [ (t+t0) - (2q-1)(k+1) ] omega_{k+1}  =  0.
 
-    No square root is ever formed.
+    No square root is ever formed: times (k+1)ac, for q = a/b and
+    1 - q = c/b, alpha^2/(k+1) becomes b^2 and the identity has int weights.
     """
-    asq = ctx.alpha_squared  # raises for q in {0, 1}
-    t = UniPoly.x()
-    ws = [omega_by_raising(ctx, k) for k in range(k_max + 3)]
+    ctx.alpha_squared  # raises for q in {0, 1}
+    d = ctx.d
+    a, b, c = _q_ints(ctx.q)
+    ws = _raising_levels(ctx, k_max + 2)
     for k in range(k_max + 1):
-        coeff = Fraction(asq, k + 1)
-        lhs = (
-            ws[k + 2] * (-coeff)
-            + ws[k] * (k + ctx.d)
-            + (t + ctx.t0 - (2 * ctx.q - 1) * (k + 1)) * ws[k + 1] * coeff
-        )
+        lhs = _shifted_sum(((ws[k + 2], 0, 0, -b * b),
+                            (ws[k], 0, 0, (k + 1) * (k + d) * a * c),
+                            (ws[k + 1], 0, b * b, b * (c * d - (2 * a - b) * (k + 1)))))
         if not lhs.is_zero():
             return False
     return True

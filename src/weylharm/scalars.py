@@ -11,8 +11,15 @@ A `UniPoly` stores the same shape for a whole polynomial: two int tuples
 ``_re`` and ``_im`` of numerators over one int ``_den``, with den > 0,
 gcd(den, *re, *im) = 1, no trailing zero coefficient, and ``_im == ()``
 exactly when the polynomial is real; zero is ((), (), 1).  Its ring
-operations, evaluation, Taylor shift and three-term recurrence step run on
-the ints and take one gcd per result, not one per coefficient.
+operations, evaluation and Taylor shift run on the ints and take one gcd
+per result, not one per coefficient.
+
+The radial layer's identities all have the form
+sum (alpha*t + beta) * p_i(t + s_i) / den with int alpha, beta, s and den:
+a recurrence step, the raising operator, the difference triple.  Their
+callers write q = a/b as the ints (a, b, b - a) once per call, and
+`_shifted_sum`, the one accumulation kernel, sums such rows on the
+numerators with one Taylor shift per distinct (p, s) and one gcd.
 
 All values are immutable; operations return fresh objects and never
 mutate their arguments.
@@ -21,7 +28,7 @@ mutate their arguments.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
@@ -358,36 +365,6 @@ class UniPoly:
     def __pow__(self, n: int) -> "UniPoly":
         return _power(self, n, UP_ONE)
 
-    def _recur(self, a: ScalarLike, s: ScalarLike, r: "UniPoly") -> "UniPoly":
-        """(t + a)*self + s*r on the numerators, with one gcd: the step of a
-        three-term recurrence.
-
-        With a = A/ad, s = S/sd, self = P/pd and r = R/rd, the result is
-        u(ad*t + A)P + vSR over the lcm ad*pd*u = sd*rd*v of the two
-        denominators.
-        """
-        an, am, ad = _parts(a)
-        sn, sm, sd = _parts(s)
-        left, right = ad * self._den, sd * r._den
-        g = gcd(left, right)
-        u, v = right // g, left // g
-        pre, pim, rre, rim = self._re, self._im, r._re, r._im
-        lin_re, lin_im = (u * an, u * ad), (u * am,)
-        sn, sm = v * sn, v * sm
-        re = [0] * max(len(pre) + 1 if pre else 0, len(rre))
-        _convolve_into(re, lin_re, pre, 1)
-        _convolve_into(re, lin_im, pim, -1)
-        _convolve_into(re, (sn,), rre, 1)
-        _convolve_into(re, (sm,), rim, -1)
-        im = ()
-        if pim or rim or am or sm:
-            im = [0] * len(re)
-            _convolve_into(im, lin_re, pim, 1)
-            _convolve_into(im, lin_im, pre, 1)
-            _convolve_into(im, (sn,), rim, 1)
-            _convolve_into(im, (sm,), rre, 1)
-        return _up(re, im, left * u)
-
     # -- evaluation and composition --------------------------------------
 
     def __call__(self, x: ScalarLike) -> GaussRational:
@@ -438,16 +415,8 @@ class UniPoly:
                 if im:
                     im[j] *= power
                 power *= bd
-        if bn or bm:  # Taylor shift by B = bn + bm*i
-            for i in range(n - 1):
-                for j in range(n - 2, i - 1, -1):
-                    x = re[j + 1]
-                    if im:
-                        y = im[j + 1]
-                        re[j] += bn * x - bm * y
-                        im[j] += bn * y + bm * x
-                    else:
-                        re[j] += bn * x
+        if bn or bm:
+            _taylor_shift(re, im, bn, bm)
         if (an, am, ad, bd) != (1, 0, 1, 1):
             # coefficient k times (A bd)^k ad^(n-1-k)
             sr, si = an * bd, am * bd
@@ -566,8 +535,70 @@ def _convolve_into(out: list, a, b, sign: int) -> None:
                 out[k] += x * y
 
 
+def _taylor_shift(re: list, im: list, bn: int, bm: int) -> None:
+    """Turn the numerator lists of p(t) into those of p(t + B), in place,
+    for the Gaussian integer B = bn + bm*i: sweeping the lists from the
+    top, c_j += B * c_{j+1}, once for each of the n - 1 levels.  ``im`` is
+    empty only when both p and B are real."""
+    n = len(re)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            x = re[j + 1]
+            if im:
+                y = im[j + 1]
+                re[j] += bn * x - bm * y
+                im[j] += bn * y + bm * x
+            else:
+                re[j] += bn * x
+
+
+def _shifted_sum(rows, den: int = 1, shifts: dict | None = None) -> UniPoly:
+    """The sum of (alpha*t + beta) * p(t + s) / den over the rows
+    (p, s, alpha, beta), for UniPolys p (complex ones too) and ints s,
+    alpha, beta and den > 0: the one accumulation kernel on numerators.
+
+    A row is over its own reduced denominator p._den * den/g, for g =
+    gcd(den, alpha, beta), and the sum over the lcm L of those, so a
+    three-term step often needs no division at the end.  Each distinct (p, s) is shifted once;
+    ``shifts`` keeps those shifts across calls on the same p.  No Fraction
+    and no intermediate UniPoly is built, and one `_up` takes the one gcd.
+    """
+    live = []
+    common = size = 1
+    complex_ = False
+    for p, s, alpha, beta in rows:
+        if not p._re or not (alpha or beta):
+            continue
+        g = gcd(den, alpha, beta)
+        f = p._den * (den // g)
+        common = lcm(common, f)
+        live.append((p, s, alpha // g, beta // g, f))
+        size = max(size, len(p._re) + 1)
+        complex_ = complex_ or bool(p._im)
+    re = [0] * size
+    im = [0] * size if complex_ else ()
+    if shifts is None:
+        shifts = {}
+    for p, s, alpha, beta, f in live:
+        pre, pim = p._re, p._im
+        if s:
+            key = (id(p), s)
+            if key not in shifts:
+                pre, pim = list(pre), list(pim)
+                _taylor_shift(pre, pim, s, 0)
+                shifts[key] = pre, pim
+            pre, pim = shifts[key]
+        scale = common // f
+        weight = (beta * scale, alpha * scale)
+        _convolve_into(re, weight, pre, 1)
+        if pim:
+            _convolve_into(im, weight, pim, 1)
+    return _up(re, im, common)
+
+
 UP_ZERO = UniPoly()
 UP_ONE = UniPoly((1,))
+UP_I = UniPoly((GR_I,))
 
 
 def format_unipoly(p: UniPoly) -> str:

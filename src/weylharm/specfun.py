@@ -12,21 +12,26 @@ term and the running total are each a list of Gaussian-integer numerators
 over one int denominator.  All scalar parameters of a term fold into one
 integer ratio, so a term costs one short polynomial product and one gcd,
 and the result is built once.
+
+The identities between such polynomials (`gauss_contiguous_check`) run
+through `scalars._shifted_sum` with int weights, like the radial layer's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .scalars import (
     GR_I,
-    GR_ONE,
+    UP_ONE,
     GaussRational,
     UniPoly,
     _combine,
+    _gr,
     _mul_parts,
     _parts,
+    _shifted_sum,
     _up,
 )
 
@@ -38,14 +43,22 @@ class InvalidParameterError(ValueError):
 def pochhammer(base, n: int):
     """Shifted factorial (base)_n = base (base+1) ... (base+n-1).
 
-    Works for exact scalars and for UniPoly bases; (base)_0 = 1.
+    Works for exact scalars and for UniPoly bases; (base)_0 = 1.  A scalar
+    base (c + e*i)/f gives the Gaussian-integer product of the c + m*f + e*i
+    over f^n, with one gcd.
     """
     if n < 0:
         raise ValueError("pochhammer length must be >= 0")
-    out = UniPoly((GR_ONE,)) if isinstance(base, UniPoly) else GR_ONE
-    for m in range(n):
-        out = out * (base + m)
-    return out
+    if isinstance(base, UniPoly):
+        out = UP_ONE
+        for m in range(n):
+            out = out * (base + m)
+        return out
+    c, e, f = _parts(base)
+    re, im = 1, 0
+    for x in range(c, c + n * f, f):  # x = c + m*f
+        re, im = re * x - im * e, re * e + im * x
+    return _gr(re, im, f**n)
 
 
 def minus_t_poly() -> UniPoly:
@@ -143,24 +156,26 @@ def gauss_contiguous_check(k: int, c, x) -> bool:
 
       [-2k - c + kx - xt] F_k  + (c+k) F_{k+1}   - k(x-1) F_{k-1}      = 0
       [(x-2)t - c - kx]   F_k  + (c+t) F_k(t+1)  + (1-x)t F_k(t-1)     = 0
+
+    Each runs as one kernel call times the lcm L of the denominators of c
+    and x, with the int weights L, cL and xL.
     """
     c = Fraction(c)
     x = Fraction(x)
-    t = UniPoly.x()
+    den = lcm(c.denominator, x.denominator)
+    cl = c.numerator * (den // c.denominator)
+    xl = x.numerator * (den // x.denominator)
     f_k = hyp2F1_terminating_poly(k, c, x)
 
-    f_next = hyp2F1_terminating_poly(k + 1, c, x)
-    lhs1 = (t * (-x) + (-2 * k - c + k * x)) * f_k + f_next * (c + k)
+    rows = [(f_k, 0, -xl, -2 * k * den - cl + k * xl),
+            (hyp2F1_terminating_poly(k + 1, c, x), 0, 0, cl + k * den)]
     if k >= 1:
-        f_prev = hyp2F1_terminating_poly(k - 1, c, x)
-        lhs1 = lhs1 + f_prev * (-k * (x - 1))
-    if not lhs1.is_zero():
+        rows.append((hyp2F1_terminating_poly(k - 1, c, x), 0, 0, -k * (xl - den)))
+    if not _shifted_sum(rows).is_zero():
         return False
 
-    lhs2 = (t * (x - 2) - c - k * x) * f_k
-    lhs2 = lhs2 + (t + c) * f_k.compose_shift(1)
-    lhs2 = lhs2 + t * (1 - x) * f_k.compose_shift(-1)
-    return lhs2.is_zero()
+    return _shifted_sum(((f_k, 0, xl - 2 * den, -cl - k * xl), (f_k, 1, den, cl),
+                         (f_k, -1, den - xl, 0))).is_zero()
 
 
 def continuous_hahn_poly(k: int, a, b, c, d) -> UniPoly:

@@ -299,6 +299,25 @@ class TestElementCommands:
         if value is not None:
             assert out.strip() == str(value)
 
+    @pytest.mark.parametrize("text", ["2^14000 * 2^14000", "(c1 + 2^14000)^2"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_unprintable_result_refused_at_the_printer(self, capsys, digit_limit, text,
+                                                       as_json):
+        # no power check can see these: a product of printable factors, and
+        # a square whose largest coefficient sits at the constant key
+        assert main(["normal-order", "--d", "1"] + ["--json"] * as_json + ["--", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"weylharm: error: the result has a coefficient of more than "
+                       f"{digit_limit} digits, too long to print\n")
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_result_at_the_digit_limit_printed(self, capsys, digit_limit, as_json):
+        code, out = run_cli(capsys, "normal-order", "--d", "1", *["--json"] * as_json,
+                            "--", "2^7142 * 2^7142")
+        assert code == 0
+        assert str(2 ** 14284) in out and len(str(2 ** 14284)) == digit_limit
+
     def test_no_digit_limit_no_refusal(self, capsys, digit_limit):
         sys.set_int_max_str_digits(0)
         code, out = run_cli(capsys, "normal-order", "--", "2^20000")
@@ -642,8 +661,22 @@ class TestExactOutputPinned:
          "3086d9dcf51539e2feacbd103803b7eb054e5c0c63918547dca60ec72e4dd7e0"),
         (["eta", "--d", "2", "--q=1/4", "--k", "3", "--json"],
          "e57a40e034f85c61956fa1dbcbea5dbfeb0e752a289449762ba8754f0702392c"),
+        # q > 1 and q < 0, where 1 - q and q are negative ints over b,
+        # recorded before the radial layer moved onto those ints
+        (["verify", "radial", "--d", "3", "--q=5/2", "--kmax", "10", "--json"],
+         "471aa632842ebaed3c0109c9af8da0a284cb0bf71d571989183d34a922901895"),
+        (["verify", "radial", "--d", "3", "--q=-2/3", "--kmax", "10", "--json"],
+         "84248015d9b581b69f33a3e265118a1f548cbc50f45403ae74afae67d6c75dbd"),
+        (["verify", "hahn", "--kmax", "12", "--d", "5", "--json"],
+         "14d3d85ba0b8dc9614fac0345d42e497cdc4254237f6d86ee575cefc7792730a"),
+        (["omega", "--d", "2", "--q=5/2", "--kmax", "12", "--json"],
+         "107483b3bb6dd8e96f206b75e1a4b2cab60c24a3d2e05cfa308cece7dabfd68a"),
+        (["omega", "--d", "2", "--q=-2/3", "--kmax", "12", "--json"],
+         "bfbb19e150e66c9e580eae9131c260fd353b035f987914e2727a868eda350482"),
     ], ids=["verify-all-seed-1", "omega-d3-q2/7", "verify-all-seed-1-text",
-            "omega-d3-q2/7-text", "eta-d2-q1/4-text", "eta-d2-q1/4"])
+            "omega-d3-q2/7-text", "eta-d2-q1/4-text", "eta-d2-q1/4",
+            "radial-d3-q5/2", "radial-d3-q-2/3", "hahn-d5-k12", "omega-d2-q5/2",
+            "omega-d2-q-2/3"])
     def test_output_digest(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv)
         assert code == 0

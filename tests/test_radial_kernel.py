@@ -1,0 +1,275 @@
+"""The radial layer's identities on int weights, against the forms they
+replaced, and the work they take.
+
+`omega`, `apply_Rq_univariate`, `difference_triple`,
+`check_difference_equation`, `check_fg_recurrence` and
+`gauss_contiguous_check` write q = a/b (or c and x) as ints once per call
+and sum their rows through `scalars._shifted_sum`.  The oracles below are
+the compositional forms they had before: Fraction weights, UniPoly
+products and `compose_shift`.  Each function is compared with its oracle
+on the (d, q) grid, with q = 5/2 (so 1 - q < 0) and q = -2/3 besides, on
+true inputs and on perturbed ones, so that a check that always passes
+shows.  The work counts pin what the kernel saves: growing omega calls into
+`fractions` a number of times that does not grow with k, and every level
+builds one UniPoly.
+"""
+
+import fractions
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+import weylharm.radial as radial
+import weylharm.specfun as specfun
+from weylharm.radial import (
+    RadialContext,
+    apply_Rq_univariate,
+    check_difference_equation,
+    check_fg_recurrence,
+    difference_triple,
+    omega,
+    omega_by_raising,
+)
+from weylharm.scalars import GR_I, UniPoly, _up
+from weylharm.specfun import gauss_contiguous_check, hyp2F1_terminating_poly
+from weylharm.verify import Q_GRID
+from weylharm.weyl import clear_caches
+
+T = UniPoly.x()
+QS = Q_GRID + (Fraction(2, 7), Fraction(5, 2), Fraction(-2, 3))
+CONTEXTS = [RadialContext(d, q) for d in (1, 2, 3) for q in QS]
+
+
+def ctx_id(ctx):
+    return f"d{ctx.d}-q{ctx.q}"
+
+
+# ---------------------------------------------------------------------------
+# The oracles: the compositional forms
+# ---------------------------------------------------------------------------
+
+
+def raising_oracle(ctx, p):
+    q = ctx.q
+    qc = 1 - q
+    out = (T * 2 + ctx.d) * p * (q * qc)
+    out = out + (T + ctx.d) * p.compose_shift(1) * (qc * qc)
+    return out + T * p.compose_shift(-1) * (q * q)
+
+
+def triple_oracle(ctx, p):
+    q = ctx.q
+    qc = 1 - q
+    fwd = p.forward_difference()
+    bwd = p.backward_difference()
+    td = T + ctx.d
+    raising = td * fwd * (qc * qc) - T * bwd * (q * q) + (T + ctx.t0) * p
+    lowering = td * fwd - T * bwd
+    grading = td * fwd * (2 * qc) + T * bwd * (2 * q) + p * ctx.d
+    return raising, lowering, grading
+
+
+def difference_equation_oracle(ctx, w, k):
+    lhs = (T * w.backward_difference() * ctx.q
+           + (T + ctx.d) * w.forward_difference() * (1 - ctx.q))
+    return lhs == w * k
+
+
+def fg_oracle(ctx, ws, k_max):
+    asq = ctx.alpha_squared
+    for k in range(k_max + 1):
+        coeff = Fraction(asq, k + 1)
+        lhs = (ws[k + 2] * (-coeff) + ws[k] * (k + ctx.d)
+               + (T + ctx.t0 - (2 * ctx.q - 1) * (k + 1)) * ws[k + 1] * coeff)
+        if not lhs.is_zero():
+            return False
+    return True
+
+
+def first_relation(k, c, x, family):
+    lhs = (T * (-x) + (-2 * k - c + k * x)) * family(k, c, x) + family(k + 1, c, x) * (c + k)
+    if k >= 1:
+        lhs = lhs + family(k - 1, c, x) * (-k * (x - 1))
+    return lhs
+
+
+def contiguous_oracle(k, c, x, family):
+    f_k = family(k, c, x)
+    lhs2 = ((T * (x - 2) - c - k * x) * f_k + (T + c) * f_k.compose_shift(1)
+            + T * (1 - x) * f_k.compose_shift(-1))
+    return first_relation(k, c, x, family).is_zero() and lhs2.is_zero()
+
+
+def parts(p):
+    return p._re, p._im, p._den
+
+
+def sample_polys(ctx):
+    """omega levels, and real and complex polynomials over unequal
+    denominators."""
+    rng = random.Random(f"{ctx.d}/{ctx.q}")
+    polys = [omega(ctx, k) for k in (0, 1, 4, 9)]
+    for n in (1, 3, 6):
+        polys.append(UniPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                              for _ in range(n)]))
+        polys.append(UniPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                              + Fraction(rng.randint(-9, 9), rng.randint(1, 12)) * GR_I
+                              for _ in range(n)]))
+    return polys + [UniPoly()]
+
+
+# ---------------------------------------------------------------------------
+# The kernel forms against the oracles
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=ctx_id)
+def test_raising_and_triple_match_oracles(ctx):
+    for p in sample_polys(ctx):
+        assert parts(apply_Rq_univariate(ctx, p)) == parts(raising_oracle(ctx, p))
+        got, expected = difference_triple(ctx, p), triple_oracle(ctx, p)
+        assert [parts(x) for x in got] == [parts(x) for x in expected]
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=ctx_id)
+def test_omega_matches_fraction_recurrence(ctx):
+    d, q = ctx.d, ctx.q
+    prev, w = UniPoly(), UniPoly((1,))
+    for k in range(16):
+        assert parts(omega(ctx, k)) == parts(w)
+        prev, w = w, ((T + (1 - q) * d - (2 * q - 1) * k) * w
+                      + prev * (q * (1 - q) * k * (k + d - 1)))
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=ctx_id)
+def test_difference_equation_matches_oracle(ctx, monkeypatch):
+    for k in range(9):
+        assert check_difference_equation(ctx, k)
+        assert difference_equation_oracle(ctx, omega(ctx, k), k)
+    # t^(k+1) adds (k+1) t^(k+1) on the left and k t^(k+1) on the right
+    true_omega = omega
+    monkeypatch.setattr(radial, "omega", lambda c, k: true_omega(c, k) + T ** (k + 1))
+    for k in range(9):
+        w = radial.omega(ctx, k)
+        assert not difference_equation_oracle(ctx, w, k)
+        assert not check_difference_equation(ctx, k)
+
+
+@pytest.mark.parametrize("ctx", [c for c in CONTEXTS if c.q not in (0, 1)], ids=ctx_id)
+def test_fg_recurrence_matches_oracle(ctx, monkeypatch):
+    k_max = 6
+    ws = [omega_by_raising(ctx, k) for k in range(k_max + 3)]
+    assert check_fg_recurrence(ctx, k_max)
+    assert fg_oracle(ctx, ws, k_max)
+    # every level enters some relation with a nonzero weight
+    for j in range(k_max + 3):
+        bad = list(ws)
+        bad[j] = bad[j] + T
+        monkeypatch.setattr(radial, "_raising_levels", lambda c, k: bad)
+        assert not fg_oracle(ctx, bad, k_max)
+        assert not check_fg_recurrence(ctx, k_max)
+
+
+CONTIGUOUS = [(k, Fraction(c), Fraction(x)) for k in range(6)
+              for c in (1, 3, Fraction(5, 2), Fraction(-7, 3))
+              for x in (2, Fraction(1, 3), Fraction(-3, 4), Fraction(5, 2))]
+
+
+@pytest.mark.parametrize("k, c, x", CONTIGUOUS)
+def test_contiguous_relations_match_oracle(k, c, x, monkeypatch):
+    assert gauss_contiguous_check(k, c, x)
+    assert contiguous_oracle(k, c, x, hyp2F1_terminating_poly)
+
+    def doubled_next(kk, cc, xx):
+        # F_{k+1} doubled breaks the first relation only
+        f = hyp2F1_terminating_poly(kk, cc, xx)
+        return f * 2 if kk == k + 1 else f
+
+    def shifted_level(kk, cc, xx):
+        # F_k + 1, with F_{k+1} taken from the first relation so that it
+        # holds: the second leaves -kx != 0
+        if kk == k:
+            return hyp2F1_terminating_poly(kk, cc, xx) + 1
+        if kk == k + 1:
+            return (UniPoly() - first_relation(k, cc, xx, with_zero_next)) / (cc + k)
+        return hyp2F1_terminating_poly(kk, cc, xx)
+
+    def with_zero_next(kk, cc, xx):
+        return UniPoly() if kk == k + 1 else shifted_level(kk, cc, xx)
+
+    perturbed = [doubled_next] + [shifted_level] * (k >= 1)
+    for family in perturbed:
+        monkeypatch.setattr(specfun, "hyp2F1_terminating_poly", family)
+        assert not contiguous_oracle(k, c, x, family)
+        assert not gauss_contiguous_check(k, c, x)
+    if k >= 1:
+        assert first_relation(k, c, x, shifted_level).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Work counts
+# ---------------------------------------------------------------------------
+
+
+def count_calls(fn, *args):
+    """(calls into the fractions module, UniPolys built) while fn(*args) runs."""
+    counts = [0, 0]
+    up = _up.__code__
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename == fractions.__file__:
+                counts[0] += 1
+            elif code is up:
+                counts[1] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return tuple(counts)
+
+
+CTX_27 = RadialContext(3, Fraction(2, 7))
+
+
+def test_growing_omega_takes_no_fraction_arithmetic_per_level():
+    counts = {}
+    for k in (5, 60):
+        clear_caches()
+        counts[k] = count_calls(omega, CTX_27, k)
+    # the Fraction work is per call (the memo's key, q's two ints), and
+    # each of the k new levels builds one UniPoly
+    assert counts[5][0] == counts[60][0] <= 4
+    assert (counts[5][1], counts[60][1]) == (5, 60)
+    clear_caches()
+    omega(CTX_27, 10)
+    assert count_calls(omega, CTX_27, 11)[1] == 1
+
+
+def test_growing_the_raising_chain_takes_no_fraction_arithmetic_per_level():
+    counts = {}
+    for k in (5, 40):
+        clear_caches()
+        counts[k] = count_calls(omega_by_raising, CTX_27, k)
+    assert counts[5][0] == counts[40][0] <= 4
+    assert (counts[5][1], counts[40][1]) == (5, 40)
+
+
+@pytest.mark.parametrize("ctx", [CTX_27, RadialContext(2, Fraction(-2, 3))], ids=ctx_id)
+def test_univariate_maps_take_a_fixed_count_of_fraction_calls(ctx):
+    low, high = omega(ctx, 3), omega(ctx, 40)
+    for fn, builds in ((apply_Rq_univariate, 1), (difference_triple, 3)):
+        assert count_calls(fn, ctx, low) == count_calls(fn, ctx, high)
+        assert count_calls(fn, ctx, high)[1] == builds
+    # the checks build one UniPoly per identity
+    fraction_calls, builds = count_calls(check_difference_equation, ctx, 40)
+    assert (fraction_calls, builds) == count_calls(check_difference_equation, ctx, 3)
+    assert builds == 1
+    omega_by_raising(ctx, 22)
+    assert count_calls(check_fg_recurrence, ctx, 20) == (
+        count_calls(check_fg_recurrence, ctx, 4)[0], 21)

@@ -3,20 +3,24 @@
 import copy
 import pickle
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylharm.scalars as scalars
 from weylharm.expr import ParseError, parse_weyl
 from weylharm.scalars import (
     GR_I,
     GR_ONE,
     GR_ZERO,
     GaussRational,
+    UP_I,
+    UP_ONE,
     UniPoly,
     _power,
+    _shifted_sum,
     format_gauss,
 )
 
@@ -526,6 +530,22 @@ POLY_OPS = {
 }
 
 
+def built_over(fn, *args):
+    """fn(*args), and the unreduced denominators of the UniPolys it built."""
+    dens = []
+    up = scalars._up
+
+    def recording(re, im, den):
+        dens.append(den)
+        return up(re, im, den)
+
+    scalars._up = recording
+    try:
+        return fn(*args), dens
+    finally:
+        scalars._up = up
+
+
 class TestUniPolyAgainstCoeffOracle:
     @staticmethod
     def agree(p, oracle):
@@ -565,17 +585,70 @@ class TestUniPolyAgainstCoeffOracle:
     def test_compose_linear(self, xs, a, b):
         self.agree(UniPoly(xs).compose_linear(a, b), CoeffPoly(xs).compose_linear(a, b))
 
-    @given(poly_coeffs, st.one_of(st.just(0), scalar_operands),
-           st.one_of(st.just(0), scalar_operands), poly_coeffs)
+    @given(poly_coeffs, small_or_huge, small_or_huge, poly_coeffs,
+           small_or_huge, small_or_huge, st.sampled_from([1, 2, 6, 2**65 + 3]))
     @settings(max_examples=150)
-    def test_recurrence_step(self, xs, a, s, ys):
+    def test_recurrence_step(self, xs, a, s, ys, cr, ci, den):
+        # (t + a/den) p + (s/den) r + (cr + ci*i)/den, the step of `omega`
+        # and of `express_in_N`, as rows of the kernel
         p, r = UniPoly(xs), UniPoly(ys)
-        step = p._recur(a, s, r)
-        expected = (UniPoly.x() + a) * p + r * s
+        step = _shifted_sum(((p, 0, den, a), (r, 0, 0, s), (UP_ONE, 0, 0, cr),
+                             (UP_I, 0, 0, ci)), den)
+        a, s, c = Fraction(a, den), Fraction(s, den), GaussRational(Fraction(cr, den),
+                                                                    Fraction(ci, den))
+        expected = (UniPoly.x() + a) * p + r * s + c
         assert_canonical_poly(step)
         assert (step._re, step._im, step._den) == (
             expected._re, expected._im, expected._den)
-        self.agree(step, CoeffPoly((a, 1)) * CoeffPoly(xs) + CoeffPoly(ys) * s)
+        self.agree(step, CoeffPoly((a, 1)) * CoeffPoly(xs) + CoeffPoly(ys) * s
+                   + CoeffPoly((c,)))
+
+    @given(st.lists(poly_coeffs, min_size=1, max_size=3),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 2),
+                              st.one_of(st.just(0), small_or_huge),
+                              st.one_of(st.just(0), small_or_huge)),
+                    min_size=1, max_size=5),
+           st.sampled_from([1, 3, 12, 2**65 + 3]))
+    @settings(max_examples=200)
+    def test_shifted_sum(self, polys, rows, den):
+        # rows (p, s, alpha, beta) drawn from up to three polynomials, so
+        # one p comes back with several shifts; complex p, unequal
+        # denominators, zero p and zero weights included
+        ps = [UniPoly(xs) for xs in polys]
+        rows = [(i % len(ps), s, alpha, beta) for i, s, alpha, beta in rows]
+        expected, oracle = UniPoly(), CoeffPoly(())
+        for i, s, alpha, beta in rows:
+            expected = expected + (UniPoly.x() * alpha + beta) * ps[i].compose_shift(s)
+            oracle = oracle + (CoeffPoly((beta, alpha))
+                               * CoeffPoly(polys[i]).compose_linear(1, s))
+        rows = [(ps[i], s, alpha, beta) for i, s, alpha, beta in rows]
+        expected = expected / den
+        shifts = {}
+        for _ in range(2):  # the second call reads the shifts of the first
+            out, dens = built_over(_shifted_sum, rows, den, shifts)
+            assert (out._re, out._im, out._den) == (
+                expected._re, expected._im, expected._den)
+            self.agree(out, oracle / den)
+            # one reduction, over the lcm of the rows' own reduced denominators
+            assert dens == [lcm(*(p._den * den // gcd(den, alpha, beta)
+                                  for p, _, alpha, beta in rows
+                                  if p and (alpha or beta)))]
+
+    def test_shifted_sum_edge_rows(self):
+        # a complex p and a real p over coprime denominators, every shift
+        # in -2..2, a zero p, and a row whose weights are both zero
+        p = UniPoly((Fraction(1, 3), GaussRational(2, Fraction(-1, 5)), 7, GR_I))
+        r = UniPoly((Fraction(-4, 7), 0, Fraction(9, 2)))
+        rows = [(p, s, s + 3, 2 * s - 1) for s in range(-2, 3)]
+        rows += [(r, s, -s, 5) for s in range(-2, 3)]
+        rows += [(UniPoly(), 1, 4, 4), (p, 1, 0, 0)]
+        out = _shifted_sum(rows, 6)
+        oracle = CoeffPoly(())
+        for q, s, alpha, beta in rows:
+            oracle = oracle + CoeffPoly((beta, alpha)) * CoeffPoly(q.coeffs).compose_linear(1, s)
+        self.agree(out, oracle / 6)
+        assert _shifted_sum([(UniPoly(), 0, 1, 1), (p, 0, 0, 0)]) == UniPoly()
+        assert _shifted_sum([(p, 2, 0, 0)]) == UniPoly()
 
     @given(poly_coeffs, scalar_operands)
     @settings(max_examples=100)
