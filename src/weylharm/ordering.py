@@ -27,7 +27,9 @@ defining operator form as an independent check of both.
 Both sums run on the stored Gaussian-integer numerators of the term maps
 (see `weyl.TermMap`), as the products and the transferred triple below
 (`poly._triple`) do: the input's one denominator, here times a power of
-the denominator of 1-q, and one gcd per result.
+b for q = a/b, and one gcd per result.  The maps take 1-q as the ints
+(b - a, b), and its negative as (a - b, b), so no Fraction is built per
+call.
 
 The transferred sl2 triple (`cal_R`, `cal_L`, `cal_E`) is the classical
 triple of `poly` (R = r^2, L the quarter-Laplacian, E = degree + d) pushed
@@ -91,6 +93,12 @@ class OrderingContext(_ContextFields):
         return 1 - self.q
 
 
+def _q_ints(q: Fraction) -> tuple:
+    """(a, b, c) with q = a/b in lowest terms, b > 0 and 1 - q = c/b."""
+    a, b = q.numerator, q.denominator
+    return a, b, b - a
+
+
 def apply_M(ctx: OrderingContext, j: int, w: WeylElement) -> WeylElement:
     """(1-q) a_j w + q w a_j."""
     _check_w(ctx, w)
@@ -113,20 +121,21 @@ def ordered_monomial(ctx: OrderingContext, alpha, beta) -> WeylElement:
         raise ModeMismatchError(
             f"exponent vectors have {len(alpha)} and {len(beta)} modes, context d={ctx.d}")
     key = _layout(ctx.d).key(alpha, beta)
-    return _closed_form(WeylElement, ctx.d, {key: (1, 0)}, 1, ctx.q_complement)
+    _, b, c = _q_ints(ctx.q)
+    return _closed_form(WeylElement, ctx.d, {key: (1, 0)}, 1, c, b)
 
 
-def _closed_form(cls, d: int, terms: dict, den: int, t: Fraction):
+def _closed_form(cls, d: int, terms: dict, den: int, tn: int, td: int):
     """The ``cls`` map over d modes that sums, over the numerator pairs
     ``terms = {key: (n, m)}`` of a map over ``den``, (n + m*i)/den times
-    the closed form of the key's monomial with 1-q replaced by t.
+    the closed form of the key's monomial with 1-q replaced by t = tn/td,
+    for ints tn and td > 0.
 
-    The sum runs on the numerators.  With t = tn/td and S the largest
-    contraction order |i|, a contraction of weight w and order s adds
+    The sum runs on the numerators.  With S the largest contraction order
+    |i|, a contraction of weight w and order s adds
     (n, m) * w * tn^s * td^(S-s) to its key's pair, and the result is over
     den * td^S.
     """
-    tn, td = t.numerator, t.denominator
     lay = _layout(d)
     expansions = [contractions(k & lay.low, k >> lay.shift, d) for k in terms]
     # the last contraction of a monomial contracts every mode fully
@@ -150,13 +159,15 @@ def order_q(ctx: OrderingContext, p: CPolynomial) -> WeylElement:
     """The ordering map, linear over Q(i)."""
     if p.d != ctx.d:
         raise ModeMismatchError(f"polynomial has d={p.d}, context d={ctx.d}")
-    return _closed_form(WeylElement, ctx.d, p._terms, p._den, ctx.q_complement)
+    _, b, c = _q_ints(ctx.q)
+    return _closed_form(WeylElement, ctx.d, p._terms, p._den, c, b)
 
 
 def unorder_q(ctx: OrderingContext, w: WeylElement) -> CPolynomial:
     """Inverse of the ordering map: the closed form with -(1-q) for 1-q."""
     _check_w(ctx, w)
-    return _closed_form(CPolynomial, ctx.d, w._terms, w._den, -ctx.q_complement)
+    _, b, c = _q_ints(ctx.q)
+    return _closed_form(CPolynomial, ctx.d, w._terms, w._den, -c, b)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +184,7 @@ def cal_L(ctx: OrderingContext, w: WeylElement) -> WeylElement:
 def cal_E(ctx: OrderingContext, w: WeylElement) -> WeylElement:
     """The transferred grading operator E + 2(1-q) L."""
     _check_w(ctx, w)
-    b = ctx.q.denominator
-    c = b - ctx.q.numerator  # 1 - q = c/b
+    _, b, c = _q_ints(ctx.q)
     g = gcd(2, b)  # 2(1-q) = (2c/g)/(b/g) in lowest terms
     return _triple(w, 0, b // g, 2 * c // g, b // g)
 
@@ -182,8 +192,7 @@ def cal_E(ctx: OrderingContext, w: WeylElement) -> WeylElement:
 def cal_R(ctx: OrderingContext, w: WeylElement) -> WeylElement:
     """The transferred raising operator R + (1-q) E + (1-q)^2 L."""
     _check_w(ctx, w)
-    b = ctx.q.denominator
-    c = b - ctx.q.numerator  # 1 - q = c/b
+    _, b, c = _q_ints(ctx.q)
     return _triple(w, b * b, b * c, c * c, b * b)
 
 

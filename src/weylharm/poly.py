@@ -4,14 +4,13 @@ Carries the classical triple acting on polynomials: multiplication by the
 squared radius, the quarter-Laplacian, and the symmetrized Euler operator,
 together with harmonic decomposition and bi-degree splitting.  A
 `CPolynomial` is a `weyl.TermMap`, one denominator over Gaussian-integer
-numerators per packed monomial, and the triple, the derivatives and the
-split by degree run on those numerators.
+numerators per packed monomial, and the triple, the derivatives, the
+split by degree and the harmonic decomposition run on those numerators.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+from math import comb, lcm, perm
 from typing import NamedTuple
 
 from .weyl import _SCALARS, FIELD_BITS, TermMap, _check_mode, _layout, _mul_terms
@@ -89,12 +88,18 @@ def _triple(p: TermMap, rn: int, en: int, ln: int, dr: int = 1) -> TermMap:
     triple treats the two exponent vectors of a monomial symmetrically, so
     one body serves `CPolynomial` and `weyl.WeylElement`.
 
-    The sum runs on the stored numerators of p, one [re, im] pair of ints
-    per output key, over p's denominator times dr.
+    The sum runs on the stored numerators of p (`_triple_acc`), over p's
+    denominator times dr, with one gcd.
     """
-    d, terms = p.d, p._terms
-    if not terms:
+    if not p._terms:
         return p
+    return p._wrap(p.d, _triple_acc(p.d, p._terms, rn, en, ln), p._den * dr)
+
+
+def _triple_acc(d: int, terms: dict, rn: int, en: int, ln: int) -> dict:
+    """The numerators of rn*R + en*E + ln*L applied to the numerator pairs
+    ``terms = {key: [re, im]}`` of a map over d modes: a fresh accumulator
+    over the same denominator, which may hold [0, 0] pairs."""
     lay = _layout(d)
     ones, high, steps = lay.ones, lay.high, lay.step
     exps = list(map(lay.fields, terms)) if en or ln else [()] * len(terms)
@@ -128,7 +133,7 @@ def _triple(p: TermMap, rn: int, en: int, ln: int, dr: int = 1) -> TermMap:
                 else:
                     cur[0] += n * w
                     cur[1] += m * w
-    return p._wrap(d, acc, p._den * dr)
+    return acc
 
 
 def op_R(p: TermMap) -> TermMap:
@@ -184,42 +189,101 @@ def harmonic_decompose(p: CPolynomial) -> list:
     """Split a homogeneous p of degree m as sum_j r^(2j) h_j.
 
     Returns [h_0, ..., h_floor(m/2)] with each h_j homogeneous harmonic of
-    degree m - 2j.  The decomposition is unique; it is computed by peeling
-    from the most radial layer down, using the exact ladder identity
+    degree m - 2j, and zero where p has no part.  The decomposition is
+    unique; `_harmonic_parts` computes it, peeling from the most radial
+    layer down with the exact ladder identity
     L(r^(2j) h) = j*(deg h + d + j - 1) * r^(2(j-1)) h for harmonic h.
     """
     if p.is_zero():
         return []
     if not p.is_homogeneous():
         raise ValueError("harmonic decomposition needs a homogeneous polynomial")
-    d = p.d
-    m = p.degree()
-    jmax = m // 2
-    parts = [CPolynomial.zero(d)] * (jmax + 1)
-    residual = p
-    for j in range(jmax, -1, -1):
-        lj = residual
-        for _ in range(j):
-            lj = op_L(lj)
-        # prod_{i=1..j} i (k + d + i - 1) with k = m - 2j
-        c = math.factorial(j) * math.prod(range(m - 2 * j + d, m - j + d))
-        h = lj.scale(Fraction(1, c)) if c != 1 else lj
-        parts[j] = h
-        if j > 0:
-            for _ in range(j):
-                h = op_R(h)
-            residual = residual - h
-        if not residual:
+    parts = _harmonic_parts(p)
+    zero = CPolynomial.zero(p.d)
+    return [parts.get(j, zero) for j in range(p.degree() // 2 + 1)]
+
+
+def _harmonic_parts(p: CPolynomial) -> dict:
+    """{j: h_j}, the nonzero h_j of p = sum_j r^(2j) h_j with every h_j
+    harmonic, for any p: h_j sums the j-th parts of p's homogeneous
+    components.
+
+    Iterating the ladder identity gives, for harmonic h of degree m - 2i
+    and j <= i,
+
+        L^j R^i h = kappa(i, j) R^(i-j) h,
+        kappa(i, j) = i!/(i-j)! * prod_{t<j} (m - i + d - 1 - t),
+
+    so the L-chain P_j = L^j p is sum_{i>=j} kappa(i, j) R^(i-j) h_i and
+    the parts peel from the top:
+
+        h_j = (P_j - sum_{i>j} kappa(i, j) R^(i-j) h_i) / kappa(j, j),
+
+    with m the degree of each key plus 2j.  The chain is built once on p's
+    numerators (L has int weights, so no step takes a gcd), each
+    R^(i-j) h_i is kept as numerators and raised one step per level, and
+    each nonzero part takes one `_wrap`.
+    """
+    d, den = p.d, p._den
+    if not p._terms:
+        return {}
+    degree = _layout(d).degree
+    chain = [p._terms]
+    for _ in range(p.degree() // 2):
+        low = _triple_acc(d, chain[-1], 0, 0, 1)
+        if [0, 0] in low.values():
+            low = {k: v for k, v in low.items() if v[0] or v[1]}
+        if not low:
             break
+        chain.append(low)
+    parts: dict = {}
+    raised: list = []  # [i, numerators of R^(i-j) h_i, denominator of h_i]
+    for j in range(len(chain) - 1, -1, -1):
+        if not (j or raised):  # nothing to peel: p is harmonic
+            return {0: p}
+        for r in raised:
+            r[1] = _triple_acc(d, r[1], 1, 0, 0)
+        top = lcm(den, *(r[2] for r in raised))
+        f = top // den
+        acc = {k: [re * f, im * f] for k, (re, im) in chain[j].items()}
+        for i, terms, di in raised:
+            f = top // di
+            for k, (re, im) in terms.items():
+                w = f * _kappa(i, j, degree(k) + 2 * j, d) if j else f
+                cur = acc.get(k)
+                if cur is None:
+                    acc[k] = [-re * w, -im * w]
+                else:
+                    cur[0] -= re * w
+                    cur[1] -= im * w
+        acc = {k: v for k, v in acc.items() if v[0] or v[1]}
+        if not acc:
+            continue
+        if j:  # over top * K, K the lcm of the kappa(j, j) of the keys
+            kappas = [_kappa(j, j, degree(k) + 2 * j, d) for k in acc]
+            big = lcm(*kappas)
+            for v, c in zip(acc.values(), kappas):
+                v[0] *= big // c
+                v[1] *= big // c
+            top *= big
+        parts[j] = h = p._wrap(d, acc, top)
+        if j:
+            raised.append([j, h._terms, h._den])
     return parts
+
+
+def _kappa(i: int, j: int, m: int, d: int) -> int:
+    """L^j R^i h = _kappa(i, j, m, d) R^(i-j) h for harmonic h of degree
+    m - 2i over d modes, j <= i."""
+    return perm(i, j) * perm(m - i + d - 1, j)
 
 
 def harmonic_dim(n: int, k: int) -> int:
     """Dimension of degree-k harmonic polynomials in n real variables."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    first = math.comb(n + k - 1, k)
-    second = math.comb(n + k - 3, k - 2) if k >= 2 else 0
+    first = comb(n + k - 1, k)
+    second = comb(n + k - 3, k - 2) if k >= 2 else 0
     return first - second
 
 

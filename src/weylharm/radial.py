@@ -6,7 +6,8 @@ number operator.  This module computes the omega_k along four independent
 routes (full Weyl iteration, univariate raising recurrence, three-term
 recurrence, terminating-hypergeometric closed form), the induced
 difference-operator triple, the renormalized real family g_k used at
-q = 1/2, and the exact certificates attached to them.
+q = 1/2, the exact certificates attached to them, and the decomposition
+w = sum_k R^k O(h_k) of a Weyl element into ordered harmonics.
 
 Quantities involving the irrational scale alpha = (q(1-q))^(-1/2) are
 never materialized: identities containing alpha are verified after
@@ -28,6 +29,12 @@ The three UniPoly chains hold only immutable values, so handing out a
 cached level cannot change a later result.  The WeylElements of `eta`
 expose their `terms` as read-only `MappingProxyType`s, so they cannot be
 changed either.
+
+`decompose_weyl` pulls w back with `unorder_q` and splits the polynomial
+in one `poly._harmonic_parts` call, which peels every homogeneous
+component at once on one L-chain; `reassemble_weyl` sums the ordered
+parts by Horner's rule in `cal_R`, so a top power K costs K raisings
+rather than K(K+1)/2.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .ordering import OrderingContext, cal_R, order_q, unorder_q
-from .poly import harmonic_decompose
+from .ordering import OrderingContext, _q_ints, cal_R, order_q, unorder_q
+from .poly import _harmonic_parts
 from .scalars import GR_ONE, UP_I, UP_ONE, UP_ZERO, GaussRational, UniPoly, _shifted_sum
 from .specfun import hyp2F1_terminating_poly
 from .weyl import WeylElement, _layout, _memo
@@ -134,12 +141,6 @@ def express_in_N(w: WeylElement) -> UniPoly:
 # ---------------------------------------------------------------------------
 # omega_k: univariate raising, recurrence, closed form
 # ---------------------------------------------------------------------------
-
-
-def _q_ints(q: Fraction) -> tuple:
-    """(a, b, c) with q = a/b in lowest terms, b > 0 and 1 - q = c/b."""
-    a, b = q.numerator, q.denominator
-    return a, b, b - a
 
 
 def _raise(d: int, a: int, b: int, c: int, p: UniPoly, shifts=None) -> UniPoly:
@@ -380,25 +381,27 @@ def check_fg_recurrence(ctx: RadialContext, k_max: int) -> bool:
 def decompose_weyl(ctx: RadialContext, w: WeylElement) -> list:
     """Decompose w = sum_k R^k O(h_k) with every h_k harmonic.
 
-    Pulls w back to a polynomial, harmonically decomposes each homogeneous
-    layer, and regroups by radial power.  Returns [(k, h_k)] with zero
-    parts dropped.
+    Pulls w back to a polynomial and splits it in one `poly._harmonic_parts`
+    call, which peels every homogeneous component on one L-chain.  Returns
+    [(k, h_k)] in ascending k, with zero parts dropped.
     """
-    p = unorder_q(ctx, w)
-    by_power: dict = {}
-    for _, comp in p.homogeneous_components().items():
-        for j, h in enumerate(harmonic_decompose(comp)):
-            if h:
-                by_power.setdefault(j, []).append(h)
-    return [(j, p._sum(p.d, hs)) for j, hs in sorted(by_power.items())]
+    return sorted(_harmonic_parts(unorder_q(ctx, w)).items())
 
 
 def reassemble_weyl(ctx: RadialContext, parts) -> WeylElement:
-    """Inverse of `decompose_weyl`: sum_k R^k O(h_k)."""
+    """Inverse of `decompose_weyl`: sum_k R^k O(h_k), by Horner's rule in R,
+    O(h_0) + R(O(h_1) + R(...)), so a top power K takes K `cal_R` calls.
+    The parts may come in any order and repeat k."""
+    parts = sorted(parts, key=lambda part: part[0], reverse=True)
+    if parts and parts[-1][0] < 0:
+        raise ValueError("radial powers k must be >= 0")
     out = WeylElement.zero(ctx.d)
+    level = parts[0][0] if parts else 0
     for k, h in parts:
-        w = order_q(ctx, h)
-        for _ in range(k):
-            w = cal_R(ctx, w)
-        out = out + w
+        for _ in range(level - k):
+            out = cal_R(ctx, out)
+        level = k
+        out = out + order_q(ctx, h)
+    for _ in range(level):
+        out = cal_R(ctx, out)
     return out

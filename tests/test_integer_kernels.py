@@ -444,7 +444,7 @@ def test_closed_form_drops_zero_sums():
     t = -ctx.q_complement
     raw = per_product_closed_form(w.terms, t, CMonomial)
     assert any(not c for c in raw.values())
-    got = ordering._closed_form(CPolynomial, 2, w._terms, w._den, t)
+    got = ordering._closed_form(CPolynomial, 2, w._terms, w._den, t.numerator, t.denominator)
     assert dict(got.terms) == {m: c for m, c in raw.items() if c}
     assert unorder_q(ctx, w) == p
 

@@ -1,10 +1,11 @@
 """Polynomial algebra: classical triple, harmonic decomposition, dimensions."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weylharm.poly as poly
@@ -157,6 +158,40 @@ def oracle_harmonic_decompose(p):
     return out
 
 
+def peel_harmonic_decompose(p):
+    """The per-component peel that `poly._harmonic_parts` replaced, kept as
+    its oracle: from the most radial layer of a homogeneous p of degree m
+    down, h_j is L^j of the residual over the ladder constant
+    j! * (m - 2j + d) ... (m - j + d - 1), and R^j h_j leaves the residual,
+    until the residual is zero."""
+    d, m = p.d, p.degree()
+    parts = [CPolynomial.zero(d)] * (m // 2 + 1)
+    residual = p
+    for j in range(m // 2, -1, -1):
+        h = residual
+        for _ in range(j):
+            h = op_L(h)
+        h = h.scale(Fraction(1, math.factorial(j) * math.prod(range(m - 2 * j + d, m - j + d))))
+        parts[j] = h
+        for _ in range(j):
+            h = op_R(h)
+        residual = residual - h
+        if not residual:
+            break
+    return parts
+
+
+def parts_by_component(p, decompose=peel_harmonic_decompose):
+    """{j: h_j} of any p: ``decompose`` on each homogeneous component, the
+    j-th parts summed over the components, zero parts dropped."""
+    out = {}
+    for comp in p.homogeneous_components().values():
+        for j, h in enumerate(decompose(comp)):
+            if h:
+                out[j] = out[j] + h if j in out else h
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Ring operations and the triple
 # ---------------------------------------------------------------------------
@@ -279,13 +314,15 @@ class TestHarmonicDecompose:
         assert parts[1] == CPolynomial.one(1)
 
     def test_stops_once_the_residual_is_zero(self, monkeypatch):
-        # r^40 is all in the top layer: L and R twenty times each, then stop
+        # r^40 is all in the top layer: twenty L passes build the chain down
+        # to h_20 and twenty R passes raise it back to degree 40
         calls = []
-        for name in ("op_L", "op_R"):
-            real = getattr(poly, name)
-            monkeypatch.setattr(poly, name, lambda p, real=real: calls.append(1) or real(p))
+        real = poly._triple_acc
+        monkeypatch.setattr(poly, "_triple_acc",
+                            lambda d, terms, *weights: calls.append(weights) or real(d, terms, *weights))
         parts = harmonic_decompose(CPolynomial.monomial(1, (20,), (20,)))
         assert len(calls) == 40
+        assert calls.count((0, 0, 1)) == calls.count((1, 0, 0)) == 20
         assert parts[20] == CPolynomial.one(1)
         assert all(h.is_zero() for h in parts[:20])
 
@@ -331,6 +368,49 @@ class TestHarmonicDecompose:
         p = CPolynomial.one(1) + CPolynomial.z(1, 1)
         with pytest.raises(ValueError):
             harmonic_decompose(p)
+
+
+class TestHarmonicParts:
+    """`poly._harmonic_parts` on any p against the per-component peel and
+    the linear-solve oracle."""
+
+    @staticmethod
+    def assert_decomposes(p, parts):
+        r2 = CPolynomial.radius_squared(p.d)
+        assert all(h and is_harmonic(h) for h in parts.values())
+        assert sum((r2**j * h for j, h in parts.items()), CPolynomial.zero(p.d)) == p
+
+    @given(st.integers(1, 3), st.integers(0, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @example(3, 8, 8, 1)
+    @example(2, 8, 8, 2)
+    @settings(max_examples=60, deadline=None)
+    def test_inhomogeneous_against_the_peel(self, d, deg, n_terms, seed):
+        p = random_cpoly(random.Random(seed), d, deg, n_terms)
+        parts = poly._harmonic_parts(p)
+        assert parts == parts_by_component(p)
+        self.assert_decomposes(p, parts)
+
+    @given(st.integers(1, 2), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_inhomogeneous_against_the_linear_solve(self, d, deg, seed):
+        p = random_cpoly(random.Random(seed), d, deg, 5)
+        assert poly._harmonic_parts(p) == parts_by_component(p, oracle_harmonic_decompose)
+
+    @given(st.integers(1, 3), st.integers(0, 40), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_deep_radial_against_the_peel(self, d, k, deg, seed):
+        # z1^k zb1^k reaches layer k, and lower-degree terms share the chain
+        e = (k,) + (0,) * (d - 1)
+        p = CPolynomial.monomial(d, e, e) + random_cpoly(random.Random(seed), d, deg)
+        parts = poly._harmonic_parts(p)
+        assert parts == parts_by_component(p)
+        self.assert_decomposes(p, parts)
+
+    def test_harmonic_input_is_returned_as_it_is(self):
+        p = CPolynomial.z(2, 1) ** 3 + CPolynomial.zbar(2, 2) + 5
+        assert poly._harmonic_parts(p) == {0: p}
+        assert poly._harmonic_parts(p)[0] is p
+        assert poly._harmonic_parts(CPolynomial.zero(2)) == {}
 
 
 class TestDimensions:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylharm.ordering import cal_E, cal_L, cal_R, order_q
+import weylharm.radial as radial
+from weylharm.ordering import cal_E, cal_L, cal_R, order_q, unorder_q
 from weylharm.poly import CPolynomial, is_harmonic
 from weylharm.radial import (
     NotRadialError,
@@ -29,8 +30,10 @@ from weylharm.radial import (
     three_term_coefficients,
 )
 from weylharm.scalars import GR_ONE, GaussRational, UniPoly
-from weylharm.verify import Q_GRID, random_weyl
+from weylharm.verify import Q_GRID, random_cpoly, random_weyl
 from weylharm.weyl import NormalMonomial, TermMap, WeylElement, number_operator, weyl_mul
+
+from test_poly import parts_by_component
 
 T = UniPoly.x()
 RAISING_CONTEXTS = [(1, Fraction(1, 3)), (2, Fraction(1, 3)), (2, Fraction(2, 3))]
@@ -463,3 +466,61 @@ class TestWeylHarmonics:
                     parts = decompose_weyl(ctx, w)
                     assert all(is_harmonic(h) for _, h in parts)
                     assert reassemble_weyl(ctx, parts) == w
+
+
+def decompose_by_components(ctx, w):
+    """The loop `decompose_weyl` replaced, on the per-component peel of the
+    polynomial tests: pull w back, peel each homogeneous component, regroup
+    by radial power."""
+    return sorted(parts_by_component(unorder_q(ctx, w)).items())
+
+
+def reassemble_by_loop(ctx, parts):
+    """The loop `reassemble_weyl` replaced, kept as its oracle: each part
+    ordered and raised k times on its own, then summed."""
+    out = WeylElement.zero(ctx.d)
+    for k, h in parts:
+        w = order_q(ctx, h)
+        for _ in range(k):
+            w = cal_R(ctx, w)
+        out = out + w
+    return out
+
+
+DECOMPOSE_QS = Q_GRID + (Fraction(1, 3), Fraction(5, 2), Fraction(-2, 3))
+
+
+class TestDecomposeOnTheChain:
+    @given(st.integers(1, 3), st.integers(0, 8), st.sampled_from(DECOMPOSE_QS),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_decompose_against_the_component_loop(self, d, deg, q, seed):
+        ctx = RadialContext(d, q)
+        w = random_weyl(random.Random(seed), d, deg)
+        parts = decompose_weyl(ctx, w)
+        assert parts == decompose_by_components(ctx, w)
+        assert reassemble_weyl(ctx, parts) == w
+
+    @given(st.integers(1, 3), st.sampled_from(DECOMPOSE_QS),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2**32 - 1)), max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_reassemble_against_the_loop(self, d, q, drawn):
+        # parts in any order, k repeated, and h not necessarily harmonic
+        ctx = RadialContext(d, q)
+        parts = [(k, random_cpoly(random.Random(seed), d, 4)) for k, seed in drawn]
+        assert reassemble_weyl(ctx, parts) == reassemble_by_loop(ctx, parts)
+
+    def test_reassemble_raises_once_per_power_below_the_top(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(radial, "cal_R", lambda ctx, w: calls.append(1) or cal_R(ctx, w))
+        ctx = RadialContext(2, Fraction(1, 3))
+        h = CPolynomial.z(2, 1) * CPolynomial.zbar(2, 2)
+        parts = [(1, h), (4, h), (0, h), (4, h.scale(3))]
+        assert reassemble_weyl(ctx, parts) == reassemble_by_loop(ctx, parts)
+        assert len(calls) == 4
+
+    def test_reassemble_refuses_negative_powers(self):
+        ctx = RadialContext(1, Fraction(1, 2))
+        with pytest.raises(ValueError):
+            reassemble_weyl(ctx, [(0, CPolynomial.one(1)), (-1, CPolynomial.one(1))])
+        assert reassemble_weyl(ctx, []) == WeylElement.zero(1)

@@ -171,9 +171,11 @@ def test_memo_does_not_hide_a_faulty_operator(monkeypatch, cold_memos):
 def test_battery_work_counts(monkeypatch, cold_memos):
     # the full battery at seed 1, from cold memos and empty radial chains (so
     # the counts do not depend on the tests run before), draws 140 random
-    # elements (380 before the memos), runs the triple kernel 2574 times and
-    # the ordering closed form 925 times (1141, before the harmonics suite
-    # ordered each basis element once per distinct q)
+    # elements (380 before the memos), runs the triple kernel 2148 times
+    # (2574 while each homogeneous component was peeled with its own L and R
+    # maps and each part was raised on its own) and the ordering closed form
+    # 925 times (1141, before the harmonics suite ordered each basis element
+    # once per distinct q)
     counts = dict.fromkeys(("random_element", "_triple", "_closed_form"), 0)
 
     def counting(module, name):
@@ -189,7 +191,7 @@ def test_battery_work_counts(monkeypatch, cold_memos):
     counting(ordering, "_triple")
     counting(ordering, "_closed_form")
     V.suite_all(seed=1, quick=False)
-    assert counts == {"random_element": 140, "_triple": 2574, "_closed_form": 925}
+    assert counts == {"random_element": 140, "_triple": 2148, "_closed_form": 925}
 
 
 @pytest.mark.parametrize("d, deg, count, seed", [(1, 3, 6, 1), (2, 4, 20, 3), (3, 2, 5, 0)])
