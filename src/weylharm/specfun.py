@@ -7,11 +7,14 @@ Gauss series a polynomial of t, or a + i*x for the complex-argument
 families); lower parameters must be scalars and are pole-checked over the
 finitely many terms actually used.
 
-`terminating_series` sums on ints in the layout of `UniPoly`: the running
-term and the running total are each a list of Gaussian-integer numerators
-over one int denominator.  All scalar parameters of a term fold into one
-integer ratio, so a term costs one short polynomial product and one gcd,
-and the result is built once.
+`terminating_series` writes term j as s_j * B_j(t).  B_j, the product of
+the rising factorials (u)_j of the polynomial uppers u, depends on those
+u alone, so its levels form one chain per tuple of u, memoised by
+`_rising_chain` and grown in place: a family of series over one u (every
+-t series, every a + i*x of one a) shares one chain across k, the scalar
+parameters and the argument.  s_j folds every scalar parameter into one
+Gaussian-integer ratio over an int, with one gcd per step, and the terms
+are summed once over the lcm of their denominators into one `UniPoly`.
 
 The identities between such polynomials (`gauss_contiguous_check`) run
 through `scalars._shifted_sum` with int weights, like the radial layer's.
@@ -27,17 +30,20 @@ from .scalars import (
     UP_ONE,
     GaussRational,
     UniPoly,
-    _combine,
+    _convolve_into,
     _gr,
     _mul_parts,
     _parts,
     _shifted_sum,
     _up,
 )
+from .weyl import _memo
 
 
 class InvalidParameterError(ValueError):
-    """A lower parameter hits a nonpositive integer inside the series."""
+    """A parameter outside its series' domain: a lower parameter that is
+    not real or hits a nonpositive integer inside the series, or a
+    degenerate Krawtchouk or Meixner parameter."""
 
 
 def pochhammer(base, n: int):
@@ -61,47 +67,82 @@ def pochhammer(base, n: int):
     return _gr(re, im, f**n)
 
 
+_MINUS_T = UniPoly((0, -1))
+
+
 def minus_t_poly() -> UniPoly:
-    """The polynomial -t, the usual terminating upper parameter."""
-    return UniPoly((0, -1))
+    """The polynomial -t, the usual terminating upper parameter (one shared
+    immutable value)."""
+    return _MINUS_T
 
 
 def _check_lower(lower, nterms: int):
-    """Raise unless (lower)_j is nonzero for every j < nterms: lower + m
-    vanishes for some 0 <= m < nterms - 1 exactly when lower is the integer
-    -m."""
-    value = lower if isinstance(lower, Fraction) else Fraction(lower)
-    m = -value
-    if m.denominator == 1 and 0 <= m < nterms - 1:
-        raise InvalidParameterError(f"lower parameter {lower} hits zero at term {m + 1}")
+    """Raise unless lower is real and (lower)_j is nonzero for every
+    j < nterms: lower + m vanishes for some 0 <= m < nterms - 1 exactly
+    when lower is the integer -m."""
+    c, e, f = _parts(lower)
+    if e:
+        raise InvalidParameterError(f"lower parameter {lower} must be real")
+    if f == 1 and 0 <= -c < nterms - 1:
+        raise InvalidParameterError(f"lower parameter {lower} hits zero at term {1 - c}")
+
+
+@_memo()
+def _rising_chain(polys: tuple) -> list:
+    return [UP_ONE]
+
+
+def _rising_levels(polys: tuple, n: int) -> list:
+    """The memoised chain B_j = prod_u (u)_j of the polynomial uppers u,
+    given as their parts (re, im, den), grown to at least n levels.
+
+    Level j+1 is level j times every u + j: one `_mul_parts` per u and
+    one gcd.  Once a level is zero, every later one is too.
+    """
+    chain = _rising_chain(polys)
+    while len(chain) < n:
+        j = len(chain) - 1
+        level = chain[-1]
+        if polys and level._re:
+            re, im, den = level._re, level._im, level._den
+            for u_re, u_im, u_den in polys:
+                # u + j = (re + j*den + im*i)/den
+                shifted = list(u_re or (0,))
+                shifted[0] += j * u_den
+                re, im = _mul_parts(re, im, shifted, u_im)
+                den *= u_den
+            level = _up(re, im, den)
+        chain.append(level)
+    return chain
 
 
 def terminating_series(uppers, lowers, arg, nterms: int) -> UniPoly:
     """sum_{j<nterms} prod(u)_j / (prod(l)_j j!) * arg^j as a UniPoly.
 
-    ``uppers`` may mix scalars and UniPoly factors of any degree; ``lowers``
-    and ``arg`` must be exact scalars.  The result is a polynomial (a
-    constant one when no upper factor is a polynomial).
+    ``uppers`` may mix scalars and UniPoly factors of any number and
+    degree; ``lowers`` must be real exact scalars and ``arg`` an exact
+    scalar.  The result is a polynomial (a constant one when no upper
+    factor is a polynomial).
 
-    The running term and the running total are Gaussian-integer numerator
-    lists over one int denominator each, the layout of `UniPoly`.  Going
-    from term j to term j+1, the scalar uppers, the lowers, j+1 and ``arg``
-    fold into one ratio (rn + rm*i)/rd; that ratio times the numerators of
-    every polynomial factor (u + j) gives one short factor, which multiplies
-    the term's numerators.  One gcd reduces the term, and the total moves
-    onto the lcm of the two denominators.  The sum stops at the first zero
-    ratio, the term past a -k upper; one `_up` builds the result.
+    Term j is s_j * B_j(t).  B_j, the product of (u)_j over the polynomial
+    uppers, depends on nothing else, so it is read from a chain memoised
+    per tuple of polynomial uppers and shared by every series on them
+    (`_rising_levels`).  s_j is the running product of the ratios of the
+    scalar uppers, the lowers, j! and ``arg``, kept as a Gaussian-integer
+    numerator over an int and reduced by one gcd per step; the sum stops
+    at the first zero ratio, the term past a -k upper.  The terms are then
+    accumulated once over the lcm of their denominators, and one `_up`
+    builds the result.
     """
     if nterms < 1:
         raise ValueError("series needs at least one term")
     for lower in lowers:
         _check_lower(lower, nterms)
-    polys = [(u._re or (0,), u._im, u._den) for u in uppers if isinstance(u, UniPoly)]
     scalars = [_parts(u) for u in uppers if not isinstance(u, UniPoly)]
     lower_parts = [_parts(low) for low in lowers]
     an, am, ad = _parts(arg)
-    re, im, den = [1], (), 1
-    total_re, total_im, total_den = [1], [], 1
+    sn, sm, sd = 1, 0, 1
+    steps = [(sn, sm, sd)]
     for j in range(nterms - 1):
         # u + j = (c + j*f + e*i)/f for u = (c + e*i)/f
         rn, rm, rd = an, am, ad * (j + 1)
@@ -111,31 +152,28 @@ def terminating_series(uppers, lowers, arg, nterms: int) -> UniPoly:
         if not rn and not rm:
             break
         for c, _, f in lower_parts:
-            c += j * f
-            rn, rm, rd = rn * f, rm * f, rd * c
-        if rd < 0:
-            rn, rm, rd = -rn, -rm, -rd
-        factor_re, factor_im = [rn], ([rm] if rm else ())
-        for u_re, u_im, u_den in polys:
-            shifted = list(u_re)
-            shifted[0] += j * u_den
-            factor_re, factor_im = _mul_parts(factor_re, factor_im, shifted, u_im)
-            rd *= u_den
-        re, im = _mul_parts(re, im, factor_re, factor_im)
-        den *= rd
-        g = gcd(den, *re, *im)
-        if g != 1:
-            re = [n // g for n in re]
-            im = [m // g for m in im]
-            den //= g
-        g = gcd(total_den, den)
-        scale_total, scale_term = den // g, total_den // g
-        total_re = _combine(total_re, scale_total, re, scale_term)
-        total_im = _combine(total_im, scale_total, im, scale_term)
-        total_den = scale_total * total_den
-    if total_im:
-        total_im += [0] * (len(total_re) - len(total_im))
-    return _up(total_re, total_im, total_den)
+            rn, rm, rd = rn * f, rm * f, rd * (c + j * f)
+        sn, sm, sd = sn * rn - sm * rm, sn * rm + sm * rn, sd * rd
+        g = gcd(sn, sm, sd)
+        if sd < 0:
+            g = -g
+        sn, sm, sd = sn // g, sm // g, sd // g
+        steps.append((sn, sm, sd))
+    polys = tuple((u._re, u._im, u._den) for u in uppers if isinstance(u, UniPoly))
+    levels = _rising_levels(polys, len(steps))
+    terms = [(sn, sm, sd * level._den, level)
+             for (sn, sm, sd), level in zip(steps, levels) if level._re]
+    common = lcm(*(den for _, _, den, _ in terms))
+    size = max(len(level._re) for *_, level in terms)
+    re, im = [0] * size, [0] * size
+    for sn, sm, den, level in terms:
+        scale = common // den
+        wn, wm = (sn * scale,), (sm * scale,)
+        _convolve_into(re, wn, level._re, 1)
+        _convolve_into(re, wm, level._im, -1)
+        _convolve_into(im, wn, level._im, 1)
+        _convolve_into(im, wm, level._re, 1)
+    return _up(re, im, common)
 
 
 def hyp2F1_terminating_poly(k: int, c, x) -> UniPoly:
@@ -235,16 +273,20 @@ def hyp2f1_3f2_connection_check(n: int, a) -> bool:
 
 
 def krawtchouk_poly(k: int, p, n_par) -> UniPoly:
-    """Krawtchouk polynomial K_k(t, p, N) = 2F1(-k, -t, -N; 1/p)."""
+    """Krawtchouk polynomial K_k(t, p, N) = 2F1(-k, -t, -N; 1/p); p != 0."""
     p = Fraction(p)
+    if not p:
+        raise InvalidParameterError("the Krawtchouk parameter p must be nonzero")
     return terminating_series(
         [Fraction(-k), minus_t_poly()], [-Fraction(n_par)], 1 / p, k + 1
     )
 
 
 def meixner_poly(k: int, beta, c_par) -> UniPoly:
-    """Meixner polynomial M_k(t, beta, c) = 2F1(-k, -t, beta; 1 - 1/c)."""
+    """Meixner polynomial M_k(t, beta, c) = 2F1(-k, -t, beta; 1 - 1/c); c != 0."""
     c_par = Fraction(c_par)
+    if not c_par:
+        raise InvalidParameterError("the Meixner parameter c must be nonzero")
     return terminating_series(
         [Fraction(-k), minus_t_poly()], [Fraction(beta)], 1 - 1 / c_par, k + 1
     )

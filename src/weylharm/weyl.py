@@ -92,8 +92,9 @@ def _memo(maxsize=None):
 
 def clear_caches() -> None:
     """Empty every memo of the package: the packed layouts, the
-    contraction kernel, the radial chains and the battery's samples.
-    Values and outputs do not change; the memos refill on demand."""
+    contraction kernel, the radial and rising-factorial chains and the
+    battery's samples.  Values and outputs do not change; the memos
+    refill on demand."""
     for memo in _MEMOS:
         memo.cache_clear()
 

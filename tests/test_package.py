@@ -14,6 +14,7 @@ from weylharm import weyl
 from weylharm.numerics import QuadratureSpec
 from weylharm.ordering import OrderingContext
 from weylharm.radial import RadialContext, eta, g_poly_symmetric, omega
+from weylharm.specfun import continuous_hahn_poly
 from weylharm.verify import suite_all
 
 
@@ -32,11 +33,12 @@ def test_every_memo_is_registered_and_cleared():
         module = importlib.import_module(f"weylharm.{info.name}")
         memos.update(v for v in vars(module).values()
                      if isinstance(v, functools._lru_cache_wrapper))
-    assert memos == set(weyl._MEMOS) and len(memos) == 8
+    assert memos == set(weyl._MEMOS) and len(memos) == 9
 
     def values():
         ctx = RadialContext(2, Fraction(1, 3))
-        return omega(ctx, 6), eta(ctx, 3), g_poly_symmetric(2, 5), weyl.contractions(2, 3, 1)
+        return (omega(ctx, 6), eta(ctx, 3), g_poly_symmetric(2, 5), weyl.contractions(2, 3, 1),
+                continuous_hahn_poly(5, Fraction(1, 2), 1, Fraction(1, 2), 1))
 
     suite_all(seed=1, quick=True)
     warm = values()

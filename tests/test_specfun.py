@@ -2,18 +2,23 @@
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
+from math import factorial
 
 import pytest
 
+from weylharm import clear_caches
 from weylharm.radial import RadialContext, g_poly_symmetric, omega_closed_form
 from weylharm.scalars import GR_I, GR_ONE, GaussRational, UniPoly
 from weylharm.specfun import (
     InvalidParameterError,
+    _rising_levels,
     continuous_hahn_poly,
     gauss_contiguous_check,
     hyp2F1_terminating_poly,
     hyp2f1_3f2_connection_check,
     krawtchouk_meixner_check,
+    krawtchouk_poly,
     meixner_pollaczek_poly,
     meixner_poly,
     minus_t_poly,
@@ -276,3 +281,137 @@ def test_series_is_exact_sum_of_k_plus_one_terms():
         [minus_t_poly(), Fraction(-3)], [Fraction(2)], Fraction(5, 7), 9
     )
     assert base == longer
+
+
+# ---------------------------------------------------------------------------
+# The series against a plain-Fraction oracle, and the rising-factorial chain
+# ---------------------------------------------------------------------------
+
+
+def fraction_series(uppers, lowers, arg, nterms):
+    """The oracle: every term built from scratch on lists of (re, im)
+    Fraction pairs, constant first, with no package arithmetic at all;
+    UniPoly and GaussRational inputs are only read."""
+    zero = Fraction(0)
+
+    def pairs(x):
+        if isinstance(x, UniPoly):
+            return [(c.re, c.im) for c in x.coeffs] or [(zero, zero)]
+        if isinstance(x, GaussRational):
+            return [(x.re, x.im)]
+        return [(Fraction(x), zero)]
+
+    def mul(p, q):
+        out = [(zero, zero)] * (len(p) + len(q) - 1)
+        for i, (a, b) in enumerate(p):
+            for j, (c, d) in enumerate(q):
+                re, im = out[i + j]
+                out[i + j] = (re + a * c - b * d, im + a * d + b * c)
+        return out
+
+    (arg_re, arg_im), = pairs(arg)
+    total = [(zero, zero)]
+    for j in range(nterms):
+        term = [(Fraction(1), zero)]
+        for u in uppers:
+            for m in range(j):
+                shifted = pairs(u)
+                shifted[0] = (shifted[0][0] + m, shifted[0][1])
+                term = mul(term, shifted)
+        scale = Fraction(1, factorial(j))
+        for low in lowers:
+            for m in range(j):
+                scale /= Fraction(low) + m
+        for _ in range(j):
+            term = mul(term, [(arg_re, arg_im)])
+        term = mul(term, [(scale, zero)])
+        total = [(a + c, b + d) for (a, b), (c, d) in
+                 zip_longest(total, term, fillvalue=(zero, zero))]
+    while total and total[-1] == (zero, zero):
+        total.pop()
+    return total
+
+
+def fraction_pairs(p):
+    """The coefficients of a UniPoly as (re, im) Fraction pairs."""
+    return [(c.re, c.im) for c in p.coeffs]
+
+
+A_PLUS_IX = UniPoly((Fraction(3, 4), GR_I))
+ORACLE_GRID = [
+    # (uppers, lowers, arg): the -k upper stops the sum early once
+    # nterms > k + 1, and nterms = 1 is the bare first term
+    ([minus_t_poly(), Fraction(-4)], [Fraction(3)], Fraction(4, 3)),
+    ([minus_t_poly(), Fraction(-3)], [Fraction(1, 2)], GaussRational(1, -2)),
+    ([Fraction(-5), GaussRational(Fraction(1, 3), 2), A_PLUS_IX], [Fraction(5, 2)],
+     GaussRational(Fraction(1, 2), Fraction(1, 3))),
+    ([Fraction(-4), A_PLUS_IX, minus_t_poly()], [Fraction(2), Fraction(7, 3)], 1),
+    ([A_PLUS_IX, UniPoly((GaussRational(1, 1), 2, Fraction(1, 2)))], [Fraction(-9, 2)],
+     Fraction(-2, 5)),
+    ([GaussRational(0, 1), T], [], Fraction(3)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_GRID)))
+@pytest.mark.parametrize("nterms", [1, 2, 4, 7])
+def test_series_matches_fraction_oracle(case, nterms):
+    uppers, lowers, arg = ORACLE_GRID[case]
+    expected = fraction_series(uppers, lowers, arg, nterms)
+    assert fraction_pairs(terminating_series(uppers, lowers, arg, nterms)) == expected
+
+
+def test_warm_chain_gives_the_cold_parts():
+    def series(k):
+        return parts(terminating_series([minus_t_poly(), A_PLUS_IX, Fraction(-k)],
+                                        [Fraction(5, 3)], GaussRational(2, 1), k + 1))
+
+    series(12)
+    warm = series(3)
+    clear_caches()
+    assert series(3) == warm
+
+
+def test_chain_levels_are_rising_factorial_products():
+    uppers = (minus_t_poly(), A_PLUS_IX)
+    levels = _rising_levels(tuple(parts(u) for u in uppers), 7)
+    for j, level in enumerate(levels[:7]):
+        expected = UniPoly((1,))
+        for u in uppers:
+            for m in range(j):
+                expected = expected * (u + m)
+        assert parts(level) == parts(expected)
+
+
+def test_chain_levels_are_immutable():
+    level = _rising_levels((parts(minus_t_poly()),), 3)[2]
+    with pytest.raises(AttributeError):
+        level._re = (0,)
+    with pytest.raises(TypeError):
+        level._re[0] = 1
+    assert parts(_rising_levels((parts(minus_t_poly()),), 3)[2]) == parts(T * (T - 1))
+
+
+def test_real_gauss_rational_lower_is_read_as_its_fraction():
+    assert parts(hyp2F1_terminating_poly(2, GaussRational(1), 2)) == parts(
+        hyp2F1_terminating_poly(2, Fraction(1), 2))
+    with pytest.raises(InvalidParameterError, match="hits zero at term 2"):
+        hyp2F1_terminating_poly(3, GaussRational(-1), 2)
+
+
+def test_complex_lower_is_refused():
+    with pytest.raises(InvalidParameterError, match="must be real"):
+        terminating_series([minus_t_poly()], [GaussRational(1, 1)], 1, 3)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: krawtchouk_poly(2, 0, 3), "p"),
+    (lambda: meixner_poly(2, 3, 0), "c"),
+])
+def test_zero_krawtchouk_p_and_meixner_c_are_refused(make, name):
+    with pytest.raises(InvalidParameterError, match=f"parameter {name} must be nonzero"):
+        make()
+
+
+def test_minus_t_is_one_shared_constant():
+    assert minus_t_poly() is minus_t_poly()
+    assert minus_t_poly() == -T
