@@ -45,7 +45,7 @@ from math import comb, factorial, prod
 from .ordering import OrderingContext, _q_ints, cal_R, order_q, unorder_q
 from .poly import _harmonic_parts
 from .scalars import GR_ONE, UP_I, UP_ONE, UP_ZERO, GaussRational, UniPoly, _shifted_sum
-from .specfun import hyp2F1_terminating_poly
+from .specfun import _MINUS_T_KEY, _series
 from .weyl import WeylElement, _layout, _memo
 
 
@@ -228,19 +228,22 @@ def omega_closed_form(ctx: RadialContext, k: int) -> UniPoly:
 
     For q != 1 this is (d)_k (1-q)^k * 2F1(-t, -k, d; 1/(1-q)) expanded as
     an exact polynomial in t; at q = 1 the limit form is the falling
-    factorial t(t-1)...(t-k+1).
+    factorial t(t-1)...(t-k+1).  With q = a/b and 1 - q = c/b as ints, the
+    series is one `specfun._series` call on ints: its argument is b/c and
+    the prefactor (d)_k c^k / b^k seeds its first term.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if ctx.q == 1:
+    _, b, c = _q_ints(ctx.q)
+    if not c:
         t = UniPoly.x()
         out = UniPoly((GR_ONE,))
         for m in range(k):
             out = out * (t - m)
         return out
-    a, b, c = _q_ints(ctx.q)
-    series = hyp2F1_terminating_poly(k, Fraction(ctx.d), Fraction(b, c))
-    return series._scale(prod(range(ctx.d, ctx.d + k)) * c**k, 0, b**k)
+    d = ctx.d
+    return _series(((-k, 0, 1),), (_MINUS_T_KEY,), ((d, 0, 1),), (b, 0, c), k + 1,
+                   (prod(range(d, d + k)) * c**k, 0, b**k))
 
 
 # ---------------------------------------------------------------------------

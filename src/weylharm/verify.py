@@ -429,7 +429,7 @@ def suite_hahn(k_max: int = 8, d_max: int = 4, seed: int = 0) -> dict:
     )
     ok_contig = all(
         gauss_contiguous_check(k, Fraction(c), Fraction(2))
-        for k in range(1, k_max + 1)
+        for k in range(k_max + 1)
         for c in range(1, d_max + 1)
     )
     ok_km = all(

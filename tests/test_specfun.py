@@ -1,6 +1,7 @@
 """Terminating hypergeometric machinery and the named families."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial
@@ -12,6 +13,7 @@ from weylharm.radial import RadialContext, g_poly_symmetric, omega_closed_form
 from weylharm.scalars import GR_I, GR_ONE, GaussRational, UniPoly
 from weylharm.specfun import (
     InvalidParameterError,
+    _rising_chain,
     _rising_levels,
     continuous_hahn_poly,
     gauss_contiguous_check,
@@ -288,13 +290,16 @@ def test_series_is_exact_sum_of_k_plus_one_terms():
 # ---------------------------------------------------------------------------
 
 
-def fraction_series(uppers, lowers, arg, nterms):
+def fraction_series(uppers, lowers, arg, nterms, pre=(1, 0)):
     """The oracle: every term built from scratch on lists of (re, im)
-    Fraction pairs, constant first, with no package arithmetic at all;
-    UniPoly and GaussRational inputs are only read."""
+    Fraction pairs, constant first, and times the prefactor ``pre``, with
+    no package arithmetic at all; UniPoly and GaussRational inputs are
+    only read, and a polynomial upper may also be given as such a list."""
     zero = Fraction(0)
 
     def pairs(x):
+        if isinstance(x, list):
+            return list(x)
         if isinstance(x, UniPoly):
             return [(c.re, c.im) for c in x.coeffs] or [(zero, zero)]
         if isinstance(x, GaussRational):
@@ -324,7 +329,7 @@ def fraction_series(uppers, lowers, arg, nterms):
                 scale /= Fraction(low) + m
         for _ in range(j):
             term = mul(term, [(arg_re, arg_im)])
-        term = mul(term, [(scale, zero)])
+        term = mul(term, [(scale * pre[0], scale * pre[1])])
         total = [(a + c, b + d) for (a, b), (c, d) in
                  zip_longest(total, term, fillvalue=(zero, zero))]
     while total and total[-1] == (zero, zero):
@@ -415,3 +420,160 @@ def test_zero_krawtchouk_p_and_meixner_c_are_refused(make, name):
 def test_minus_t_is_one_shared_constant():
     assert minus_t_poly() is minus_t_poly()
     assert minus_t_poly() == -T
+
+
+# ---------------------------------------------------------------------------
+# The named families and the radial closed form against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+
+def rising(x, n):
+    """(x)_n on Fractions."""
+    out = Fraction(1)
+    for m in range(n):
+        out *= x + m
+    return out
+
+
+def i_power(k, r):
+    """i^k r as an (re, im) pair."""
+    re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]
+    return re * r, im * r
+
+
+MINUS_T_PAIRS = [(0, 0), (-1, 0)]
+
+
+def plus_ix_pairs(a):
+    return [(a, 0), (0, 1)]
+
+
+def hahn_oracle(k, a, b, c, d):
+    prefactor = rising(a + c, k) * rising(a + d, k) / factorial(k)
+    return fraction_series([-k, k + a + b + c + d - 1, plus_ix_pairs(a)], [a + c, a + d],
+                           1, k + 1, i_power(k, prefactor))
+
+
+def meixner_pollaczek_oracle(n, a):
+    return fraction_series([-n, plus_ix_pairs(a)], [2 * a], 2, n + 1, i_power(n, 1))
+
+
+def krawtchouk_oracle(k, p, n_par):
+    return fraction_series([-k, MINUS_T_PAIRS], [-n_par], 1 / p, k + 1)
+
+
+def meixner_oracle(k, beta, c):
+    return fraction_series([-k, MINUS_T_PAIRS], [beta], 1 - 1 / c, k + 1)
+
+
+def omega_oracle(k, d, q):
+    return fraction_series([MINUS_T_PAIRS, -k], [d], 1 / (1 - q), k + 1,
+                           (rising(Fraction(d), k) * (1 - q) ** k, 0))
+
+
+F = Fraction
+FAMILY_GRID = [
+    # (family, oracle, parameters): symmetric, negative and non-half-integer,
+    # and integer parameters; q > 1 makes 1 - q negative
+    (continuous_hahn_poly, hahn_oracle, (F(3, 4), F(5, 4), F(3, 4), F(5, 4))),
+    (continuous_hahn_poly, hahn_oracle, (F(-2, 3), F(2, 5), F(7, 3), F(-1, 7))),
+    (continuous_hahn_poly, hahn_oracle, (F(2), F(-5), F(1), F(3))),
+    (meixner_pollaczek_poly, meixner_pollaczek_oracle, (F(1, 2),)),
+    (meixner_pollaczek_poly, meixner_pollaczek_oracle, (F(-2, 3),)),
+    (meixner_pollaczek_poly, meixner_pollaczek_oracle, (F(3),)),
+    (krawtchouk_poly, krawtchouk_oracle, (F(1, 3), F(20))),
+    (krawtchouk_poly, krawtchouk_oracle, (F(-5, 2), F(-7, 3))),
+    (meixner_poly, meixner_oracle, (F(2), F(1, 3))),
+    (meixner_poly, meixner_oracle, (F(-7, 2), F(-3, 5))),
+    (lambda k, d, q: omega_closed_form(RadialContext(d, q), k), omega_oracle, (2, F(1, 3))),
+    (lambda k, d, q: omega_closed_form(RadialContext(d, q), k), omega_oracle, (3, F(5, 2))),
+    (lambda k, d, q: omega_closed_form(RadialContext(d, q), k), omega_oracle, (1, F(-2, 3))),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FAMILY_GRID)))
+def test_families_match_fraction_oracle(case):
+    family, oracle, params = FAMILY_GRID[case]
+    for k in range(17):
+        assert fraction_pairs(family(k, *params)) == oracle(k, *params), k
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: meixner_pollaczek_poly(3, Fraction(-1, 2)), "lower parameter -1 hits zero at term 2"),
+    (lambda: continuous_hahn_poly(4, Fraction(-1, 2), 1, Fraction(-3, 2), 2),
+     "lower parameter -2 hits zero at term 3"),
+    (lambda: krawtchouk_poly(4, Fraction(1, 3), 2), "lower parameter -2 hits zero at term 3"),
+    (lambda: meixner_poly(2, 0, 3), "lower parameter 0 hits zero at term 1"),
+    (lambda: hyp2f1_3f2_connection_check(5, Fraction(-3, 4)),
+     "lower parameter -3 hits zero at term 4"),
+])
+def test_family_pole_messages(make, message):
+    with pytest.raises(InvalidParameterError) as got:
+        make()
+    assert str(got.value) == message
+
+
+# (entry point, arguments, the names of the rational parameters by position)
+REAL_PARAMETER_CASES = [
+    (hyp2F1_terminating_poly, (3, F(5, 2), GaussRational(-3, 4)), {1: "c"}),
+    (continuous_hahn_poly, (5, F(3, 4), F(5, 4), F(-2, 3), 2), {1: "a", 2: "b", 3: "c", 4: "d"}),
+    (meixner_pollaczek_poly, (4, F(-2, 3)), {1: "a"}),
+    (krawtchouk_poly, (4, F(1, 3), 6), {1: "p", 2: "N"}),
+    (meixner_poly, (4, F(5, 2), F(-1, 3)), {1: "beta", 2: "c"}),
+    (gauss_contiguous_check, (3, F(5, 2), F(-3, 4)), {1: "c", 2: "x"}),
+    (hyp2f1_3f2_connection_check, (5, F(3, 4)), {1: "a"}),
+    (krawtchouk_meixner_check, (4, F(2, 7), 2), {1: "q"}),
+]
+
+
+def canonical(value):
+    return parts(value) if isinstance(value, UniPoly) else value
+
+
+@pytest.mark.parametrize("fn, args, names", REAL_PARAMETER_CASES,
+                         ids=[fn.__name__ for fn, _, _ in REAL_PARAMETER_CASES])
+def test_real_gauss_rational_parameters_give_the_fraction_result(fn, args, names):
+    expected = canonical(fn(*args))
+    for pos in names:
+        swapped = list(args)
+        swapped[pos] = GaussRational(args[pos])
+        assert canonical(fn(*swapped)) == expected
+
+
+@pytest.mark.parametrize("fn, args, names", REAL_PARAMETER_CASES,
+                         ids=[fn.__name__ for fn, _, _ in REAL_PARAMETER_CASES])
+def test_complex_parameters_are_refused_by_name(fn, args, names):
+    for pos, name in names.items():
+        swapped = list(args)
+        swapped[pos] = GaussRational(args[pos], 1)
+        with pytest.raises(InvalidParameterError, match=f"^parameter {name} = .* must be real$"):
+            fn(*swapped)
+
+
+def test_families_share_the_chains_of_their_unipoly_uppers():
+    # a family passes a + ix and 2a + 2ix as exactly their UniPolys' parts
+    for a in (Fraction(3, 4), Fraction(-7, 6), Fraction(2), Fraction(1, 3)):
+        clear_caches()
+        meixner_pollaczek_poly(6, a)
+        hyp2f1_3f2_connection_check(6, a)
+        for upper in (UniPoly((GaussRational(a), GR_I)),
+                      UniPoly((GaussRational(2 * a), 2 * GR_I))):
+            assert len(_rising_chain((parts(upper),))) == 7
+
+
+def test_families_and_the_closed_form_build_no_fraction():
+    built = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is Fraction.__new__.__code__:
+            built.append(frame.f_back.f_code.co_name)
+
+    calls = [(fn, args) for fn, args, _ in REAL_PARAMETER_CASES]
+    calls.append((omega_closed_form, (RadialContext(2, Fraction(5, 2)), 6)))
+    sys.setprofile(profile)
+    try:
+        for fn, args in calls:
+            fn(*args)
+    finally:
+        sys.setprofile(None)
+    assert built == []

@@ -219,3 +219,14 @@ def test_genfun_ode_points_fit_a_small_branch_radius(q, d):
     report = V.suite_genfun(q, d, order=10)
     status = {c["id"]: c["status"] for c in report["cases"]}
     assert status["first-order ODE residual"] == "PASS"
+
+
+def test_hahn_contiguous_relations_are_checked_at_kmax_zero(monkeypatch):
+    # both relations hold at k = 0, so k_max = 0 checks them there
+    def status():
+        report = V.suite_hahn(k_max=0, d_max=2)
+        return {c["id"]: c["status"] for c in report["cases"]}["Gauss contiguous relations"]
+
+    assert status() == "PASS"
+    monkeypatch.setattr(V, "gauss_contiguous_check", lambda k, c, x: False)
+    assert status() == "FAIL"
