@@ -82,15 +82,43 @@ class RadialContext(OrderingContext):
 # ---------------------------------------------------------------------------
 
 
+# the most exponent fields `eta` lets its chain and the layout of d modes
+# hold: eta_0..eta_k have at most C(k + d + 1, d + 1) keys and the layout d,
+# each of 2d fields.  At the bound, cold, `weylharm eta --q 1/3` took 1.1 s
+# and 135 MB at d = 1 (k = 705) and 0.5 s and 38 MB at d = 3 (k = 35) on a
+# 2-core x86-64 machine; the d = 1 chain is larger for its longer coefficients
+ETA_FIELDS_MAX = 500_000
+
+
 @_memo()
 def _eta_chain(d: int, q: Fraction) -> list:
     return [WeylElement.one(d)]
 
 
+def _check_eta_size(d: int, k: int) -> None:
+    """Raise unless 2d(C(k + d + 1, d + 1) + d) <= ETA_FIELDS_MAX.
+
+    The binomial grows one factor at a time through C(n - r + i, i),
+    i <= r = min(k, d + 1), and each factor at least doubles it, so the
+    loop stops within a few steps however large k and d are.
+    """
+    n, r = k + d + 1, min(k, d + 1)
+    keys = 1
+    for i in range(1, r + 1):
+        if 2 * d * (keys + d) > ETA_FIELDS_MAX:
+            break
+        keys = keys * (n - r + i) // i
+    if 2 * d * (keys + d) > ETA_FIELDS_MAX:
+        raise ValueError(f"d = {d}, k = {k}: the chain eta_0..eta_k would hold more "
+                         f"than {ETA_FIELDS_MAX} exponent fields")
+
+
 def eta(ctx: RadialContext, k: int) -> WeylElement:
-    """The k-th iterate of the raising operator on the unit."""
+    """The k-th iterate of the raising operator on the unit; a chain that
+    would outgrow ETA_FIELDS_MAX is refused before anything is built."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    _check_eta_size(ctx.d, k)
     chain = _eta_chain(ctx.d, ctx.q)
     while len(chain) <= k:
         chain.append(cal_R(ctx, chain[-1]))

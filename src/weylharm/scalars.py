@@ -433,18 +433,6 @@ class UniPoly:
                 lower //= ad
         return _up(re, im, self._den * (bd * ad) ** (n - 1))
 
-    def compose_shift(self, shift: ScalarLike) -> "UniPoly":
-        """Return t |-> p(t + shift)."""
-        return self.compose_linear(1, shift)
-
-    def forward_difference(self) -> "UniPoly":
-        """p(t+1) - p(t)."""
-        return self.compose_shift(1) - self
-
-    def backward_difference(self) -> "UniPoly":
-        """p(t) - p(t-1)."""
-        return self - self.compose_shift(-1)
-
     # -- structure -------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -21,7 +21,8 @@ grown in place: a family of series over one u (every -t series, every
 a + i*x of one a) shares one chain across k, the scalar parameters and the
 argument.  s_j folds the prefactor and every scalar parameter into one
 Gaussian-integer ratio over an int, with one gcd per step, and the terms
-are summed once over the lcm of their denominators into one `UniPoly`.
+are summed once over the lcm of their denominators into one `UniPoly`,
+one pass over the numerators of B_j per term.
 
 The identities between such polynomials (`gauss_contiguous_check`) run
 through `scalars._shifted_sum` with int weights, like the radial layer's.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from math import factorial, gcd, lcm
 
-from .scalars import UP_ONE, UniPoly, _convolve_into, _gr, _mul_parts, _parts, _shifted_sum, _up
+from .scalars import UP_ONE, UniPoly, _gr, _mul_parts, _parts, _shifted_sum, _up
 from .weyl import _memo
 
 
@@ -151,8 +152,10 @@ def _series(scalars, polys: tuple, lowers, arg: tuple, nterms: int,
     and s_j the running product of ``pre`` and the ratios of the scalar
     uppers, the lowers, j! and ``arg``, reduced by one gcd per step; the
     sum stops at the first zero ratio, the term past a -k upper.  The
-    terms are accumulated once over the lcm of their denominators, and
-    one `_up` builds the result.
+    terms are accumulated once over the lcm of their denominators, each in
+    one pass over its level's numerators: (wn + wm*i)(re + im*i) for a
+    complex level, and for a real one the real weight alone when wm = 0.
+    One `_up` builds the result.
     """
     if nterms < 1:
         raise ValueError("series needs at least one term")
@@ -185,11 +188,19 @@ def _series(scalars, polys: tuple, lowers, arg: tuple, nterms: int,
     re, im = [0] * size, [0] * size
     for sn, sm, den, level in terms:
         scale = common // den
-        wn, wm = (sn * scale,), (sm * scale,)
-        _convolve_into(re, wn, level._re, 1)
-        _convolve_into(re, wm, level._im, -1)
-        _convolve_into(im, wn, level._im, 1)
-        _convolve_into(im, wm, level._re, 1)
+        wn, wm = sn * scale, sm * scale
+        lim = level._im
+        if lim:  # (wn + wm*i) * (x + y*i)
+            for j, (x, y) in enumerate(zip(level._re, lim)):
+                re[j] += wn * x - wm * y
+                im[j] += wn * y + wm * x
+        elif wm:
+            for j, x in enumerate(level._re):
+                re[j] += wn * x
+                im[j] += wm * x
+        else:
+            for j, x in enumerate(level._re):
+                re[j] += wn * x
     return _up(re, im, common)
 
 

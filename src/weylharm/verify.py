@@ -81,6 +81,10 @@ HARMONIC_Q_PAIRS = (
 # the largest k_max whose orthogonality suite passes for d = 1..3 in about
 # 10 s cold (d = 1, the slowest, took 9.7 s on a 2-core x86-64 machine)
 ORTHOGONALITY_KMAX = 90
+# the largest k_max and d_max of hahn: at both, cold, it took 6.7 s on a
+# 2-core x86-64 machine (k_max = 150 took 11 s at d_max = 3)
+HAHN_KMAX = 100
+HAHN_DMAX = 10
 # the largest genfun order: cold, order 170 took at most 0.8 s for
 # q in {1/2, 1/4, 1/3, 1/10, 1/100} and d in {1, 10, 100, 1000}, while at
 # q = 1/2 order 400 took 2.5 s and order 1000 55 s (2-core x86-64 machine);
@@ -404,6 +408,11 @@ def suite_hahn(k_max: int = 8, d_max: int = 4, seed: int = 0) -> dict:
     _check_sizes(k_max=k_max)
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
+    if k_max > HAHN_KMAX:
+        raise ValueError(f"k_max must be <= {HAHN_KMAX} for hahn "
+                         "(its time grows about as k_max^3)")
+    if d_max > HAHN_DMAX:
+        raise ValueError(f"d_max must be <= {HAHN_DMAX} for hahn")
     ok_hahn = True
     ok_mp = True
     for d in range(1, d_max + 1):

@@ -11,7 +11,9 @@ import textwrap
 import pytest
 
 from weylharm.cli import main
-from weylharm.verify import GENFUN_ORDER_MAX, ORTHOGONALITY_KMAX
+from weylharm.radial import ETA_FIELDS_MAX
+from weylharm.scalars import UniPoly
+from weylharm.verify import GENFUN_ORDER_MAX, HAHN_DMAX, HAHN_KMAX, ORTHOGONALITY_KMAX
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -186,6 +188,18 @@ class TestElementCommands:
             (["verify", "genfun", "--q", "1/4", "--d", "1000000000"],
              "d = 1000000000, q = 1/4, order = 10: the generating function or "
              "its exact coefficients overflow a float"),
+            # hahn's time grows about as k_max^3, and linearly in d_max
+            *[(["verify", "hahn", "--kmax", kmax],
+               f"k_max must be <= {HAHN_KMAX} for hahn (its time grows about as k_max^3)")
+              for kmax in (str(HAHN_KMAX + 1), "10000")],
+            (["verify", "hahn", "--d", str(HAHN_DMAX + 1)],
+             f"d_max must be <= {HAHN_DMAX} for hahn"),
+            # eta refuses a chain eta_0..eta_k of too many packed fields
+            # before it grows, however large k or d
+            *[(["eta", "--d", d, "--q", "1/2", "--k", k],
+               f"d = {d}, k = {k}: the chain eta_0..eta_k would hold more than "
+               f"{ETA_FIELDS_MAX} exponent fields")
+              for d, k in (("1", "100000000"), ("1", "706"), ("3", "36"))],
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
@@ -207,6 +221,20 @@ class TestElementCommands:
 
         monkeypatch.setattr(numerics, "orthogonality_stable", stub)
         argv = ["verify", "orthogonality", "--d", "1", "--kmax", str(ORTHOGONALITY_KMAX)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_hahn_bounds(self, capsys, monkeypatch):
+        # both bounds together are accepted; the families are stubbed, since
+        # a real run there takes about 7 s (one above each is refused above)
+        import weylharm.verify as verify
+
+        for name in ("g_poly_symmetric", "continuous_hahn_poly", "meixner_pollaczek_poly"):
+            monkeypatch.setattr(verify, name, lambda *args: UniPoly())
+        for name in ("hyp2f1_3f2_connection_check", "gauss_contiguous_check",
+                     "krawtchouk_meixner_check"):
+            monkeypatch.setattr(verify, name, lambda *args: True)
+        argv = ["verify", "hahn", "--d", str(HAHN_DMAX), "--kmax", str(HAHN_KMAX)]
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
 

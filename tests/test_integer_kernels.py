@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylharm.ordering as ordering
+import weylharm.poly as poly
 import weylharm.weyl as weyl
 from weylharm.ordering import (
     OrderingContext,
@@ -647,3 +648,84 @@ def test_exponent_bound_refused_exactly_at_b():
         op_R(op_R(p))
     with pytest.raises(ValueError, match="exponent bound"):
         cal_R(OrderingContext(1, Fraction(1, 2)), WeylElement.monomial(1, (0,), (B - 1,)))
+
+
+# ---------------------------------------------------------------------------
+# The triple's memo of each key's neighbourhood
+# ---------------------------------------------------------------------------
+
+EDGE_FIELDS = (0, 1, B - 2, B - 1)
+
+
+def edge_vectors(d):
+    """Exponent vectors whose fields are 0, 1, B - 2 and B - 1: all of
+    them for d <= 2, and for larger d a seeded sample and the constant
+    vectors."""
+    if d <= 2:
+        return list(product(EDGE_FIELDS, repeat=2 * d))
+    rng = random.Random(d)
+    return ([tuple(rng.choice(EDGE_FIELDS) for _ in range(2 * d)) for _ in range(300)]
+            + [(e,) * (2 * d) for e in EDGE_FIELDS])
+
+
+def moved(e, d, j, step):
+    """The key of e with both exponents of mode j moved by step."""
+    e = list(e)
+    e[j] += step
+    e[d + j] += step
+    return _layout(d).key(e[:d], e[d:])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_neighbourhood_matches_a_fresh_unpack(d):
+    lay = _layout(d)
+    steps = [moved((0,) * (2 * d), d, j, 1) for j in range(d)]
+    for e in edge_vectors(d):
+        k = lay.key(e[:d], e[d:])
+        record = poly._neighbourhood(k, d)
+        fields = lay.fields(k)
+        assert fields == e
+        degree, raises, downs = record
+        assert degree == sum(fields) + d
+        assert raises == (B - 1 not in fields)
+        if raises:
+            assert [k + step for step in steps] == [moved(fields, d, j, 1) for j in range(d)]
+        lowered = [j for j in range(d) if fields[j] and fields[d + j]]
+        assert downs == tuple((steps[j], fields[j] * fields[d + j]) for j in lowered), e
+        assert [k - step for step, _ in downs] == [moved(fields, d, j, -1) for j in lowered]
+        # an entry holds the layout's own step ints, no key of its own, and
+        # the memo hands the same value to every caller, so nothing in it
+        # may be changed in place
+        assert all(step is lay.step[j] for (step, _), j in zip(downs, lowered))
+        assert type(record) is tuple and type(downs) is tuple
+        assert all(type(pair) is tuple for pair in downs)
+
+
+TRIPLE_PATTERNS = [p for p in product((0, 1), repeat=3) if any(p)]
+
+
+@pytest.mark.parametrize("pattern", TRIPLE_PATTERNS,
+                         ids=lambda p: "+".join(n for n, c in zip("REL", p) if c))
+@pytest.mark.parametrize("cls", [WeylElement, CPolynomial])
+def test_triple_accumulator_matches_per_product_oracle(cls, pattern):
+    # every combination of R, E and L, E alone (its one-to-one path)
+    # included: the raw accumulator over the input's denominator has the
+    # oracle's keys in the oracle's order, cancelled ones as [0, 0]
+    rng = random.Random(f"{cls.__name__}-{pattern}")
+    cancelled = 0
+    for i in range(48):
+        d = 1 + i % 4
+        x = random_element(rng, cls, d, rng.randint(1, 8), big=i % 3 == 1,
+                           diagonal=i % 2 == 0)
+        weights = [c * rng.choice((-3, -1, 2, 5)) for c in pattern]
+        raw = per_product_triple(x, *weights)
+        if i % 4 == 2 and pattern != (0, 1, 0):
+            x = cancelling(lambda ctx, v: per_product_triple(v, *weights), None, x)
+            raw = per_product_triple(x, *weights)
+        cancelled += any(not c for c in raw.values())
+        acc = poly._triple_acc(d, x._terms, *weights)
+        lay = _layout(d)
+        assert list(acc) == [lay.key(m.alpha, m.beta) for m in raw], (pattern, i)
+        for (re, im), c in zip(acc.values(), raw.values()):
+            assert GaussRational(Fraction(re, x._den), Fraction(im, x._den)) == c
+    assert cancelled or pattern == (0, 1, 0)

@@ -33,7 +33,7 @@ def test_every_memo_is_registered_and_cleared():
         module = importlib.import_module(f"weylharm.{info.name}")
         memos.update(v for v in vars(module).values()
                      if isinstance(v, functools._lru_cache_wrapper))
-    assert memos == set(weyl._MEMOS) and len(memos) == 9
+    assert memos == set(weyl._MEMOS) and len(memos) == 10
 
     def values():
         ctx = RadialContext(2, Fraction(1, 3))

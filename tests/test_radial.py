@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from weylharm.scalars import GR_ONE, GaussRational, UniPoly
 from weylharm.verify import Q_GRID, random_cpoly, random_weyl
 from weylharm.weyl import NormalMonomial, TermMap, WeylElement, number_operator, weyl_mul
 
+from shift_oracle import backward_difference, compose_shift, forward_difference
 from test_poly import parts_by_component
 
 T = UniPoly.x()
@@ -334,8 +336,8 @@ class TestDifferenceEquation:
         ctx = RadialContext(2, Fraction(1, 3))
         k = 4
         w = omega(ctx, k) + T**k
-        lhs = T * w.backward_difference() * ctx.q + (T + ctx.d) * (
-            w.forward_difference()
+        lhs = T * backward_difference(w) * ctx.q + (T + ctx.d) * (
+            forward_difference(w)
         ) * (1 - ctx.q)
         assert lhs != w * k
 
@@ -418,8 +420,8 @@ class TestPullThrough:
             for _ in range(6):
                 p = UniPoly([Fraction(rng.randint(-3, 3), 2) for _ in range(4)])
                 pn = poly_of_N(p, d)
-                pn_up = poly_of_N(p.compose_shift(1), d)
-                pn_down = poly_of_N(p.compose_shift(-1), d)
+                pn_up = poly_of_N(compose_shift(p, 1), d)
+                pn_down = poly_of_N(compose_shift(p, -1), d)
                 for j in range(1, d + 1):
                     a = WeylElement.annihilator(d, j)
                     c = WeylElement.creator(d, j)
@@ -524,3 +526,31 @@ class TestDecomposeOnTheChain:
         with pytest.raises(ValueError):
             reassemble_weyl(ctx, [(0, CPolynomial.one(1)), (-1, CPolynomial.one(1))])
         assert reassemble_weyl(ctx, []) == WeylElement.zero(1)
+
+
+def test_eta_size_bound_is_the_field_count():
+    # 2d(C(k + d + 1, d + 1) + d) fields, with the binomial grown factor by
+    # factor: refused exactly above ETA_FIELDS_MAX, also for a k or d whose
+    # binomial would take long to compute in full
+    for d in range(1, 40):
+        for k in range(0, 720):
+            fields = 2 * d * (comb(k + d + 1, d + 1) + d)
+            if fields > radial.ETA_FIELDS_MAX:
+                with pytest.raises(ValueError, match="exponent fields"):
+                    radial._check_eta_size(d, k)
+                break
+            radial._check_eta_size(d, k)
+    for d, k in ((1, 10**4000), (10**9, 0), (2, 10**18), (10**18, 10**18)):
+        with pytest.raises(ValueError, match="exponent fields"):
+            radial._check_eta_size(d, k)
+
+
+def test_eta_bound_is_checked_before_the_chain(monkeypatch):
+    # a refused size builds nothing, not even the unit of d modes
+    def no_chain(*args):
+        raise AssertionError("the chain was read")
+
+    monkeypatch.setattr(radial, "_eta_chain", no_chain)
+    for d, k in ((1, 706), (10**9, 0)):
+        with pytest.raises(ValueError, match="exponent fields"):
+            eta(RadialContext(d, Fraction(1, 2)), k)

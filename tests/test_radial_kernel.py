@@ -37,6 +37,8 @@ from weylharm.specfun import gauss_contiguous_check, hyp2F1_terminating_poly
 from weylharm.verify import Q_GRID
 from weylharm.weyl import clear_caches
 
+from shift_oracle import backward_difference, compose_shift, forward_difference
+
 T = UniPoly.x()
 QS = Q_GRID + (Fraction(2, 7), Fraction(5, 2), Fraction(-2, 3))
 CONTEXTS = [RadialContext(d, q) for d in (1, 2, 3) for q in QS]
@@ -55,15 +57,15 @@ def raising_oracle(ctx, p):
     q = ctx.q
     qc = 1 - q
     out = (T * 2 + ctx.d) * p * (q * qc)
-    out = out + (T + ctx.d) * p.compose_shift(1) * (qc * qc)
-    return out + T * p.compose_shift(-1) * (q * q)
+    out = out + (T + ctx.d) * compose_shift(p, 1) * (qc * qc)
+    return out + T * compose_shift(p, -1) * (q * q)
 
 
 def triple_oracle(ctx, p):
     q = ctx.q
     qc = 1 - q
-    fwd = p.forward_difference()
-    bwd = p.backward_difference()
+    fwd = forward_difference(p)
+    bwd = backward_difference(p)
     td = T + ctx.d
     raising = td * fwd * (qc * qc) - T * bwd * (q * q) + (T + ctx.t0) * p
     lowering = td * fwd - T * bwd
@@ -72,8 +74,8 @@ def triple_oracle(ctx, p):
 
 
 def difference_equation_oracle(ctx, w, k):
-    lhs = (T * w.backward_difference() * ctx.q
-           + (T + ctx.d) * w.forward_difference() * (1 - ctx.q))
+    lhs = (T * backward_difference(w) * ctx.q
+           + (T + ctx.d) * forward_difference(w) * (1 - ctx.q))
     return lhs == w * k
 
 
@@ -97,8 +99,8 @@ def first_relation(k, c, x, family):
 
 def contiguous_oracle(k, c, x, family):
     f_k = family(k, c, x)
-    lhs2 = ((T * (x - 2) - c - k * x) * f_k + (T + c) * f_k.compose_shift(1)
-            + T * (1 - x) * f_k.compose_shift(-1))
+    lhs2 = ((T * (x - 2) - c - k * x) * f_k + (T + c) * compose_shift(f_k, 1)
+            + T * (1 - x) * compose_shift(f_k, -1))
     return first_relation(k, c, x, family).is_zero() and lhs2.is_zero()
 
 

@@ -10,11 +10,12 @@ import pytest
 
 from weylharm import clear_caches
 from weylharm.radial import RadialContext, g_poly_symmetric, omega_closed_form
-from weylharm.scalars import GR_I, GR_ONE, GaussRational, UniPoly
+from weylharm.scalars import GR_I, GR_ONE, GaussRational, UniPoly, _parts
 from weylharm.specfun import (
     InvalidParameterError,
     _rising_chain,
     _rising_levels,
+    _series,
     continuous_hahn_poly,
     gauss_contiguous_check,
     hyp2F1_terminating_poly,
@@ -363,6 +364,42 @@ def test_series_matches_fraction_oracle(case, nterms):
     uppers, lowers, arg = ORACLE_GRID[case]
     expected = fraction_series(uppers, lowers, arg, nterms)
     assert fraction_pairs(terminating_series(uppers, lowers, arg, nterms)) == expected
+
+
+# (uppers, lowers, arg, prefactor) for each branch of `_series`'s term sum:
+# a complex level B_j (a complex polynomial upper), under a real and under
+# a complex weight s_j; a real level under a complex weight (a complex
+# scalar, argument or prefactor); and a real level under a real weight
+SERIES_BRANCHES = {
+    "complex level, real weight": (
+        [A_PLUS_IX, Fraction(-4)], [Fraction(5, 2)], Fraction(-4, 3), GaussRational(3)),
+    "complex level, complex weight": (
+        [A_PLUS_IX, minus_t_poly(), Fraction(-3)], [Fraction(7, 3)],
+        GaussRational(Fraction(1, 2), Fraction(1, 3)), GaussRational(0, Fraction(2, 5))),
+    "real level, complex weight": (
+        [minus_t_poly(), GaussRational(Fraction(1, 3), 2), Fraction(-5)], [Fraction(3)],
+        Fraction(5, 7), GaussRational(Fraction(-1, 6), 1)),
+    "real level, real weight": (
+        [minus_t_poly(), UniPoly((Fraction(1, 2), 3)), Fraction(-4)], [Fraction(-9, 2)],
+        Fraction(4, 3), GaussRational(Fraction(7, 9))),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(SERIES_BRANCHES))
+@pytest.mark.parametrize("nterms", [1, 2, 5, 8])
+def test_series_branches_match_fraction_oracle(branch, nterms):
+    uppers, lowers, arg, pre = SERIES_BRANCHES[branch]
+    scalars = [_parts(u) for u in uppers if not isinstance(u, UniPoly)]
+    polys = tuple(parts(u) for u in uppers if isinstance(u, UniPoly))
+    # the case takes the branch it is named for, past the real first term
+    complex_level = any(level._im for level in _rising_levels(polys, nterms)[:nterms])
+    complex_weight = any(m for _, m, _ in (*scalars, _parts(arg), _parts(pre)))
+    assert complex_level == (branch.startswith("complex level") and nterms > 1)
+    assert complex_weight == branch.endswith("complex weight")
+    got = _series(scalars, polys, [_parts(low) for low in lowers], _parts(arg), nterms,
+                  _parts(pre))
+    assert fraction_pairs(got) == fraction_series(uppers, lowers, arg, nterms,
+                                                  (pre.re, pre.im))
 
 
 def test_warm_chain_gives_the_cold_parts():
