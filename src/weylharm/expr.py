@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .poly import CPolynomial
 from .scalars import GR_I, GR_ONE, GaussRational, format_gauss
-from .weyl import WeylElement
+from .weyl import WeylElement, check_modes
 
 
 class ParseError(ValueError):
@@ -90,17 +90,19 @@ class _Parser:
     ``generators`` maps a variable kind to its constructor ``(d, j)``, and
     ``foreign`` words the error for any other kind.  Without an explicit d,
     d is the largest variable index among the tokens, and at least 1; an
-    explicit d below 1 is refused before any token is read.
+    explicit d outside 1..`weyl.MODES_MAX` is refused before any token is read,
+    and an inferred one before any term is built.
     """
 
     def __init__(self, text: str, d: int | None, cls, generators: dict, foreign: str):
-        if d is not None and d < 1:
-            raise ValueError("mode count d must be >= 1")
+        if d is not None:
+            check_modes(d)
         self.tokens = tokenize(text)
         self.pos = 0
         if d is None:
             d = max([1] + [int(m.group(2)) for tok in self.tokens
                            if (m := _VAR_RE.match(tok.text))])
+            check_modes(d)
         self.d, self.cls, self.generators, self.foreign = d, cls, generators, foreign
 
     def accept(self, ops: str) -> str:

@@ -129,12 +129,19 @@ def _closed_form(cls, d: int, terms: dict, den: int, tn: int, td: int):
     """The ``cls`` map over d modes that sums, over the numerator pairs
     ``terms = {key: (n, m)}`` of a map over ``den``, (n + m*i)/den times
     the closed form of the key's monomial with 1-q replaced by t = tn/td,
-    for ints tn and td > 0.
+    for ints tn and td > 0: `_closed_form_acc` and one `_wrap`."""
+    acc, scale = _closed_form_acc(d, terms, tn, td)
+    return cls._wrap(d, acc, den * scale)
 
-    The sum runs on the numerators.  With S the largest contraction order
-    |i|, a contraction of weight w and order s adds
-    (n, m) * w * tn^s * td^(S-s) to its key's pair, and the result is over
-    den * td^S.
+
+def _closed_form_acc(d: int, terms: dict, tn: int, td: int) -> tuple:
+    """(acc, s): the numerators of `_closed_form` as a fresh accumulator
+    ``{key: [re, im]}``, which may hold [0, 0] pairs, over s times the
+    denominator of ``terms``.
+
+    With S the largest contraction order |i|, a contraction of weight w
+    and order s adds (n, m) * w * tn^s * td^(S-s) to its key's pair, and
+    the scale is td^S.
     """
     lay = _layout(d)
     expansions = [contractions(k & lay.low, k >> lay.shift, d) for k in terms]
@@ -152,13 +159,12 @@ def _closed_form(cls, d: int, terms: dict, den: int, tn: int, td: int):
             else:
                 cur[0] += n * w
                 cur[1] += m * w
-    return cls._wrap(d, acc, den * td**top)
+    return acc, td**top
 
 
 def order_q(ctx: OrderingContext, p: CPolynomial) -> WeylElement:
     """The ordering map, linear over Q(i)."""
-    if p.d != ctx.d:
-        raise ModeMismatchError(f"polynomial has d={p.d}, context d={ctx.d}")
+    _check_p(ctx, p)
     _, b, c = _q_ints(ctx.q)
     return _closed_form(WeylElement, ctx.d, p._terms, p._den, c, b)
 
@@ -192,8 +198,19 @@ def cal_E(ctx: OrderingContext, w: WeylElement) -> WeylElement:
 def cal_R(ctx: OrderingContext, w: WeylElement) -> WeylElement:
     """The transferred raising operator R + (1-q) E + (1-q)^2 L."""
     _check_w(ctx, w)
-    _, b, c = _q_ints(ctx.q)
-    return _triple(w, b * b, b * c, c * c, b * b)
+    return _triple(w, *_raising_weights(ctx.q))
+
+
+def _raising_weights(q: Fraction) -> tuple:
+    """(rn, en, ln, dr), ints with cal_R = (rn R + en E + ln L) / dr: for
+    q = a/b and 1 - q = c/b, (b^2, bc, c^2) over b^2."""
+    _, b, c = _q_ints(q)
+    return b * b, b * c, c * c, b * b
+
+
+def _check_p(ctx: OrderingContext, p: CPolynomial):
+    if p.d != ctx.d:
+        raise ModeMismatchError(f"polynomial has d={p.d}, context d={ctx.d}")
 
 
 def _check_w(ctx: OrderingContext, w: WeylElement):

@@ -13,7 +13,16 @@ from __future__ import annotations
 from math import comb, lcm, perm
 from typing import NamedTuple
 
-from .weyl import _SCALARS, FIELD_BITS, TermMap, _check_mode, _layout, _memo, _mul_terms
+from .weyl import (
+    _SCALARS,
+    FIELD_BITS,
+    NO_CONTRACTION,
+    TermMap,
+    _check_mode,
+    _layout,
+    _memo,
+    _mul_terms,
+)
 
 
 class CMonomial(NamedTuple):
@@ -50,7 +59,7 @@ class CPolynomial(TermMap):
         if isinstance(other, _SCALARS):
             return self.scale(other)
         # the commutative product: only the empty contraction
-        return _mul_terms(self, other, lambda ann, cre, d: ((0, 0, 1),))
+        return _mul_terms(self, other, lambda ann, cre, d: NO_CONTRACTION)
 
     def is_homogeneous(self) -> bool:
         return len(set(map(_layout(self.d).degree, self._terms))) <= 1

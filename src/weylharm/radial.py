@@ -33,17 +33,26 @@ changed either.
 `decompose_weyl` pulls w back with `unorder_q` and splits the polynomial
 in one `poly._harmonic_parts` call, which peels every homogeneous
 component at once on one L-chain; `reassemble_weyl` sums the ordered
-parts by Horner's rule in `cal_R`, so a top power K costs K raisings
-rather than K(K+1)/2.
+parts by Horner's rule on one numerator accumulator with `cal_R`'s
+weights, so a top power K costs K raising steps rather than K(K+1)/2,
+and the result one gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
-from .ordering import OrderingContext, _q_ints, cal_R, order_q, unorder_q
-from .poly import _harmonic_parts
+from .ordering import (
+    OrderingContext,
+    _check_p,
+    _closed_form_acc,
+    _q_ints,
+    _raising_weights,
+    cal_R,
+    unorder_q,
+)
+from .poly import _harmonic_parts, _triple_acc
 from .scalars import GR_ONE, UP_I, UP_ONE, UP_ZERO, GaussRational, UniPoly, _shifted_sum
 from .specfun import _MINUS_T_KEY, _series
 from .weyl import WeylElement, _layout, _memo
@@ -239,11 +248,22 @@ def omega(ctx: RadialContext, k: int) -> UniPoly:
     return chain[k]
 
 
+# the largest k_max of `omega_table`: its output grows about as k_max^3.
+# Cold, on a 2-core x86-64 machine, `weylharm omega --d 3 --kmax 100` took
+# 0.2 s and printed 0.4 MB at q = 1/3, and 0.4 s, 28 MB and 3 MB at
+# q = 123456789/987654321; at q = 1/3, k_max = 300 printed 12 MB
+OMEGA_KMAX = 100
+
+
 def omega_table(d: int, q: Fraction, k_max: int) -> list:
     """omega_0 .. omega_{k_max} as rows ``{"k": k, "coeffs": [...]}``, the
-    coefficients as exact strings in ascending degree."""
+    coefficients as exact strings in ascending degree; k_max is at most
+    OMEGA_KMAX."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    if k_max > OMEGA_KMAX:
+        raise ValueError(f"k_max must be <= {OMEGA_KMAX} for omega "
+                         "(its output grows about as k_max^3)")
     ctx = RadialContext(d, q)
     return [
         {"k": k, "coeffs": [str(c) for c in omega(ctx, k).coeffs]}
@@ -421,18 +441,55 @@ def decompose_weyl(ctx: RadialContext, w: WeylElement) -> list:
 
 def reassemble_weyl(ctx: RadialContext, parts) -> WeylElement:
     """Inverse of `decompose_weyl`: sum_k R^k O(h_k), by Horner's rule in R,
-    O(h_0) + R(O(h_1) + R(...)), so a top power K takes K `cal_R` calls.
-    The parts may come in any order and repeat k."""
+    O(h_0) + R(O(h_1) + R(...)), so a top power K takes K raising steps.
+    The parts may come in any order and repeat k.
+
+    The sum runs on one numerator accumulator with one gcd, at the end: a
+    raising step is `poly._triple_acc` with the int weights of `cal_R`,
+    over b^2 for q = a/b; each part's closed form
+    (`ordering._closed_form_acc`) is merged over the lcm of the two
+    denominators, a key leaving when its sum cancels, as in a chain of
+    `+`.  The [0, 0] pairs a raise leaves are dropped before the next
+    step, so a raise refuses exactly the keys `cal_R` would refuse, and
+    the keys keep the order of the per-step maps.
+    """
     parts = sorted(parts, key=lambda part: part[0], reverse=True)
     if parts and parts[-1][0] < 0:
         raise ValueError("radial powers k must be >= 0")
-    out = WeylElement.zero(ctx.d)
+    d = ctx.d
+    _, b, c = _q_ints(ctx.q)
+    rn, en, ln, dr = _raising_weights(ctx.q)
+    acc: dict = {}
+    den = 1
     level = parts[0][0] if parts else 0
-    for k, h in parts:
+    for k, h in parts + [(0, None)]:  # the sentinel takes the raises below the last part
         for _ in range(level - k):
-            out = cal_R(ctx, out)
+            acc = _triple_acc(d, acc, rn, en, ln)
+            if [0, 0] in acc.values():
+                acc = {key: v for key, v in acc.items() if v[0] or v[1]}
+            den *= dr
         level = k
-        out = out + order_q(ctx, h)
-    for _ in range(level):
-        out = cal_R(ctx, out)
-    return out
+        if h is None:
+            break
+        _check_p(ctx, h)
+        terms, scale = _closed_form_acc(d, h._terms, c, b)
+        top = lcm(den, h._den * scale)
+        if top != den:
+            f = top // den
+            for v in acc.values():
+                v[0] *= f
+                v[1] *= f
+        f = top // (h._den * scale)
+        den = top
+        for key, (re, im) in terms.items():
+            if not (re or im):
+                continue
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = [re * f, im * f]
+            else:
+                cur[0] += re * f
+                cur[1] += im * f
+                if not (cur[0] or cur[1]):
+                    del acc[key]
+    return WeylElement._wrap(d, acc, den)

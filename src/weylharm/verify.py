@@ -68,7 +68,7 @@ from .specfun import (
     meixner_pollaczek_poly,
     pochhammer,
 )
-from .weyl import TermMap, WeylElement, _memo, compositions
+from .weyl import TermMap, WeylElement, _memo, check_modes, compositions
 
 Q_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 # the ordering-parameter pairs whose harmonics the harmonics suite compares
@@ -258,8 +258,10 @@ def suite_intertwine(
 
 
 def suite_radial(d: int, q: Fraction, k_max: int = 8, seed: int = 0) -> dict:
-    """The radial tower: all computation routes and their certificates."""
+    """The radial tower: all computation routes and their certificates,
+    with the table of omega_0..omega_{k_max} (so k_max <= OMEGA_KMAX)."""
     _check_sizes(k_max=k_max)
+    table = omega_table(d, q, k_max)  # first, so a k_max it refuses costs nothing
     ctx = RadialContext(d, q)
     weyl_k = min(k_max, 6)
     ok_triple = all(
@@ -307,7 +309,7 @@ def suite_radial(d: int, q: Fraction, k_max: int = 8, seed: int = 0) -> dict:
     report = _report(
         "radial", {"d": d, "q": str(q), "kmax": k_max}, seed, cases
     )
-    report["table"] = omega_table(d, q, k_max)
+    report["table"] = table
     return report
 
 
@@ -336,8 +338,7 @@ def suite_harmonics(
 ) -> dict:
     """q-independence of Weyl harmonics, dimensions, and the tensor
     decomposition round-trip."""
-    if d < 1:
-        raise ValueError("mode count d must be >= 1")
+    check_modes(d)
     _check_sizes(k_max=k_max, count=count, deg=deg)
     rng = random.Random(seed)
     cases = []

@@ -11,9 +11,10 @@ import textwrap
 import pytest
 
 from weylharm.cli import main
-from weylharm.radial import ETA_FIELDS_MAX
+from weylharm.radial import ETA_FIELDS_MAX, OMEGA_KMAX
 from weylharm.scalars import UniPoly
 from weylharm.verify import GENFUN_ORDER_MAX, HAHN_DMAX, HAHN_KMAX, ORTHOGONALITY_KMAX
+from weylharm.weyl import MODES_MAX
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -55,6 +56,14 @@ class TestElementCommands:
         assert code == 0
         data = json.loads(out)
         assert [part["k"] for part in data["parts"]] == [0, 1, 2]
+
+    def test_sizes_at_their_bounds_are_accepted(self, capsys):
+        code, out = run_cli(capsys, "omega", "--d", "1", "--q", "1/3",
+                            "--kmax", str(OMEGA_KMAX))
+        assert code == 0
+        assert len(out.splitlines()) == OMEGA_KMAX + 2  # a header and a row per k
+        code, out = run_cli(capsys, "normal-order", "--d", str(MODES_MAX), "--", "a1")
+        assert (code, out) == (0, "a1\n")
 
     def test_omega_table(self, capsys):
         code, out = run_cli(capsys, "omega", "--d", "1", "--q", "0", "--kmax", "2")
@@ -200,6 +209,24 @@ class TestElementCommands:
                f"d = {d}, k = {k}: the chain eta_0..eta_k would hold more than "
                f"{ETA_FIELDS_MAX} exponent fields")
               for d, k in (("1", "100000000"), ("1", "706"), ("3", "36"))],
+            # the omega table's output grows about as k_max^3; verify radial
+            # prints the same table, and refuses before computing anything
+            *[(argv, f"k_max must be <= {OMEGA_KMAX} for omega "
+                     "(its output grows about as k_max^3)")
+              for argv in (["omega", "--d", "1", "--q", "1/3", "--kmax", str(OMEGA_KMAX + 1)],
+                           ["omega", "--d", "1", "--q", "1/3", "--kmax", "1500"],
+                           ["verify", "radial", "--kmax", str(OMEGA_KMAX + 1)])],
+            # a packed layout grows as d^2: d is refused where it enters,
+            # given or inferred from the variables, before a layout is built
+            *[(argv, f"mode count d must be <= {MODES_MAX}")
+              for argv in (["normal-order", "--d", "3000", "--", "a1"],
+                           ["normal-order", "--", f"a{MODES_MAX + 1}"],
+                           ["normal-order", "--", "c1000000000"],
+                           ["order", "--q", "1/2", "--", f"z1*zb{MODES_MAX + 1}"],
+                           ["unorder", "--d", str(MODES_MAX + 1), "--q", "1/2", "--", "1"],
+                           ["verify", "sl2", "--d", str(MODES_MAX + 1)],
+                           ["verify", "intertwine", "--d", str(MODES_MAX + 1)],
+                           ["verify", "harmonics", "--d", str(MODES_MAX + 1)])],
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):

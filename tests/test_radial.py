@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import weylharm.radial as radial
 from weylharm.ordering import cal_E, cal_L, cal_R, order_q, unorder_q
-from weylharm.poly import CPolynomial, is_harmonic
+from weylharm.poly import CPolynomial, is_harmonic, op_R
 from weylharm.radial import (
     NotRadialError,
     RadialContext,
@@ -489,7 +489,25 @@ def reassemble_by_loop(ctx, parts):
     return out
 
 
+def reassemble_by_steps(ctx, parts):
+    """Horner's rule on whole elements, one `cal_R` and one `+` per step:
+    the step-by-step form of `reassemble_weyl`, kept as its oracle for
+    the order of the keys and for where a raise is refused."""
+    parts = sorted(parts, key=lambda part: part[0], reverse=True)
+    out = WeylElement.zero(ctx.d)
+    level = parts[0][0] if parts else 0
+    for k, h in parts:
+        for _ in range(level - k):
+            out = cal_R(ctx, out)
+        level = k
+        out = out + order_q(ctx, h)
+    for _ in range(level):
+        out = cal_R(ctx, out)
+    return out
+
+
 DECOMPOSE_QS = Q_GRID + (Fraction(1, 3), Fraction(5, 2), Fraction(-2, 3))
+REASSEMBLE_QS = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 2), Fraction(-2, 3))
 
 
 class TestDecomposeOnTheChain:
@@ -513,13 +531,65 @@ class TestDecomposeOnTheChain:
         assert reassemble_weyl(ctx, parts) == reassemble_by_loop(ctx, parts)
 
     def test_reassemble_raises_once_per_power_below_the_top(self, monkeypatch):
+        # one fused raising step per power below the top: K = 4 here
         calls = []
-        monkeypatch.setattr(radial, "cal_R", lambda ctx, w: calls.append(1) or cal_R(ctx, w))
+        real = radial._triple_acc
+        monkeypatch.setattr(radial, "_triple_acc",
+                            lambda *args: calls.append(args[2:]) or real(*args))
         ctx = RadialContext(2, Fraction(1, 3))
         h = CPolynomial.z(2, 1) * CPolynomial.zbar(2, 2)
         parts = [(1, h), (4, h), (0, h), (4, h.scale(3))]
         assert reassemble_weyl(ctx, parts) == reassemble_by_loop(ctx, parts)
-        assert len(calls) == 4
+        # cal_R's weights at q = 1/3 over b^2 = 9: 9 R + 6 E + 4 L
+        assert calls == [(9, 6, 4)] * 4
+
+    @pytest.mark.parametrize("q", REASSEMBLE_QS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fused_reassembly_matches_both_loops(self, d, q):
+        # parts unsorted, with repeated k and zero parts; the key order is
+        # that of the step-by-step Horner loop
+        ctx = RadialContext(d, q)
+        rng = random.Random(d * 100 + REASSEMBLE_QS.index(q))
+        zero = CPolynomial.zero(d)
+        cases = [[], [(0, zero)], [(3, zero), (1, zero)], [(2, CPolynomial.one(d))]]
+        for _ in range(12):
+            cases.append([(rng.randint(0, 4), random_cpoly(rng, d, rng.randint(0, 4)))
+                          for _ in range(rng.randint(1, 5))])
+            cases[-1].insert(rng.randint(0, len(cases[-1])), (rng.randint(0, 4), zero))
+        h = random_cpoly(rng, d, 3)
+        # a part that cancels a later one of the same k, and one cancelled
+        # after a raise
+        cases.append([(2, h), (1, h), (2, -h)])
+        cases.append([(1, h), (0, -op_R(h))])
+        assert reassemble_weyl(ctx, cases[-1]).is_zero()
+        for parts in cases:
+            got = reassemble_weyl(ctx, parts)
+            steps = reassemble_by_steps(ctx, parts)
+            assert got == steps == reassemble_by_loop(ctx, parts)
+            assert list(got._terms) == list(steps._terms)
+
+    def test_reassembly_refuses_a_raise_past_the_exponent_bound(self):
+        top = CPolynomial.monomial(1, (2**31 - 1,), (0,))
+        for q in REASSEMBLE_QS:
+            ctx = RadialContext(1, q)
+            for parts in ([(1, top)], [(0, CPolynomial.one(1)), (2, top.scale(5))]):
+                for reassemble in (reassemble_weyl, reassemble_by_steps, reassemble_by_loop):
+                    with pytest.raises(ValueError, match="raising would reach the exponent "
+                                                         "bound 2\\^31"):
+                        reassemble(ctx, parts)
+            # not raised at k = 0
+            assert reassemble_weyl(ctx, [(0, top)]) == order_q(ctx, top)
+
+    def test_reassembly_raises_past_a_cancelled_key(self):
+        # the key at 2^31 - 1 cancels before the raise, so, as in the loop of
+        # `cal_R` and `+`, nothing refuses it; z1 is what remains
+        top = CPolynomial.monomial(1, (2**31 - 1,), (0,))
+        z = CPolynomial.z(1, 1)
+        for q in REASSEMBLE_QS:
+            ctx = RadialContext(1, q)
+            parts = [(1, top), (1, z - top)]
+            got = reassemble_weyl(ctx, parts)
+            assert got == reassemble_by_steps(ctx, parts) == cal_R(ctx, order_q(ctx, z))
 
     def test_reassemble_refuses_negative_powers(self):
         ctx = RadialContext(1, Fraction(1, 2))

@@ -171,11 +171,14 @@ def test_memo_does_not_hide_a_faulty_operator(monkeypatch, cold_memos):
 def test_battery_work_counts(monkeypatch, cold_memos):
     # the full battery at seed 1, from cold memos and empty radial chains (so
     # the counts do not depend on the tests run before), draws 140 random
-    # elements (380 before the memos), runs the triple kernel 2148 times
+    # elements (380 before the memos), runs the triple kernel 2127 times
     # (2574 while each homogeneous component was peeled with its own L and R
-    # maps and each part was raised on its own) and the ordering closed form
-    # 925 times (1141, before the harmonics suite ordered each basis element
-    # once per distinct q)
+    # maps and each part was raised on its own, 2148 while `reassemble_weyl`
+    # raised through `cal_R`) and the ordering closed form 884 times (1141,
+    # before the harmonics suite ordered each basis element once per
+    # distinct q, 925 while `reassemble_weyl` ordered each part through
+    # `order_q`); the reassembly's 21 raising steps and 41 parts now run on
+    # the accumulators `_triple_acc` and `_closed_form_acc` directly
     counts = dict.fromkeys(("random_element", "_triple", "_closed_form"), 0)
 
     def counting(module, name):
@@ -191,7 +194,7 @@ def test_battery_work_counts(monkeypatch, cold_memos):
     counting(ordering, "_triple")
     counting(ordering, "_closed_form")
     V.suite_all(seed=1, quick=False)
-    assert counts == {"random_element": 140, "_triple": 2148, "_closed_form": 925}
+    assert counts == {"random_element": 140, "_triple": 2127, "_closed_form": 884}
 
 
 @pytest.mark.parametrize("d, deg, count, seed", [(1, 3, 6, 1), (2, 4, 20, 3), (3, 2, 5, 0)])

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -13,9 +14,13 @@ from weylharm.scalars import GR_ONE, GaussRational, UniPoly
 from weylharm.verify import random_cpoly, random_weyl
 from weylharm.weyl import (
     FIELD_BITS,
+    MODES_MAX,
+    NO_CONTRACTION,
     ModeMismatchError,
     NormalMonomial,
     WeylElement,
+    _layout,
+    clear_caches,
     commutator,
     compositions,
     contractions,
@@ -93,6 +98,77 @@ def test_contraction_formula_single_mode():
             assert sorted(data) == list(range(min(m, n) + 1))
             for i in range(min(m, n) + 1):
                 assert data[i] == comb(m, i) * comb(n, i) * factorial(i)
+
+
+def contractions_over_all_modes(ann, cre, d):
+    """The expansion as a product over every mode, contracting or not, with
+    each weight from math.comb: the kernel `contractions` replaced, kept as
+    its oracle."""
+    lay = _layout(d)
+    per_mode = [
+        [(i * step, i, comb(m, i) * comb(n, i) * factorial(i)) for i in range(min(m, n) + 1)]
+        for m, n, step in zip(lay.fields(ann), lay.fields(cre), lay.step)
+    ]
+    out = []
+    for combo in product(*per_mode):
+        offset = order = 0
+        weight = 1
+        for o, i, c in combo:
+            offset += o
+            order += i
+            weight *= c
+        out.append((offset, order, weight))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_contractions_match_the_all_modes_product(d):
+    # every pair of halves with fields in {0, 1, 2, 3}, compared as tuples,
+    # order included, since products and orderings accumulate in this order;
+    # the unmemoised kernel, so the grid does not fill the memo
+    lay = _layout(d)
+    halves = [lay.key(e, (0,) * d) for e in product(range(4), repeat=d)]
+    kernel = contractions.__wrapped__
+    seen = set()
+    for ann, cre in product(halves, repeat=2):
+        got = kernel(ann, cre, d)
+        assert got == contractions_over_all_modes(ann, cre, d)
+        assert type(got) is tuple and all(type(t) is tuple for t in got)
+        pairs = list(zip(lay.fields(ann)[:d], lay.fields(cre)[:d]))
+        contracting = sum(1 for m, n in pairs if m and n)
+        if contracting == 0:
+            assert got is NO_CONTRACTION
+        elif contracting == 1:
+            (m, n), = [(m, n) for m, n in pairs if m and n]
+            assert len(got) == min(m, n) + 1
+        seen.add(contracting)
+    # no mode, one mode and every mode contracting all occur
+    assert {0, 1, d} <= seen
+
+
+def test_contractions_memo_is_cleared():
+    clear_caches()
+    assert contractions.cache_info().currsize == 0
+    contractions(2, 3, 1)
+    contractions(1 << FIELD_BITS, 1, 2)  # no mode contracts
+    assert contractions.cache_info().currsize == 2
+    assert contractions(1 << FIELD_BITS, 1, 2) is NO_CONTRACTION
+    clear_caches()
+    assert contractions.cache_info().currsize == 0
+
+
+def test_mode_count_is_bounded_before_anything_is_built():
+    for build in (lambda d: _layout(d), WeylElement.one, WeylElement.zero,
+                  lambda d: WeylElement.annihilator(d, 1), number_operator,
+                  lambda d: CPolynomial.zbar(d, d)):
+        with pytest.raises(ValueError, match=f"mode count d must be <= {MODES_MAX}"):
+            build(MODES_MAX + 1)
+        with pytest.raises((ValueError, IndexError)):  # a generator's index is out of range
+            build(0)
+    one = WeylElement.one(MODES_MAX)
+    assert one == WeylElement.monomial(MODES_MAX, (0,) * MODES_MAX, (0,) * MODES_MAX)
+    assert one._terms == {0: [1, 0]} and one._den == 1
+    assert CPolynomial.one(3) == CPolynomial(3, {CMonomial((0, 0, 0), (0, 0, 0)): 1})
 
 
 # ---------------------------------------------------------------------------
