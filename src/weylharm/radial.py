@@ -15,14 +15,17 @@ pulling them back to Q with alpha^2 = 1/(q(1-q)).
 
 The univariate routes take q = a/b as the ints (a, b, c = b - a) once per
 call, so q(1-q) = ac/b^2 and every recurrence step, raising step,
-difference operator and certificate identity is a sum of rows
+difference operator and fg identity is a sum of rows
 (alpha*t + beta) p(t + s) with int weights over a power of b: one
 `scalars._shifted_sum` call per result, with no Fraction arithmetic per
-level.
+level.  The three-term extraction behind the certificate reads its
+coefficients off the raising levels as ints and checks the recurrence in
+one such call, and a step of the g chain is one such call over k + 2.
 
 Four chains are memoised, each the list of levels returned by an
 unbounded `weyl._memo` seed function: `eta`, `omega` and
-`omega_by_raising` per (d, q), and per d the symmetric family
+`omega_by_raising` per (d, a, b) for q = a/b in lowest terms, so a lookup
+hashes ints and never a Fraction, and per d the symmetric family
 `g_poly_symmetric`.  Each route appends the missing levels to its list
 in place and never rebuilds it; `weylharm.clear_caches` drops them all.
 The three UniPoly chains hold only immutable values, so handing out a
@@ -53,7 +56,7 @@ from .ordering import (
     unorder_q,
 )
 from .poly import _harmonic_parts, _triple_acc
-from .scalars import GR_ONE, UP_I, UP_ONE, UP_ZERO, GaussRational, UniPoly, _shifted_sum
+from .scalars import GR_ONE, UP_I, UP_ONE, UP_ZERO, GaussRational, UniPoly, _gr, _shifted_sum
 from .specfun import _MINUS_T_KEY, _series
 from .weyl import WeylElement, _layout, _memo
 
@@ -100,7 +103,7 @@ ETA_FIELDS_MAX = 500_000
 
 
 @_memo()
-def _eta_chain(d: int, q: Fraction) -> list:
+def _eta_chain(d: int, a: int, b: int) -> list:
     return [WeylElement.one(d)]
 
 
@@ -128,7 +131,7 @@ def eta(ctx: RadialContext, k: int) -> WeylElement:
     if k < 0:
         raise ValueError("k must be >= 0")
     _check_eta_size(ctx.d, k)
-    chain = _eta_chain(ctx.d, ctx.q)
+    chain = _eta_chain(ctx.d, *_q_ints(ctx.q)[:2])
     while len(chain) <= k:
         chain.append(cal_R(ctx, chain[-1]))
     return chain[k]
@@ -198,7 +201,7 @@ def apply_Rq_univariate(ctx: RadialContext, p: UniPoly) -> UniPoly:
 
 
 @_memo()
-def _raising_chain(d: int, q: Fraction) -> list:
+def _raising_chain(d: int, a: int, b: int) -> list:
     return [UP_ONE]
 
 
@@ -215,15 +218,15 @@ def omega_by_raising(ctx: RadialContext, k: int) -> UniPoly:
 
 def _raising_levels(ctx: RadialContext, k: int) -> list:
     """The memoised raising chain of ctx, grown to at least level k."""
-    chain = _raising_chain(ctx.d, ctx.q)
     ints = _q_ints(ctx.q)
+    chain = _raising_chain(ctx.d, *ints[:2])
     while len(chain) <= k:
         chain.append(_raise(ctx.d, *ints, chain[-1]))
     return chain
 
 
 @_memo()
-def _omega_chain(d: int, q: Fraction) -> list:
+def _omega_chain(d: int, a: int, b: int) -> list:
     return [UP_ONE]
 
 
@@ -240,7 +243,7 @@ def omega(ctx: RadialContext, k: int) -> UniPoly:
         raise ValueError("k must be >= 0")
     d = ctx.d
     a, b, c = _q_ints(ctx.q)
-    chain = _omega_chain(d, ctx.q)
+    chain = _omega_chain(d, a, b)
     for n in range(len(chain) - 1, k):  # computing omega_{n+1}
         prev = chain[n - 1] if n >= 1 else UP_ZERO
         chain.append(_shifted_sum(((chain[n], 0, b * b, b * (c * d - (2 * a - b) * n)),
@@ -343,22 +346,38 @@ def three_term_coefficients(ctx: RadialContext, k: int) -> tuple:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    w_prev = omega_by_raising(ctx, k - 1)
-    w_k = omega_by_raising(ctx, k)
-    w_next = omega_by_raising(ctx, k + 1)
-    t = UniPoly.x()
-    a = w_next.leading_coefficient() / w_k.leading_coefficient()
-    r = w_next - t * w_k * a
-    b = r[k] / w_k[k]
-    s = r - w_k * b
-    c = -(s[k - 1] / w_prev[k - 1]) if not s.is_zero() else GaussRational(0)
-    if s + w_prev * c != UniPoly():
+    return _three_term(_raising_levels(ctx, k + 1), k)[1:]
+
+
+def _three_term(ws: list, k: int) -> tuple:
+    """(A_{k-1}, A_k, B_k, C_k) read off the raising levels ws as ints.
+
+    Each A is a ratio of leading coefficients, B_k comes from coefficient
+    k and C_k from coefficient k - 1; one kernel call over the lcm of their
+    denominators then checks omega_{k+1} - (A_k t + B_k) omega_k
+    + C_k omega_{k-1} = 0, and a GaussRational is built only for each value
+    returned.  q is rational, so the levels and A, B and C are real, and
+    every level is monic (the raising operator's t-coefficient is
+    (q + 1 - q)^2 = 1), so each denominator below is positive.
+    """
+    (u, du), (v, dv), (w, dw) = ((ws[j]._re, ws[j]._den) for j in (k + 1, k, k - 1))
+    # with r = omega_{k+1} - A_k t omega_k: r_k = b_num/(v_k du), and
+    # (r - B_k omega_k)_{k-1} = s/(v_k^2 du) = -C_k w_{k-1}/dw
+    b_num = u[k] * v[k] - u[k + 1] * v[k - 1]
+    s = (u[k - 1] * v[k] - u[k + 1] * (v[k - 2] if k >= 2 else 0)) * v[k] - b_num * v[k - 1]
+    a, b = _gr(u[k + 1] * dv, 0, v[k] * du), _gr(b_num * dv, 0, v[k] * v[k] * du)
+    c = _gr(-s * dw, 0, v[k] * v[k] * du * w[k - 1])
+    top = lcm(a.den, b.den, c.den)
+    if not _shifted_sum(((ws[k + 1], 0, 0, top),
+                         (ws[k], 0, -a.n * (top // a.den), -b.n * (top // b.den)),
+                         (ws[k - 1], 0, 0, c.n * (top // c.den)))).is_zero():
         raise AssertionError("omega_k do not satisfy a three-term recurrence")
-    return a, b, c
+    return _gr(v[k] * dw, 0, w[k - 1] * dv), a, b, c
 
 
 def nonorthogonality_certificate(ctx: RadialContext, k: int) -> GaussRational:
-    """The product A_{k-1} A_k C_k extracted from the computed recurrence.
+    """The product A_{k-1} A_k C_k extracted from the computed recurrence,
+    on one read of the raising chain and with one gcd.
 
     A nonpositive value violates the positivity condition a three-term
     family must satisfy to be orthogonal with respect to a positive
@@ -366,11 +385,8 @@ def nonorthogonality_certificate(ctx: RadialContext, k: int) -> GaussRational:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    a_k, _, c_k = three_term_coefficients(ctx, k)
-    # A_{k-1} is the ratio of leading coefficients, as in the extraction
-    a_prev = (omega_by_raising(ctx, k).leading_coefficient()
-              / omega_by_raising(ctx, k - 1).leading_coefficient())
-    return a_prev * a_k * c_k
+    a_prev, a_k, _, c_k = _three_term(_raising_levels(ctx, k + 1), k)
+    return _gr(a_prev.n * a_k.n * c_k.n, 0, a_prev.den * a_k.den * c_k.den)
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +402,14 @@ def g_poly_symmetric(d: int, k: int) -> UniPoly:
     """The real renormalized radial polynomials at q = 1/2:
 
         g_0 = 1,  g_1 = lambda,  (k+2) g_{k+2} = lambda g_{k+1} - (k+d) g_k.
+
+    Each step is one kernel call over k + 2, with no Fraction.
     """
     if d < 1 or k < 0:
         raise ValueError("need d >= 1 and k >= 0")
     chain = _g_chain(d)
     for n in range(len(chain) - 2, k - 1):  # computing g_{n+2}
-        chain.append((UniPoly.x() * chain[n + 1] - chain[n] * (n + d)) / Fraction(n + 2))
+        chain.append(_shifted_sum(((chain[n + 1], 0, 1, 0), (chain[n], 0, 0, -(n + d))), n + 2))
     return chain[k]
 
 
@@ -411,9 +429,10 @@ def check_fg_recurrence(ctx: RadialContext, k_max: int) -> bool:
     No square root is ever formed: times (k+1)ac, for q = a/b and
     1 - q = c/b, alpha^2/(k+1) becomes b^2 and the identity has int weights.
     """
-    ctx.alpha_squared  # raises for q in {0, 1}
     d = ctx.d
     a, b, c = _q_ints(ctx.q)
+    if not a or not c:
+        raise ValueError("alpha is undefined for q in {0, 1}")
     ws = _raising_levels(ctx, k_max + 2)
     for k in range(k_max + 1):
         lhs = _shifted_sum(((ws[k + 2], 0, 0, -b * b),

@@ -370,8 +370,9 @@ class TestRenormalizedRecurrence:
                 assert check_fg_recurrence(RadialContext(d, q), 10)
 
     def test_rejects_degenerate_q(self):
-        with pytest.raises(ValueError):
-            check_fg_recurrence(RadialContext(1, Fraction(0)), 3)
+        for q in (0, 1):
+            with pytest.raises(ValueError, match=r"alpha is undefined for q in \{0, 1\}"):
+                check_fg_recurrence(RadialContext(1, Fraction(q)), 3)
 
     def test_equivalent_to_three_term_recurrence(self):
         # the pulled-back identity is the recurrence in disguise: check

@@ -2,16 +2,18 @@
 replaced, and the work they take.
 
 `omega`, `apply_Rq_univariate`, `difference_triple`,
-`check_difference_equation`, `check_fg_recurrence` and
-`gauss_contiguous_check` write q = a/b (or c and x) as ints once per call
-and sum their rows through `scalars._shifted_sum`.  The oracles below are
-the compositional forms they had before: Fraction weights, UniPoly
-products and `compose_shift`.  Each function is compared with its oracle
+`check_difference_equation`, `check_fg_recurrence`,
+`three_term_coefficients`, `g_poly_symmetric` and `gauss_contiguous_check`
+write q = a/b (or c and x) as ints once per call and sum their rows
+through `scalars._shifted_sum`.  The oracles below are the compositional
+forms they had before: Fraction weights, UniPoly and GaussRational
+operations and `compose_shift`.  Each function is compared with its oracle
 on the (d, q) grid, with q = 5/2 (so 1 - q < 0) and q = -2/3 besides, on
 true inputs and on perturbed ones, so that a check that always passes
 shows.  The work counts pin what the kernel saves: growing omega calls into
-`fractions` a number of times that does not grow with k, and every level
-builds one UniPoly.
+`fractions` a number of times that does not grow with k, every level
+builds one UniPoly, and a warm route, keyed on q's ints, neither hashes
+nor builds a Fraction.
 """
 
 import fractions
@@ -29,10 +31,14 @@ from weylharm.radial import (
     check_difference_equation,
     check_fg_recurrence,
     difference_triple,
+    eta,
+    g_poly_symmetric,
+    nonorthogonality_certificate,
     omega,
     omega_by_raising,
+    three_term_coefficients,
 )
-from weylharm.scalars import GR_I, UniPoly, _up
+from weylharm.scalars import GR_I, GaussRational, UniPoly, _up
 from weylharm.specfun import gauss_contiguous_check, hyp2F1_terminating_poly
 from weylharm.verify import Q_GRID
 from weylharm.weyl import clear_caches
@@ -88,6 +94,37 @@ def fg_oracle(ctx, ws, k_max):
         if not lhs.is_zero():
             return False
     return True
+
+
+def three_term_oracle(ctx, k):
+    """The generic extraction of (A_k, B_k, C_k) off the raising levels,
+    on UniPoly and GaussRational operations."""
+    w_prev = omega_by_raising(ctx, k - 1)
+    w_k = omega_by_raising(ctx, k)
+    w_next = omega_by_raising(ctx, k + 1)
+    a = w_next.leading_coefficient() / w_k.leading_coefficient()
+    r = w_next - T * w_k * a
+    b = r[k] / w_k[k]
+    s = r - w_k * b
+    c = -(s[k - 1] / w_prev[k - 1]) if not s.is_zero() else GaussRational(0)
+    if s + w_prev * c != UniPoly():
+        raise AssertionError("omega_k do not satisfy a three-term recurrence")
+    return a, b, c
+
+
+def certificate_oracle(ctx, k):
+    a_k, _, c_k = three_term_oracle(ctx, k)
+    a_prev = (omega_by_raising(ctx, k).leading_coefficient()
+              / omega_by_raising(ctx, k - 1).leading_coefficient())
+    return a_prev * a_k * c_k
+
+
+def g_oracle(d, k_max):
+    """g_0 .. g_{k_max} by (t g_{n+1} - (n+d) g_n)/(n+2) on UniPolys."""
+    gs = [UniPoly((1,)), T]
+    for n in range(k_max - 1):
+        gs.append((T * gs[n + 1] - gs[n] * (n + d)) / Fraction(n + 2))
+    return gs[:k_max + 1]
 
 
 def first_relation(k, c, x, family):
@@ -174,6 +211,49 @@ def test_fg_recurrence_matches_oracle(ctx, monkeypatch):
         assert not check_fg_recurrence(ctx, k_max)
 
 
+THREE_TERM_QS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7),
+                 Fraction(5, 2), Fraction(-2, 3), Fraction(123456789, 987654321))
+
+
+def gr_parts(z):
+    return z.n, z.m, z.den
+
+
+@pytest.mark.parametrize("ctx", [RadialContext(d, q) for d in (1, 2, 3, 5)
+                                 for q in THREE_TERM_QS], ids=ctx_id)
+def test_three_term_extraction_matches_oracle(ctx):
+    for k in range(1, 21):
+        got, expected = three_term_coefficients(ctx, k), three_term_oracle(ctx, k)
+        assert [gr_parts(z) for z in got] == [gr_parts(z) for z in expected]
+        cert = nonorthogonality_certificate(ctx, k)
+        assert gr_parts(cert) == gr_parts(certificate_oracle(ctx, k))
+
+
+def test_g_chain_matches_oracle():
+    for d in range(1, 6):
+        expected = g_oracle(d, 40)
+        assert [parts(g_poly_symmetric(d, k)) for k in range(41)] == [parts(g) for g in expected]
+
+
+# k >= 2 and q != 1, so omega_{k-1} has a term below t^(k-1), which no
+# change of C_k can cancel
+@pytest.mark.parametrize("ctx", [RadialContext(1, Fraction(1, 3)),
+                                 RadialContext(3, Fraction(5, 2)),
+                                 RadialContext(2, Fraction(-2, 3)),
+                                 RadialContext(2, Fraction(0))], ids=ctx_id)
+@pytest.mark.parametrize("k", (2, 3, 7))
+def test_a_broken_level_makes_the_extraction_raise(ctx, k):
+    try:
+        three_term_coefficients(ctx, k)
+        chain = radial._raising_levels(ctx, k + 1)
+        chain[k + 1] = chain[k + 1] + T ** (k - 1)
+        for fn in (three_term_coefficients, nonorthogonality_certificate, three_term_oracle):
+            with pytest.raises(AssertionError, match="three-term recurrence"):
+                fn(ctx, k)
+    finally:
+        clear_caches()
+
+
 CONTIGUOUS = [(k, Fraction(c), Fraction(x)) for k in range(6)
               for c in (1, 3, Fraction(5, 2), Fraction(-7, 3))
               for x in (2, Fraction(1, 3), Fraction(-3, 4), Fraction(5, 2))]
@@ -244,8 +324,8 @@ def test_growing_omega_takes_no_fraction_arithmetic_per_level():
     for k in (5, 60):
         clear_caches()
         counts[k] = count_calls(omega, CTX_27, k)
-    # the Fraction work is per call (the memo's key, q's two ints), and
-    # each of the k new levels builds one UniPoly
+    # the Fraction work is per call (reading q's two ints), and each of
+    # the k new levels builds one UniPoly
     assert counts[5][0] == counts[60][0] <= 4
     assert (counts[5][1], counts[60][1]) == (5, 60)
     clear_caches()
@@ -275,3 +355,30 @@ def test_univariate_maps_take_a_fixed_count_of_fraction_calls(ctx):
     omega_by_raising(ctx, 22)
     assert count_calls(check_fg_recurrence, ctx, 20) == (
         count_calls(check_fg_recurrence, ctx, 4)[0], 21)
+
+
+def test_warm_routes_and_the_g_chain_hash_and_build_no_fraction():
+    # the chains are keyed on (d, a, b) for q = a/b, so a warm lookup never
+    # hashes q, and a g step divides by k + 2 inside the kernel
+    ctx = CTX_27
+    calls = [(omega, 12), (omega_by_raising, 12), (eta, 3),
+             (check_difference_equation, 12), (nonorthogonality_certificate, 11)]
+    watched = {Fraction.__hash__.__code__, Fraction.__new__.__code__}
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            entered.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+
+    clear_caches()
+    g_poly_symmetric(1, 1)  # the memo's seed, before the steps
+    for fn, k in calls:
+        fn(ctx, k)
+    sys.setprofile(profile)
+    try:
+        for fn, k in calls:
+            fn(ctx, k)
+        g_poly_symmetric(1, 30)
+    finally:
+        sys.setprofile(None)
+    assert entered == []
