@@ -190,9 +190,7 @@ def cal_L(ctx: OrderingContext, w: WeylElement) -> WeylElement:
 def cal_E(ctx: OrderingContext, w: WeylElement) -> WeylElement:
     """The transferred grading operator E + 2(1-q) L."""
     _check_w(ctx, w)
-    _, b, c = _q_ints(ctx.q)
-    g = gcd(2, b)  # 2(1-q) = (2c/g)/(b/g) in lowest terms
-    return _triple(w, 0, b // g, 2 * c // g, b // g)
+    return _triple(w, *_grading_weights(ctx.q))
 
 
 def cal_R(ctx: OrderingContext, w: WeylElement) -> WeylElement:
@@ -206,6 +204,15 @@ def _raising_weights(q: Fraction) -> tuple:
     q = a/b and 1 - q = c/b, (b^2, bc, c^2) over b^2."""
     _, b, c = _q_ints(q)
     return b * b, b * c, c * c, b * b
+
+
+def _grading_weights(q: Fraction) -> tuple:
+    """(rn, en, ln, dr), ints with cal_E = (rn R + en E + ln L) / dr: for
+    q = a/b and 1 - q = c/b, (0, b, 2c) over b, divided by gcd(2, b) so
+    that 2(1-q) is in lowest terms."""
+    _, b, c = _q_ints(q)
+    g = gcd(2, b)
+    return 0, b // g, 2 * c // g, b // g
 
 
 def _check_p(ctx: OrderingContext, p: CPolynomial):

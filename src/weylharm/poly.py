@@ -129,30 +129,30 @@ def _neighbourhood(k: int, d: int) -> tuple:
     return sum(e) + d, not (k + lay.ones) & lay.high, tuple(downs)
 
 
-def _triple_acc(d: int, terms: dict, rn: int, en: int, ln: int) -> dict:
+def _triple_acc(d: int, terms: dict, rn: int, en: int, ln: int, acc: dict | None = None) -> dict:
     """The numerators of rn*R + en*E + ln*L applied to the numerator pairs
-    ``terms = {key: [re, im]}`` of a map over d modes: a fresh accumulator
-    over the same denominator, which may hold [0, 0] pairs.  Each key's
-    neighbourhood comes from the `_neighbourhood` memo."""
-    if not (rn or ln):  # E alone maps keys one to one
-        return {k: [n * (f := en * _neighbourhood(k, d)[0]), m * f]
-                for k, (n, m) in terms.items()}
+    ``terms = {key: [re, im]}`` of a map over d modes, added into ``acc``
+    over the same denominator (a fresh accumulator when None) and returned;
+    it may hold [0, 0] pairs.  Keys' neighbourhoods are `_neighbourhood`'s."""
+    if acc is None:
+        acc = {}
     steps = _layout(d).step
     hoods = [_neighbourhood(k, d) for k in terms]
-    acc: dict = {}
-    if en:  # E maps monomials one to one, so its part seeds the accumulator
+    if en:  # E maps monomials one to one, so its part reads no neighbour
         for (k, (n, m)), (degree, _, _) in zip(terms.items(), hoods):
             f = en * degree
-            acc[k] = [n * f, m * f]
+            if (cur := acc.get(k)) is None:
+                acc[k] = [n * f, m * f]
+            else:
+                cur[0] += n * f
+                cur[1] += m * f
     for (k, (n, m)), (_, raises, downs) in zip(terms.items(), hoods):
         if rn:
             if not raises:  # some exponent is B - 1
                 raise ValueError(f"raising would reach the exponent bound 2^{FIELD_BITS - 1}")
             nr, mr = n * rn, m * rn
             for step in steps:
-                up = k + step
-                cur = acc.get(up)
-                if cur is None:
+                if (cur := acc.get(up := k + step)) is None:
                     acc[up] = [nr, mr]
                 else:
                     cur[0] += nr
@@ -160,9 +160,7 @@ def _triple_acc(d: int, terms: dict, rn: int, en: int, ln: int) -> dict:
         if ln:
             for step, w in downs:
                 w *= ln
-                down = k - step
-                cur = acc.get(down)
-                if cur is None:
+                if (cur := acc.get(down := k - step)) is None:
                     acc[down] = [n * w, m * w]
                 else:
                     cur[0] += n * w
@@ -211,7 +209,7 @@ def deriv_zbar(p: CPolynomial, j: int) -> CPolynomial:
 def is_harmonic(p: TermMap) -> bool:
     """L(p) = 0, for a `CPolynomial` or a `weyl.WeylElement`: the Weyl
     harmonics are the kernel of the transferred L, which is L itself."""
-    return op_L(p).is_zero()
+    return not any(n or m for n, m in _triple_acc(p.d, p._terms, 0, 0, 1).values())
 
 
 # ---------------------------------------------------------------------------

@@ -9,40 +9,35 @@ returns a plain report dict::
 Reports are built in a fixed order so identical invocations serialize to
 byte-identical JSON.
 
+`suite_sl2` and `suite_intertwine` read each first-level image from the
+public maps (`cal_R/L/E`, `op_R/L/E`, `order_q`) and test each identity
+as one int-weighted sum that vanishes (`_vanishes`): the second-level
+images, weighted as in `cal_R` and `cal_E` (unit weights for `op_R` and
+`op_E`), and the closed form of an image add into one accumulator over
+the lcm of the denominators, with no gcd and no term map built.
+
 The transported triple is the classical one conjugated by the ordering
-map, so part of `suite_sl2` and `suite_intertwine` does not depend on q,
-and calls that differ only in q share it:
-
-- `_sl2_samples` holds the w of each of sl2's seeded (p, w) draws and
-  its three `poly:` verdicts on the p;
-- `_intertwine_samples` holds intertwine's seeded homogeneous samples and
-  their images under R, L and E.
-
-Each is a `weyl._memo` keyed by ``(d, deg, count, seed)`` and bounded to
-one entry, so `suite_all`'s loop (d outside, q inside) computes each once
-per d, and memory stays that of one suite call.  The values are
-tuples of immutable term maps.  Within one call, `suite_harmonics` orders
-each basis element once per distinct q of `HARMONIC_Q_PAIRS`.
+map, so `_sl2_samples` (the w of each seeded (p, w) draw of sl2, and its
+three `poly:` verdicts) and `_intertwine_samples` (the seeded homogeneous
+samples and their images under R, L and E) do not depend on q.  Each is
+a `weyl._memo` keyed by ``(d, deg, count, seed)`` and bounded to one
+entry, so `suite_all`'s loop (d outside, q inside) computes each once
+per d, and memory stays that of one suite call; its values are tuples of
+immutable term maps.  `suite_harmonics` orders each basis element once
+per distinct q of `HARMONIC_Q_PAIRS`.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial, isfinite
+from math import factorial, isfinite, lcm
 
 from . import linalg
-from .ordering import OrderingContext, cal_E, cal_L, cal_R, order_q
-from .poly import (
-    CMonomial,
-    CPolynomial,
-    harmonic_decompose,
-    harmonic_dim,
-    is_harmonic,
-    op_E,
-    op_L,
-    op_R,
-)
+from .ordering import (OrderingContext, _closed_form_acc, _grading_weights, _q_ints,
+                       _raising_weights, cal_E, cal_L, cal_R, order_q)
+from .poly import (CMonomial, CPolynomial, _triple_acc, harmonic_decompose, harmonic_dim,
+                   is_harmonic, op_E, op_L, op_R)
 from .radial import (
     RadialContext,
     check_difference_equation,
@@ -172,6 +167,29 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be a positive finite float, not {tol}")
 
 
+def _vanishes(d: int, terms: dict, den: int, c: int, *images) -> bool:
+    """Whether c * terms/den, for numerator pairs ``terms`` over den, plus
+    the images (x, rn, en, ln, dr), each (rn R + en E + ln L)(x)/dr for a
+    term map x over d modes, sum to zero, in one accumulator."""
+    top = lcm(den, *(x._den * dr for x, *_, dr in images))
+    f = c * (top // den)
+    acc = {k: [n * f, m * f] for k, (n, m) in terms.items()}
+    for x, rn, en, ln, dr in images:
+        f = top // (x._den * dr)
+        _triple_acc(d, x._terms, rn * f, en * f, ln * f, acc)
+    return not any(n or m for n, m in acc.values())
+
+
+def _sl2_relations(d: int, r, low, e, raising: tuple, grading: tuple) -> list:
+    """[raise,lower] = -grade, [grade,raise] = 2 raise, [grade,lower] =
+    -2 lower on an element with images r, low and e, for lower = L and the
+    weights (rn, en, ln, dr) of ``raising`` and ``grading``."""
+    rn, en, ln, dr = raising
+    return [_vanishes(d, e._terms, e._den, 1, (low, *raising), (r, 0, 0, -1, 1)),
+            _vanishes(d, r._terms, r._den, -2, (r, *grading), (e, -rn, -en, -ln, dr)),
+            _vanishes(d, low._terms, low._den, 2, (low, *grading), (e, 0, 0, -1, 1))]
+
+
 # ---------------------------------------------------------------------------
 # q-independent work, shared by consecutive suite calls
 # ---------------------------------------------------------------------------
@@ -187,25 +205,18 @@ def _sl2_samples(d: int, deg: int, count: int, seed: int) -> tuple:
     samples = []
     for _ in range(count):
         p = random_cpoly(rng, d, deg)
-        r, low, e = op_R(p), op_L(p), op_E(p)
-        ok[0] &= (op_R(low) - op_L(r)) == -e
-        ok[1] &= (op_E(r) - op_R(e)) == 2 * r
-        ok[2] &= (op_E(low) - op_L(e)) == -2 * low
+        holds = _sl2_relations(d, op_R(p), op_L(p), op_E(p), (1, 0, 0, 1), (0, 1, 0, 1))
+        ok = [o & h for o, h in zip(ok, holds)]
         samples.append(random_weyl(rng, d, deg))
     return tuple(samples), tuple(ok)
 
 
 @_memo(1)
 def _intertwine_samples(d: int, deg: int, count: int, seed: int) -> tuple:
-    """suite_intertwine's homogeneous samples, each with its images under
-    R, L and E, as (p, R p, L p, E p)."""
+    """suite_intertwine's homogeneous samples p, as (p, R p, L p, E p)."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        degree = rng.randint(0, deg)
-        p = random_homogeneous_cpoly(rng, d, degree)
-        out.append((p, op_R(p), op_L(p), op_E(p)))
-    return tuple(out)
+    ps = [random_homogeneous_cpoly(rng, d, rng.randint(0, deg)) for _ in range(count)]
+    return tuple((p, op_R(p), op_L(p), op_E(p)) for p in ps)
 
 
 # ---------------------------------------------------------------------------
@@ -219,42 +230,32 @@ def suite_sl2(d: int, q: Fraction, deg: int = 4, count: int = 20, seed: int = 0)
     ctx = OrderingContext(d, q)
     samples, ok_p = _sl2_samples(d, deg, count, seed)
     ok_w = [True, True, True]
+    raising, grading = _raising_weights(ctx.q), _grading_weights(ctx.q)
     for w in samples:
-        r, low, e = cal_R(ctx, w), cal_L(ctx, w), cal_E(ctx, w)
-        ok_w[0] &= (cal_R(ctx, low) - cal_L(ctx, r)) == -e
-        ok_w[1] &= (cal_E(ctx, r) - cal_R(ctx, e)) == r.scale(2)
-        ok_w[2] &= (cal_E(ctx, low) - cal_L(ctx, e)) == low.scale(-2)
+        holds = _sl2_relations(d, cal_R(ctx, w), cal_L(ctx, w), cal_E(ctx, w), raising, grading)
+        ok_w = [o & h for o, h in zip(ok_w, holds)]
     detail = f"{count} random elements, degree <= {deg}"
     names = ("[raise,lower]=-grade", "[grade,raise]=2raise", "[grade,lower]=-2lower")
-    cases = [
-        _case(f"poly:{name}", ok, detail) for name, ok in zip(names, ok_p)
-    ] + [
-        _case(f"weyl:{name}", ok, detail) for name, ok in zip(names, ok_w)
-    ]
+    cases = [_case(f"{side}:{name}", ok, detail)
+             for side, oks in (("poly", ok_p), ("weyl", ok_w)) for name, ok in zip(names, oks)]
     return _report("sl2", {"d": d, "q": str(q), "deg": deg, "count": count}, seed, cases)
 
 
-def suite_intertwine(
-    d: int, q: Fraction, deg: int = 4, count: int = 20, seed: int = 0
-) -> dict:
+def suite_intertwine(d: int, q: Fraction, deg: int = 4, count: int = 20, seed: int = 0) -> dict:
     """Ordering map commutes with the triple on homogeneous inputs."""
     _check_sizes(deg=deg, count=count)
     ctx = OrderingContext(d, q)
+    _, b, c = _q_ints(ctx.q)
+    weights = (_raising_weights(ctx.q), (0, 0, 1, 1), _grading_weights(ctx.q))
     ok = [True, True, True]
-    for p, rp, lp, ep in _intertwine_samples(d, deg, count, seed):
+    for p, *images in _intertwine_samples(d, deg, count, seed):
         w = order_q(ctx, p)
-        ok[0] &= order_q(ctx, rp) == cal_R(ctx, w)
-        ok[1] &= order_q(ctx, lp) == cal_L(ctx, w)
-        ok[2] &= order_q(ctx, ep) == cal_E(ctx, w)
+        for i, (x, (rn, en, ln, dr)) in enumerate(zip(images, weights)):
+            acc, s = _closed_form_acc(d, x._terms, c, b)
+            ok[i] &= _vanishes(d, acc, x._den * s, 1, (w, -rn, -en, -ln, dr))
     detail = f"{count} random homogeneous elements, degree <= {deg}"
-    cases = [
-        _case("order∘R = R∘order", ok[0], detail),
-        _case("order∘L = L∘order", ok[1], detail),
-        _case("order∘E = E∘order", ok[2], detail),
-    ]
-    return _report(
-        "intertwine", {"d": d, "q": str(q), "deg": deg, "count": count}, seed, cases
-    )
+    cases = [_case(f"order∘{x} = {x}∘order", holds, detail) for x, holds in zip("RLE", ok)]
+    return _report("intertwine", {"d": d, "q": str(q), "deg": deg, "count": count}, seed, cases)
 
 
 def suite_radial(d: int, q: Fraction, k_max: int = 8, seed: int = 0) -> dict:
@@ -359,10 +360,9 @@ def suite_harmonics(
     # order_q is exp((1-q)L) in normal coordinates, so it fixes each
     # harmonic: element by element, not only span by span.  Each basis
     # element is ordered once per distinct q, and both cases read the images
-    images = {
-        q: [[order_q(OrderingContext(d, q), h) for h in basis] for basis in bases]
-        for q in dict.fromkeys(q for pair in HARMONIC_Q_PAIRS for q in pair)
-    }
+    contexts = [OrderingContext(d, q)
+                for q in dict.fromkeys(q for pair in HARMONIC_Q_PAIRS for q in pair)]
+    images = {ctx.q: [[order_q(ctx, h) for h in basis] for basis in bases] for ctx in contexts}
     ok_fixed = all(images[q1] == images[q2] for q1, q2 in HARMONIC_Q_PAIRS)
     cases.append(
         _case(

@@ -728,10 +728,17 @@ class TestExactOutputPinned:
          "107483b3bb6dd8e96f206b75e1a4b2cab60c24a3d2e05cfa308cece7dabfd68a"),
         (["omega", "--d", "2", "--q=-2/3", "--kmax", "12", "--json"],
          "bfbb19e150e66c9e580eae9131c260fd353b035f987914e2727a868eda350482"),
+        # recorded before each sl2 and intertwining identity was tested as
+        # one vanishing sum
+        (["verify", "sl2", "--d", "3", "--q=5/2", "--deg", "5", "--count", "10", "--json"],
+         "8a2556f480032fff0fb88d769f26d3e48fb3a7a5a9c2a2e341651bc91c0af11d"),
+        (["verify", "intertwine", "--d", "3", "--q=-2/3", "--deg", "5", "--count", "10",
+          "--json"],
+         "eebc2cb26bee86016dfab258406a2a322c1a1bd5150ceba87f7e77f9ab811f05"),
     ], ids=["verify-all-seed-1", "omega-d3-q2/7", "verify-all-seed-1-text",
             "omega-d3-q2/7-text", "eta-d2-q1/4-text", "eta-d2-q1/4",
             "radial-d3-q5/2", "radial-d3-q-2/3", "hahn-d5-k12", "omega-d2-q5/2",
-            "omega-d2-q-2/3"])
+            "omega-d2-q-2/3", "sl2-d3-q5/2", "intertwine-d3-q-2/3"])
     def test_output_digest(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv)
         assert code == 0

@@ -708,9 +708,9 @@ TRIPLE_PATTERNS = [p for p in product((0, 1), repeat=3) if any(p)]
                          ids=lambda p: "+".join(n for n, c in zip("REL", p) if c))
 @pytest.mark.parametrize("cls", [WeylElement, CPolynomial])
 def test_triple_accumulator_matches_per_product_oracle(cls, pattern):
-    # every combination of R, E and L, E alone (its one-to-one path)
-    # included: the raw accumulator over the input's denominator has the
-    # oracle's keys in the oracle's order, cancelled ones as [0, 0]
+    # every combination of R, E and L, E alone included: the raw
+    # accumulator over the input's denominator has the oracle's keys in the
+    # oracle's order, cancelled ones as [0, 0]
     rng = random.Random(f"{cls.__name__}-{pattern}")
     cancelled = 0
     for i in range(48):
@@ -729,3 +729,29 @@ def test_triple_accumulator_matches_per_product_oracle(cls, pattern):
         for (re, im), c in zip(acc.values(), raw.values()):
             assert GaussRational(Fraction(re, x._den), Fraction(im, x._den)) == c
     assert cancelled or pattern == (0, 1, 0)
+
+
+@pytest.mark.parametrize("pattern", TRIPLE_PATTERNS,
+                         ids=lambda p: "+".join(n for n, c in zip("REL", p) if c))
+@pytest.mark.parametrize("cls", [WeylElement, CPolynomial])
+def test_triple_accumulator_adds_into_a_target(cls, pattern):
+    # given a target, every part, E's one-to-one seed included, adds to the
+    # pairs already there: the result is the target plus the separately
+    # built accumulator, key by key, on targets that hold some of the
+    # input's own keys (where an E seed that assigned would overwrite) and
+    # keys of another element
+    rng = random.Random(f"target-{cls.__name__}-{pattern}")
+    for i in range(48):
+        d = 1 + i % 4
+        x, y = (random_element(rng, cls, d, rng.randint(1, 8), big=i % 3 == 1,
+                               diagonal=i % 2 == 0) for _ in range(2))
+        weights = [c * rng.choice((-3, -1, 2, 5)) for c in pattern]
+        keys = list(x._terms)[::2] + list(y._terms)
+        target = {k: [rng.randint(-9, 9), rng.randint(-9, 9)] for k in keys}
+        expected = {k: list(v) for k, v in target.items()}
+        for k, (re, im) in poly._triple_acc(d, x._terms, *weights).items():
+            cur = expected.setdefault(k, [0, 0])
+            cur[0] += re
+            cur[1] += im
+        assert poly._triple_acc(d, x._terms, *weights, target) is target
+        assert target == expected, (pattern, i)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import weylharm.poly as poly
 from weylharm import linalg
 from weylharm.linalg import _reduce_against
+from weylharm.ordering import OrderingContext, order_q
 from weylharm.poly import (
     CMonomial,
     CPolynomial,
@@ -30,7 +31,9 @@ from weylharm.verify import (
     harmonic_basis,
     random_cpoly,
     random_homogeneous_cpoly,
+    random_weyl,
 )
+from weylharm.weyl import WeylElement
 
 
 def op_euler(p: CPolynomial) -> CPolynomial:
@@ -297,6 +300,23 @@ class TestTriple:
 # ---------------------------------------------------------------------------
 # Harmonic decomposition
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_is_harmonic_agrees_with_the_built_laplacian(d):
+    # is_harmonic reads L's numerators without building L p; the emptiness
+    # of the built map is the oracle.  The basis elements are harmonic with
+    # terms whose images under L cancel, and their Weyl images are harmonic
+    rng = random.Random(d)
+    basis = [h for k in range(5) for h in harmonic_basis(d, k)]
+    ctx = OrderingContext(d, Fraction(1, 3))
+    inputs = basis + [order_q(ctx, h) for h in basis] + [CPolynomial.zero(d)]
+    for _ in range(20):
+        inputs += [random_cpoly(rng, d, 4), random_weyl(rng, d, 4)]
+    verdicts = [is_harmonic(x) for x in inputs]
+    assert verdicts == [op_L(x).is_zero() for x in inputs]
+    for cls in (CPolynomial, WeylElement):
+        assert {v for x, v in zip(inputs, verdicts) if type(x) is cls} == {True, False}
 
 
 class TestHarmonicDecompose:

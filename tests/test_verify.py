@@ -168,17 +168,68 @@ def test_memo_does_not_hide_a_faulty_operator(monkeypatch, cold_memos):
                           "order∘E = E∘order": "PASS"}
 
 
+def test_a_wrong_grading_weight_fails_the_weyl_relations(monkeypatch, cold_memos):
+    # cal_E = E + (1-q) L in place of E + 2(1-q) L, through the weight
+    # helper that cal_E and the suite share.  With t = 1 - q the check of
+    # [raise,lower] = -grade then reads -t L w and that of [grade,raise] =
+    # 2 raise reads -t cal_E w, nonzero at every battery q, while any
+    # multiple of L keeps [grade,lower] = -2 lower; order∘E = E∘order
+    # reads t L w.  At q = 1 the two weights agree
+    def wrong(q):
+        _, b, c = ordering._q_ints(q)
+        return 0, b, c, b
+    monkeypatch.setattr(ordering, "_grading_weights", wrong)
+    monkeypatch.setattr(V, "_grading_weights", wrong)
+    reports = V.suite_all(seed=1, quick=True)
+    sl2 = [r for r in reports if r["suite"] == "sl2"]
+    assert {(r["params"]["d"], r["params"]["q"]) for r in sl2} == {
+        (d, q) for d in (1, 2) for q in ("0", "1/2", "3/4")}
+    for report in sl2:
+        status = {c["id"]: c["status"] for c in report["cases"]}
+        assert status == {
+            "poly:[raise,lower]=-grade": "PASS",
+            "poly:[grade,raise]=2raise": "PASS",
+            "poly:[grade,lower]=-2lower": "PASS",
+            "weyl:[raise,lower]=-grade": "FAIL",
+            "weyl:[grade,raise]=2raise": "FAIL",
+            "weyl:[grade,lower]=-2lower": "PASS",
+        }
+    for report in (r for r in reports if r["suite"] == "intertwine"):
+        status = {c["id"]: c["status"] for c in report["cases"]}
+        assert status == {"order∘R = R∘order": "PASS", "order∘L = L∘order": "PASS",
+                          "order∘E = E∘order": "FAIL"}
+    assert not V.report_failed(V.suite_sl2(2, Fraction(1), deg=3, count=6, seed=1))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_faulty_closed_form_fails_the_intertwining_cases(monkeypatch, d):
+    # the suite orders each image of R, L and E through `_closed_form_acc`;
+    # with -(1-q) for 1-q it applies the inverse map, while w comes from the
+    # untouched `order_q`.  The images then differ by exp(-2(1-q) L), which
+    # shows on L p only where L^2 p is not zero: degree 4 samples
+    real = V._closed_form_acc
+    monkeypatch.setattr(V, "_closed_form_acc", lambda d, terms, tn, td: real(d, terms, -tn, td))
+    for q in (Fraction(0), Fraction(1, 2), Fraction(3, 4)):
+        report = V.suite_intertwine(d, q, deg=4, count=20, seed=1)
+        assert [c["status"] for c in report["cases"]] == ["FAIL", "FAIL", "FAIL"]
+
+
 def test_battery_work_counts(monkeypatch, cold_memos):
     # the full battery at seed 1, from cold memos and empty radial chains (so
     # the counts do not depend on the tests run before), draws 140 random
-    # elements (380 before the memos), runs the triple kernel 2127 times
+    # elements (380 before the memos), runs the triple kernel 636 times
     # (2574 while each homogeneous component was peeled with its own L and R
     # maps and each part was raised on its own, 2148 while `reassemble_weyl`
-    # raised through `cal_R`) and the ordering closed form 884 times (1141,
-    # before the harmonics suite ordered each basis element once per
+    # raised through `cal_R`, 2127 while each sl2 and intertwining identity
+    # built its sides as term maps) and the ordering closed form 524 times
+    # (1141, before the harmonics suite ordered each basis element once per
     # distinct q, 925 while `reassemble_weyl` ordered each part through
-    # `order_q`); the reassembly's 21 raising steps and 41 parts now run on
-    # the accumulators `_triple_acc` and `_closed_form_acc` directly
+    # `order_q`, 884 while the intertwining identities ordered each image
+    # through `order_q`); the reassembly's 21 raising steps and 41 parts,
+    # the second-level images of the sl2 relations and the ordered images
+    # of the intertwining identities run on the accumulators `_triple_acc`
+    # and `_closed_form_acc` directly, and only the first-level images
+    # (`cal_R/L/E`, `op_R/L/E` and `order_q` of each sample) are counted
     counts = dict.fromkeys(("random_element", "_triple", "_closed_form"), 0)
 
     def counting(module, name):
@@ -194,7 +245,7 @@ def test_battery_work_counts(monkeypatch, cold_memos):
     counting(ordering, "_triple")
     counting(ordering, "_closed_form")
     V.suite_all(seed=1, quick=False)
-    assert counts == {"random_element": 140, "_triple": 2127, "_closed_form": 884}
+    assert counts == {"random_element": 140, "_triple": 636, "_closed_form": 524}
 
 
 @pytest.mark.parametrize("d, deg, count, seed", [(1, 3, 6, 1), (2, 4, 20, 3), (3, 2, 5, 0)])
