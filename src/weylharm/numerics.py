@@ -1,12 +1,13 @@
 """Floating-point verification layer.
 
 Exact identities live elsewhere; this module checks the analytic claims
-that involve transcendental objects: the orthogonality of the symmetric
-radial family against |Gamma(d/2 + i*lambda/2)|^2, and the generating
+that involve transcendental objects: that |Gamma(d/2 + i*lambda/2)|^2 has
+the moments of the exact ladder functional under which `verify` checks
+the orthogonality of the symmetric radial family, and the generating
 function of the renormalized radial polynomials.  Everything is plain
 float/complex arithmetic on the standard library's `math` and `cmath`,
 with explicit accuracy targets.  No sum goes through the builtin `sum`,
-whose float rounding changed in Python 3.12: the Gram entries are
+whose float rounding changed in Python 3.12: the ladder moments are
 correctly rounded `math.fsum` sums and the DFT adds in sample order, so
 the reported digits are the same on every supported Python.
 """
@@ -22,14 +23,16 @@ from typing import NamedTuple
 
 from .scalars import UniPoly
 
-# a Gram matrix is accepted when doubling its quadrature moves no entry by
-# this much relative to the diagonal scale
+# the ladder moments are accepted when doubling their quadrature moves none
+# of them by this much
 STABILITY_TOL = 1e-9
 # the generating function is evaluated only inside this fraction of its
 # branch-point radius, and its Taylor coefficients come from this many
 # samples on one circle
 BRANCH_GUARD = 0.9
 DFT_NODES = 256
+_DFT_ROOTS = tuple(cmath.exp(2j * math.pi * j / DFT_NODES) for j in range(DFT_NODES))
+_DFT_TWIDDLES = tuple(z.conjugate() for z in _DFT_ROOTS)
 
 
 def _gamma_weight(d: int, lams: list) -> list:
@@ -55,15 +58,6 @@ def _gamma_weight(d: int, lams: list) -> list:
         a2 = (j + (0.5 if d % 2 else 1.0)) ** 2
         values = [v * (a2 + b * b) for v, b in zip(values, bs)]
     return values
-
-
-def weight_rho(lam: float, d: int) -> float:
-    """The orthogonality weight |Gamma(d/2 + i*lambda/2)|^2.
-
-    Positive on the whole real line for d >= 1 and decaying like
-    |lambda|^(d-1) exp(-pi |lambda| / 2).
-    """
-    return _gamma_weight(d, [lam])[0]
 
 
 # The nonnegative half of 20-point Gauss-Legendre on [-1, 1], bit for bit
@@ -155,12 +149,6 @@ def _folded_rule(spec: QuadratureSpec) -> tuple:
     return nodes, node_weights
 
 
-def integrate(f, spec: QuadratureSpec) -> float:
-    """Integrate a real function of one float over [-T, T]."""
-    nodes, weights = _folded_rule(spec)
-    return math.fsum(w * (f(x) + f(-x)) for x, w in zip(nodes, weights))
-
-
 def unipoly_eval_float(p: UniPoly, x) -> complex:
     """Horner evaluation of an exact polynomial in floating point.
 
@@ -173,83 +161,41 @@ def unipoly_eval_float(p: UniPoly, x) -> complex:
     return acc
 
 
-def _g_values(d: int, k_max: int, xs: list) -> list:
-    """Values of g_0..g_kmax at every x by the three-term recurrence
-    g_{k+2} = (x g_{k+1} - (k+d) g_k)/(k+2), which is forward stable
-    where the monomial coefficients cancel."""
-    values = [[1.0] * len(xs), xs][:k_max + 1]
-    for k in range(k_max - 1):
-        c, e = k + d, k + 2
-        values.append([(x * b - c * a) / e
-                       for x, a, b in zip(xs, values[k], values[k + 1])])
-    return values
+def ladder_moments(d: int, k_max: int, spec: QuadratureSpec) -> list:
+    """The normalised ladder moments of the gamma-square weight on
+    ``spec``'s rule: 2 fsum(v_m) for m = 0..k_max, each 1 for the true
+    weight.
 
-
-def orthogonality_matrix(d: int, k_max: int, spec: QuadratureSpec | None = None) -> dict:
-    """Gram matrix of g_0..g_kmax against the gamma-square weight.
-
-    Returns {"gram", "normalized", "diagonal_positive", "tail_bound",
-    "spec"}, the matrices as lists of rows; ``normalized[m][n]`` is
-    |I_mn| / (sqrt(I_mm) sqrt(I_nn)) with unit diagonal, two roots so
-    that no product of the diagonal overflows.
-
-    g_k has the parity of k, so on the folded rule g_m g_n at +-x sums to
-    2 g_m(x) g_n(x) for m + n even; entries of mixed parity vanish.  Each
-    entry is one correctly rounded sum.  A d or k_max whose weight or Gram
-    entries are not finite floats is refused with ValueError.
+    v_0 = w rho_d/I_d at the folded nodes, with I_d = 4 pi Gamma(d)/2^d the
+    weight's mass, and v_{m+1} = v_m ((d+2m)^2 + lam^2)/((d+2m)(d+2m+1)).
+    The ladder |Gamma(s+1)|^2 = |s|^2 |Gamma(s)|^2 makes rho_d times
+    prod_{j<m} ((d+2j)^2 + lam^2) integrate to (d)_{2m} I_d, so these are
+    the moments the exact functional gives polynomials of degree <= 2 k_max
+    in lam.  One pass over the nodes per m; a d whose weight or moments are
+    not finite floats is refused with ValueError.
     """
-    if spec is None:
-        spec = QuadratureSpec.for_orthogonality(d, k_max)
     nodes, weights = _folded_rule(spec)
-    values = _g_values(d, k_max, nodes)
-    weighted = list(map(mul, weights, _gamma_weight(d, nodes)))
-    size = k_max + 1
-    gram = [[0.0] * size for _ in range(size)]
+    rho = _gamma_weight(d, nodes)
     try:
-        for m in range(size):
-            left = list(map(mul, weighted, values[m]))
-            for n in range(m, size, 2):
-                gram[m][n] = gram[n][m] = 2.0 * math.fsum(map(mul, left, values[n]))
-        finite = all(math.isfinite(x) for row in gram for x in row)
-    except (OverflowError, ValueError):  # partials overflowed, or inf met -inf
-        finite = False
-    if not finite:
-        raise ValueError(f"d = {d}, k_max = {k_max}: the orthogonality weight or "
-                         "Gram entries overflow a float")
-    roots = [math.sqrt(row[m]) for m, row in enumerate(gram)]
-    normalized = [
-        [abs(x) / (roots[m] * roots[n]) for n, x in enumerate(row)]
-        for m, row in enumerate(gram)
-    ]
-    return {
-        "gram": gram,
-        "normalized": normalized,
-        "diagonal_positive": all(row[m] > 0 for m, row in enumerate(gram)),
-        "tail_bound": spec.tail_bound(d, 2 * k_max),
-        "spec": spec,
-    }
-
-
-def orthogonality_stable(d: int, k_max: int) -> dict:
-    """Gram computation plus the doubling stability requirement.
-
-    The result is accepted only when doubling the panel count and growing
-    the truncation changes every entry by less than STABILITY_TOL relative
-    to the diagonal scale.
-    """
-    spec = QuadratureSpec.for_orthogonality(d, k_max)
-    first = orthogonality_matrix(d, k_max, spec)
-    second = orthogonality_matrix(d, k_max, spec.doubled())
-    roots = [math.sqrt(row[m]) for m, row in enumerate(second["gram"])]
-    drift = max(
-        abs(a - b) / (roots[m] * roots[n])
-        for m, (row1, row2) in enumerate(zip(first["gram"], second["gram"]))
-        for n, (a, b) in enumerate(zip(row1, row2))
-    )
-    out = dict(second)
-    out["stable"] = drift < STABILITY_TOL
-    out["drift"] = drift
-    return out
+        if d < 172:
+            mass = math.ldexp(4.0 * math.pi * math.gamma(d), -d)
+        else:  # Gamma(d) alone overflows a float
+            mass = math.exp(math.log(4.0 * math.pi) + math.lgamma(d) - d * math.log(2.0))
+        # a node where the weight underflowed to 0 adds 0 to every moment
+        kept = [(w * r / mass, x * x) for x, w, r in zip(nodes, weights, rho) if r]
+        values, squares = [v for v, _ in kept], [s for _, s in kept]
+        moments = [2.0 * math.fsum(values)]
+        for m in range(k_max):
+            a = d + 2 * m
+            a2, step = float(a * a), float(a * (a + 1))
+            values = [v * (a2 + s) / step for v, s in zip(values, squares)]
+            moments.append(2.0 * math.fsum(values))
+    except OverflowError:  # I_d, or a partial sum of fsum, overflowed
+        moments = [math.inf]
+    if not all(map(math.isfinite, moments)):
+        raise ValueError(f"d = {d}, k_max = {k_max}: the orthogonality weight or its "
+                         "ladder moments overflow a float")
+    return moments
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +304,11 @@ def genfun_taylor_coefficients(q, d: int, lam, order: int,
     """
     r = genfun_extraction_radius(q, order, radius)
     g = _genfun(q, d, lam)
-    roots = [cmath.exp(2j * math.pi * j / DFT_NODES) for j in range(DFT_NODES)]
-    values = [g(r * z) for z in roots]
-    twiddles = [z.conjugate() for z in roots]
+    values = [g(r * z) for z in _DFT_ROOTS]
     coeffs = []
     for k in range(order + 1):
         # sample j meets exp(-2 pi i jk/N), the conjugate root jk mod N
-        tk = (twiddles * k)[::k] if k else [1.0] * DFT_NODES
+        tk = (_DFT_TWIDDLES * k)[::k] if k else [1.0] * DFT_NODES
         coeffs.append(reduce(add, map(mul, values, tk)) / DFT_NODES / r**k)
     return coeffs
 

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial, isfinite, lcm
+from math import factorial, isfinite, lcm, prod
+from operator import mul
 
 from . import linalg
 from .ordering import (OrderingContext, _closed_form_acc, _grading_weights, _q_ints,
@@ -73,8 +74,8 @@ HARMONIC_Q_PAIRS = (
     (Fraction(1, 4), Fraction(3, 4)),
     (Fraction(1, 2), Fraction(1, 3)),
 )
-# the largest k_max whose orthogonality suite passes for d = 1..3 in about
-# 10 s cold (d = 1, the slowest, took 9.7 s on a 2-core x86-64 machine)
+# the largest k_max of orthogonality: at it a cold call took 0.4 s at d = 1
+# on a 2-core x86-64 machine (7 to 10 s with K x K Gram matrices)
 ORTHOGONALITY_KMAX = 90
 # the largest k_max and d_max of hahn: at both, cold, it took 6.7 s on a
 # 2-core x86-64 machine (k_max = 150 took 11 s at d_max = 3)
@@ -284,11 +285,8 @@ def suite_radial(d: int, q: Fraction, k_max: int = 8, seed: int = 0) -> dict:
         fg_case = _case("renormalized recurrence (pulled back)", True,
                         "skipped: scale undefined at q in {0,1}")
     else:
-        fg_case = _case(
-            "renormalized recurrence (pulled back)",
-            check_fg_recurrence(ctx, k_max),
-            f"k <= {k_max}",
-        )
+        fg_case = _case("renormalized recurrence (pulled back)",
+                        check_fg_recurrence(ctx, k_max), f"k <= {k_max}")
     # -q(1-q)k(k+d-1) is <= 0 for q in [0, 1] and > 0 outside it
     q_in_unit = 0 <= q <= 1
     ok_cert = True
@@ -307,9 +305,7 @@ def suite_radial(d: int, q: Fraction, k_max: int = 8, seed: int = 0) -> dict:
               "equals -q(1-q)k(k+d-1) and "
               + ("<= 0" if q_in_unit else "> 0 for q outside [0, 1]")),
     ]
-    report = _report(
-        "radial", {"d": d, "q": str(q), "kmax": k_max}, seed, cases
-    )
+    report = _report("radial", {"d": d, "q": str(q), "kmax": k_max}, seed, cases)
     report["table"] = table
     return report
 
@@ -364,13 +360,8 @@ def suite_harmonics(
                 for q in dict.fromkeys(q for pair in HARMONIC_Q_PAIRS for q in pair)]
     images = {ctx.q: [[order_q(ctx, h) for h in basis] for basis in bases] for ctx in contexts}
     ok_fixed = all(images[q1] == images[q2] for q1, q2 in HARMONIC_Q_PAIRS)
-    cases.append(
-        _case(
-            "Weyl harmonics independent of ordering parameter",
-            ok_fixed,
-            f"{len(HARMONIC_Q_PAIRS)} parameter pairs, k <= {k_max}",
-        )
-    )
+    cases.append(_case("Weyl harmonics independent of ordering parameter", ok_fixed,
+                       f"{len(HARMONIC_Q_PAIRS)} parameter pairs, k <= {k_max}"))
 
     ok_member = True  # each distinct first q once; the pairs repeat q = 0
     for q1 in dict.fromkeys(q1 for q1, _ in HARMONIC_Q_PAIRS):
@@ -387,20 +378,11 @@ def suite_harmonics(
         parts = decompose_weyl(ctx, w)
         ok_round &= all(is_harmonic(h) for _, h in parts)
         ok_round &= reassemble_weyl(ctx, parts) == w
-    cases.append(
-        _case(
-            "radial-times-harmonic decomposition round-trip",
-            ok_round,
-            f"{count} random elements, degree <= {deg}",
-        )
-    )
-    return _report(
-        "harmonics",
-        {"d": d, "kmax": k_max, "count": count, "deg": deg,
-         "q_pairs": [[str(a), str(b)] for a, b in HARMONIC_Q_PAIRS]},
-        seed,
-        cases,
-    )
+    cases.append(_case("radial-times-harmonic decomposition round-trip", ok_round,
+                       f"{count} random elements, degree <= {deg}"))
+    return _report("harmonics", {"d": d, "kmax": k_max, "count": count, "deg": deg,
+                                 "q_pairs": [[str(a), str(b)] for a, b in HARMONIC_Q_PAIRS]},
+                   seed, cases)
 
 
 def suite_hahn(k_max: int = 8, d_max: int = 4, seed: int = 0) -> dict:
@@ -458,31 +440,48 @@ def suite_hahn(k_max: int = 8, d_max: int = 4, seed: int = 0) -> dict:
     return _report("hahn", {"kmax": k_max, "dmax": d_max}, seed, cases)
 
 
+def _ladder_moments(d: int, n: int) -> list:
+    """The int moments mu_0, mu_2, .., mu_2n of the gamma-ladder functional
+    (see `suite_orthogonality`)."""
+    row, mu = [prod(range(d, d + 2 * m)) for m in range(n + 1)], []
+    while row:  # row[m] is T(j, m) for j = len(mu)
+        mu.append(row[0])
+        row = [b - (d + 2 * m) ** 2 * a for m, (a, b) in enumerate(zip(row, row[1:]))]
+    return mu
+
+
 def suite_orthogonality(d: int, k_max: int = 8, tol: float = 1e-8, seed: int = 0) -> dict:
-    """Gram matrix of g_0..g_k_max under the gamma weight, for k_max up to
-    ORTHOGONALITY_KMAX."""
-    from .numerics import orthogonality_stable
+    """Orthogonality of g_0..g_k_max under the gamma weight, for k_max up to
+    ORTHOGONALITY_KMAX, with no Gram matrix.  Exact: the ladder
+    P_m = prod_{j<m} ((d+2j)^2 + lam^2) has L[P_m] = (d)_{2m} L[1], so the
+    moments mu_2j = L[lam^2j]/L[1] are the ints T(j, 0), with T(0, m) =
+    (d)_{2m} and T(j+1, m) = T(j, m+1) - (d+2m)^2 T(j, m); by the recurrence
+    of g_k (Favard), L[g_k] = 0 for 1 <= k <= 2 k_max makes the Gram
+    diag((d)_n/n!) L[1].  Float: the weight has those moments
+    (`numerics.ladder_moments`), on two rules that agree."""
+    from .numerics import STABILITY_TOL, QuadratureSpec, ladder_moments
 
     _check_sizes(k_max=k_max)
     _check_tol(tol)
     if k_max > ORTHOGONALITY_KMAX:
         raise ValueError(f"k_max must be <= {ORTHOGONALITY_KMAX} for orthogonality "
-                         "(its time grows as k_max^3)")
-    res = orthogonality_stable(d, k_max)
-    worst = max((x for m, row in enumerate(res["normalized"])
-                 for n, x in enumerate(row) if m != n), default=0.0)
+                         "(its time grows about as k_max^2)")
+    spec = QuadratureSpec.for_orthogonality(d, k_max)
+    first, second = ladder_moments(d, k_max, spec), ladder_moments(d, k_max, spec.doubled())
+    mu = _ladder_moments(d, k_max)
+    ok_exact = all(sum(map(mul, g_poly_symmetric(d, k)._re[::2], mu)) == 0
+                   for k in range(1, 2 * k_max + 1))
+    worst = max(abs(b - 1.0) for b in second)
+    drift = max(abs(a - b) for a, b in zip(first, second))
     cases = [
-        _case("normalized off-diagonals below tolerance", worst < tol,
-              f"max {worst:.3e} vs tol {tol:.1e}"),
-        _case("diagonal entries positive", res["diagonal_positive"], ""),
-        _case("stable under panel doubling", res["stable"],
-              f"drift {res['drift']:.3e}"),
+        _case("L[g_k] = 0 under the exact ladder moments", ok_exact, f"1 <= k <= {2 * k_max}, "
+              f"so the Gram of g_0..g_{k_max} is diag((d)_n/n!) L[1]"),
+        _case("weight has the ladder moments", worst < tol,
+              f"max {worst:.3e} vs tol {tol:.1e}, m <= {k_max}"),
+        _case("stable under panel doubling", drift < STABILITY_TOL, f"drift {drift:.3e}"),
     ]
-    report = _report(
-        "orthogonality", {"d": d, "kmax": k_max, "tol": tol}, seed, cases
-    )
-    report["diagonal"] = [row[m] for m, row in enumerate(res["gram"])]
-    report["tail_bound"] = res["tail_bound"]
+    report = _report("orthogonality", {"d": d, "kmax": k_max, "tol": tol}, seed, cases)
+    report["tail_bound"] = spec.doubled().tail_bound(d, 2 * k_max)
     return report
 
 

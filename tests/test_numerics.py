@@ -9,6 +9,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+import gram_oracle
+from gram_oracle import integrate, orthogonality_matrix, orthogonality_stable, weight_rho
 from weylharm import numerics
 from weylharm.numerics import (
     BranchCutProximityError,
@@ -18,14 +20,11 @@ from weylharm.numerics import (
     genfun_ode_residual,
     genfun_singularity_radius,
     genfun_taylor_coefficients,
-    integrate,
-    orthogonality_matrix,
-    orthogonality_stable,
     unipoly_eval_float,
-    weight_rho,
 )
 from weylharm.radial import RadialContext, g_poly_symmetric, omega_by_raising
-from weylharm.verify import suite_orthogonality
+from weylharm.scalars import UniPoly
+from weylharm.verify import _ladder_moments, report_failed, suite_orthogonality
 
 mp.mp.dps = 40
 
@@ -205,7 +204,7 @@ class TestOrthogonality:
         # value computed as a Fraction and rounded once
         lams = [0.5, 3.0, 20.0, 72.0]
         for d in (1, 2, 3):
-            values = numerics._g_values(d, 12, lams)
+            values = gram_oracle._g_values(d, 12, lams)
             for k in range(13):
                 coeffs = [c.re for c in g_poly_symmetric(d, k).coeffs]
                 for lam, value in zip(lams, values[k]):
@@ -245,16 +244,17 @@ class TestOrthogonality:
         assert res["normalized"][0][2] > 0
         assert abs(res["normalized"][0][2] - ref) <= 1e-15 * ref
         assert 0 < res["drift"] < 1e-9
-        worst = off_diagonal_max(res["normalized"])
-        assert suite_orthogonality(120, 2)["cases"][0]["detail"] == \
-            f"max {worst:.3e} vs tol 1.0e-08"
+        # the suite, which builds no Gram matrix, passes where the oracle does
+        assert off_diagonal_max(res["normalized"]) < 1e-8
+        assert not report_failed(suite_orthogonality(120, 2))
 
     def test_injected_off_diagonal_fails_at_large_d(self, monkeypatch):
         # g_2 + 1e-3 g_0 on the doubled rule puts I_02 = 1e-3 I_00 into its
         # Gram matrix, 1.2e-5 after normalization: both the orthogonality
-        # and the stability case must fail, as they did not while the
-        # diagonal product overflowed
-        values_of = numerics._g_values
+        # and the stability verdict must fail, as they did not while the
+        # diagonal product overflowed (the suite's own controls are in
+        # TestLadderMoments)
+        values_of = gram_oracle._g_values
         base = len(numerics._folded_rule(QuadratureSpec.for_orthogonality(120, 2))[0])
 
         def perturbed(d, k_max, xs):
@@ -263,9 +263,11 @@ class TestOrthogonality:
                 values[2] = [v + 1e-3 for v in values[2]]
             return values
 
-        monkeypatch.setattr(numerics, "_g_values", perturbed)
-        cases = suite_orthogonality(120, 2)["cases"]
-        assert [c["status"] for c in cases] == ["FAIL", "PASS", "FAIL"]
+        monkeypatch.setattr(gram_oracle, "_g_values", perturbed)
+        res = orthogonality_stable(120, 2)
+        verdicts = [off_diagonal_max(res["normalized"]) < 1e-8, res["diagonal_positive"],
+                    res["stable"]]
+        assert verdicts == [False, True, False]
 
     def test_overflowing_d_refused(self):
         # the weight is finite at d = 198 (Gamma(99)^2 is near 9e307), but
@@ -278,6 +280,88 @@ class TestOrthogonality:
         for d in (0, -1):
             with pytest.raises(ValueError, match="d must be >= 1"):
                 QuadratureSpec.for_orthogonality(d, 8)
+
+
+def statuses(report):
+    return [c["status"] for c in report["cases"]]
+
+
+class TestLadderMoments:
+    """`suite_orthogonality` against the Gram oracle, mpmath and faults."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 20, 40])
+    def test_suite_passes_where_the_gram_oracle_does(self, d):
+        for k_max in (0, 4, 8, 12):
+            res = orthogonality_stable(d, k_max)
+            oracle = (off_diagonal_max(res["normalized"]) < 1e-8
+                      and res["drift"] < numerics.STABILITY_TOL)
+            passed = not report_failed(suite_orthogonality(d, k_max))
+            assert passed == oracle, (d, k_max)
+            assert passed, (d, k_max)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_moments_against_mpmath_quad(self, d):
+        # mu_2j = L[lam^2j]/L[1] and the float ladder moments, each against
+        # mpmath's quadrature of the weight with mpmath's gamma, at 25 digits
+        spec = QuadratureSpec.for_orthogonality(d, 6)
+        floats = numerics.ladder_moments(d, 6, spec)
+        mu = _ladder_moments(d, 6)
+        with mp.workdps(25):
+            rho = lambda lam: abs(mp.gamma(mp.mpf(d) / 2 + 0.5j * lam)) ** 2
+            mass = 2 * mp.quad(rho, [0, mp.inf])
+            assert abs(mass - 4 * mp.pi * mp.gamma(d) / 2 ** d) <= mp.mpf(10) ** -22 * mass
+            for j in range(7):
+                ref = 2 * mp.quad(lambda lam: lam ** (2 * j) * rho(lam), [0, mp.inf]) / mass
+                assert abs(mu[j] - ref) <= mp.mpf(10) ** -20 * ref, (d, j)
+                rising = mp.rf(d, 2 * j)
+                ladder = 2 * mp.quad(lambda lam: rho(lam) * mp.fprod(
+                    (d + 2 * i) ** 2 + lam ** 2 for i in range(j)), [0, mp.inf]) / mass
+                assert abs(ladder / rising - 1) <= mp.mpf(10) ** -20, (d, j)
+                assert abs(floats[j] - ladder / rising) <= 1e-14, (d, j)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 20])
+    def test_gram_is_the_closed_form_diagonal(self, d):
+        # L[g_m g_n]/L[1] = delta_mn (d)_n/n! exactly, on the exact g_k and
+        # the int moments: the closed form the exact case's detail states
+        k_max = 20
+        mu = _ladder_moments(d, k_max)
+        polys = [g_poly_symmetric(d, k) for k in range(k_max + 1)]
+        for m in range(k_max + 1):
+            for n in range(m, k_max + 1):
+                coeffs = [c.re for c in (polys[m] * polys[n]).coeffs]
+                value = sum(c * mu[i] for i, c in enumerate(coeffs[::2]))
+                expected = Fraction(math.comb(d + n - 1, n)) if m == n else 0
+                assert value == expected, (d, m, n)
+
+    def test_largest_d_with_a_finite_mass(self):
+        # I_d = 4 pi Gamma(d)/2^d is near 3e307 at d = 197 and overflows a
+        # float at d = 198, where the weight itself is still finite
+        assert not report_failed(suite_orthogonality(197, 2))
+        with pytest.raises(ValueError, match="its ladder moments overflow a float"):
+            suite_orthogonality(198, 0)
+
+    @pytest.mark.parametrize("d", [1, 3, 120])
+    def test_perturbed_g2_fails_the_exact_case(self, monkeypatch, d):
+        # g_2 + 1e-3 g_0 has L[.] = 1e-3 L[1]; the float cases never see g_k
+        import weylharm.verify as verify
+
+        exact = verify.g_poly_symmetric
+        monkeypatch.setattr(verify, "g_poly_symmetric", lambda d, k: exact(d, k) + (
+            UniPoly.constant(Fraction(1, 1000)) if k == 2 else 0))
+        assert statuses(suite_orthogonality(d, 4)) == ["FAIL", "PASS", "PASS"]
+
+    @pytest.mark.parametrize("d", [1, 3, 120])
+    def test_perturbed_weight_fails_the_moment_case(self, monkeypatch, d):
+        # a weight times 1 + 1e-6 lam^2/(1 + lam^2) moves every normalised
+        # moment by about 1e-6, the same on both rules; the exact case
+        # never sees the weight
+        weight = numerics._gamma_weight
+
+        def perturbed(d, lams):
+            return [r * (1 + 1e-6 * x * x / (1 + x * x)) for r, x in zip(weight(d, lams), lams)]
+
+        monkeypatch.setattr(numerics, "_gamma_weight", perturbed)
+        assert statuses(suite_orthogonality(d, 4)) == ["PASS", "FAIL", "PASS"]
 
 
 class TestGenFun:
