@@ -3,9 +3,8 @@
 Everything here is a finite sum evaluated in Q(i) or in polynomials over
 Q(i); there is no convergence logic anywhere.  Series factors may be
 exact scalars or polynomials (e.g. the -t upper parameter that makes a
-Gauss series a polynomial of t, or a + i*x for the complex-argument
-families); lower parameters must be scalars and are pole-checked over the
-finitely many terms actually used.
+Gauss series a polynomial of t); lower parameters must be scalars and are
+pole-checked over the finitely many terms actually used.
 
 Every series, and every named family, is one call of `_series`, the one
 series kernel, on ints: each scalar is a canonical triple (n, m, den) for
@@ -18,11 +17,19 @@ The kernel writes term j as s_j * B_j(t).  B_j, the product of the rising
 factorials (u)_j of the polynomial uppers u, depends on those u alone, so
 its levels form one chain per tuple of u, memoised by `_rising_chain` and
 grown in place: a family of series over one u (every -t series, every
-a + i*x of one a) shares one chain across k, the scalar parameters and the
+a + y of one a) shares one chain across k, the scalar parameters and the
 argument.  s_j folds the prefactor and every scalar parameter into one
 Gaussian-integer ratio over an int, with one gcd per step, and the terms
 are summed once over the lcm of their denominators into one `UniPoly`,
 one pass over the numerators of B_j per term.
+
+The complex-argument families (continuous Hahn, Meixner-Pollaczek and
+their connection check) have the upper a + ix for real a.  They expand in
+y = ix instead: (a + y)_j is a real polynomial of y, and their factor i^k
+leaves the prefactor, so every level and every weight is real and the
+kernel does one int product per coefficient.  A last O(k) pass, the
+kernel's ``turn``, multiplies coefficient j by i^(j+k) to read the result
+back in x.
 
 The identities between such polynomials (`gauss_contiguous_check`) run
 through `scalars._shifted_sum` with int weights, like the radial layer's.
@@ -78,11 +85,11 @@ def minus_t_poly() -> UniPoly:
     return _MINUS_T
 
 
-def _plus_ix(n: int, den: int, s: int = 1) -> tuple:
-    """The key of UniPoly((GaussRational(s*a), s*GR_I)), the upper s(a + ix)
-    for a = n/den in lowest terms, so that it shares that UniPoly's chain."""
+def _plus_y(n: int, den: int, s: int = 1) -> tuple:
+    """The key of UniPoly((s*a, s)), the real upper s(a + y) in y = ix for
+    a = n/den in lowest terms, so that it shares that UniPoly's chain."""
     g = gcd(den, s * n)
-    return (s * n // g, 0), (0, s * den // g), den // g
+    return (s * n // g, s * den // g), (), den // g
 
 
 def _real(x, name: str) -> tuple:
@@ -142,7 +149,7 @@ def _rising_levels(polys: tuple, n: int) -> list:
 
 
 def _series(scalars, polys: tuple, lowers, arg: tuple, nterms: int,
-            pre: tuple = (1, 0, 1)) -> UniPoly:
+            pre: tuple = (1, 0, 1), turn: int | None = None) -> UniPoly:
     """pre * sum_{j<nterms} prod(u)_j / (prod(l)_j j!) * arg^j on ints.
 
     ``scalars``, ``lowers``, ``arg`` and ``pre`` are (n, m, den) triples
@@ -155,7 +162,9 @@ def _series(scalars, polys: tuple, lowers, arg: tuple, nterms: int,
     terms are accumulated once over the lcm of their denominators, each in
     one pass over its level's numerators: (wn + wm*i)(re + im*i) for a
     complex level, and for a real one the real weight alone when wm = 0.
-    One `_up` builds the result.
+    A ``turn`` r, given for a real series in y = ix, then multiplies
+    coefficient j by i^(j+r), which reads the series in x times i^r.  One
+    `_up` builds the result.
     """
     if nterms < 1:
         raise ValueError("series needs at least one term")
@@ -201,6 +210,15 @@ def _series(scalars, polys: tuple, lowers, arg: tuple, nterms: int,
         else:
             for j, x in enumerate(level._re):
                 re[j] += wn * x
+    if turn is not None:  # re holds the real coefficients of y^j
+        for j, x in enumerate(re):
+            m = j + turn  # i^r (ix)^j = i^m x^j
+            if m & 2:
+                x = -x
+            if m & 1:
+                re[j], im[j] = 0, x
+            else:
+                re[j] = x
     return _up(re, im, common)
 
 
@@ -222,11 +240,6 @@ def terminating_series(uppers, lowers, arg, nterms: int) -> UniPoly:
     scalars = [_parts(u) for u in uppers if not isinstance(u, UniPoly)]
     polys = tuple((u._re, u._im, u._den) for u in uppers if isinstance(u, UniPoly))
     return _series(scalars, polys, lowers, _parts(arg), nterms)
-
-
-def _i_power(k: int, n: int, den: int) -> tuple:
-    """The triple of i^k n/den."""
-    return ((n, 0, den), (0, n, den), (-n, 0, den), (0, -n, den))[k % 4]
 
 
 def hyp2F1_terminating_poly(k: int, c, x) -> UniPoly:
@@ -278,7 +291,8 @@ def continuous_hahn_poly(k: int, a, b, c, d) -> UniPoly:
         i^k (a+c)_k (a+d)_k / k! *
             3F2(-k, k+a+b+c+d-1, a+ix; a+c, a+d; 1)
 
-    expanded as an exact polynomial in x; the prefactor seeds the series.
+    expanded as an exact polynomial in x: the real series in y = ix,
+    seeded by the real prefactor, with the turn i^(j+k).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -291,8 +305,8 @@ def continuous_hahn_poly(k: int, a, b, c, d) -> UniPoly:
     a_d = _lower(an * dd + dn * ad, ad * dd, k + 1)
     rc, _, fc = _rising(*a_c, k)
     rd, _, fd = _rising(*a_d, k)
-    return _series(((-k, 0, 1), (top, 0, den)), (_plus_ix(an, ad),), (a_c, a_d),
-                   (1, 0, 1), k + 1, _i_power(k, rc * rd, fc * fd * factorial(k)))
+    return _series(((-k, 0, 1), (top, 0, den)), (_plus_y(an, ad),), (a_c, a_d),
+                   (1, 0, 1), k + 1, (rc * rd, 0, fc * fd * factorial(k)), k)
 
 
 def meixner_pollaczek_poly(n: int, a) -> UniPoly:
@@ -301,22 +315,23 @@ def meixner_pollaczek_poly(n: int, a) -> UniPoly:
         i^n * 2F1(-n, a+ix, 2a; 2)
 
     (the angle-dependent constants are exact in Q(i) only at pi/2, which
-    is the only angle used here); i^n seeds the series.
+    is the only angle used here): the real series in y = ix with the turn
+    i^(j+n).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     an, ad = _real(a, "a")
-    return _series(((-n, 0, 1),), (_plus_ix(an, ad),), (_lower(2 * an, ad, n + 1),),
-                   (2, 0, 1), n + 1, _i_power(n, 1, 1))
+    return _series(((-n, 0, 1),), (_plus_y(an, ad),), (_lower(2 * an, ad, n + 1),),
+                   (2, 0, 1), n + 1, turn=n)
 
 
 def hyp2f1_3f2_connection_check(n: int, a) -> bool:
     """Exact check of 2F1(-n, 2a+2ix, 4a; 2) = 3F2(-n, n+4a, a+ix; 2a, 2a+1/2; 1)
-    for real a."""
+    for real a, compared as real polynomials of y = ix."""
     an, ad = _real(a, "a")
-    lhs = _series(((-n, 0, 1),), (_plus_ix(an, ad, 2),), (_lower(4 * an, ad, n + 1),),
+    lhs = _series(((-n, 0, 1),), (_plus_y(an, ad, 2),), (_lower(4 * an, ad, n + 1),),
                   (2, 0, 1), n + 1)
-    rhs = _series(((-n, 0, 1), (n * ad + 4 * an, 0, ad)), (_plus_ix(an, ad),),
+    rhs = _series(((-n, 0, 1), (n * ad + 4 * an, 0, ad)), (_plus_y(an, ad),),
                   (_lower(2 * an, ad, n + 1), _lower(4 * an + ad, 2 * ad, n + 1)),
                   (1, 0, 1), n + 1)
     return lhs == rhs

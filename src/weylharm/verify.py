@@ -77,8 +77,8 @@ HARMONIC_Q_PAIRS = (
 # the largest k_max of orthogonality: at it a cold call took 0.4 s at d = 1
 # on a 2-core x86-64 machine (7 to 10 s with K x K Gram matrices)
 ORTHOGONALITY_KMAX = 90
-# the largest k_max and d_max of hahn: at both, cold, it took 6.7 s on a
-# 2-core x86-64 machine (k_max = 150 took 11 s at d_max = 3)
+# the largest k_max and d_max of hahn: at both, cold, it took 6.7 to 7.7 s
+# on a 2-core x86-64 machine (k_max = 150 took 11 s at d_max = 3)
 HAHN_KMAX = 100
 HAHN_DMAX = 10
 # the largest genfun order: cold, order 170 took at most 0.8 s for

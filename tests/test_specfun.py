@@ -13,6 +13,8 @@ from weylharm.radial import RadialContext, g_poly_symmetric, omega_closed_form
 from weylharm.scalars import GR_I, GR_ONE, GaussRational, UniPoly, _parts
 from weylharm.specfun import (
     InvalidParameterError,
+    _lower,
+    _plus_y,
     _rising_chain,
     _rising_levels,
     _series,
@@ -535,6 +537,31 @@ def test_families_match_fraction_oracle(case):
         assert fraction_pairs(family(k, *params)) == oracle(k, *params), k
 
 
+TURN_AS = (F(3, 4), F(-7, 6), F(2), F(1, 3))
+
+
+@pytest.mark.parametrize("a", TURN_AS, ids=str)
+def test_turned_families_match_the_complex_oracle_at_every_k_mod_4(a):
+    # the oracles expand a + ix in x with the factor i^k in the prefactor,
+    # so they do not share the substitution y = ix and its turn i^(j+k)
+    for k in range(10):
+        for b, c, d in ((a + F(1, 2), a, a + F(1, 2)), (F(5, 4), F(3, 4), F(5, 4))):
+            assert fraction_pairs(continuous_hahn_poly(k, a, b, c, d)) == hahn_oracle(
+                k, a, b, c, d), (k, b, c, d)
+        assert fraction_pairs(meixner_pollaczek_poly(k, a)) == meixner_pollaczek_oracle(k, a), k
+
+
+@pytest.mark.parametrize("a", TURN_AS, ids=str)
+def test_a_turn_off_by_one_fails_the_oracle(a):
+    an, ad = a.numerator, a.denominator
+    for n in range(10):
+        expected = meixner_pollaczek_oracle(n, a)
+        for turn in (n - 1, n, n + 1):
+            got = _series(((-n, 0, 1),), (_plus_y(an, ad),), (_lower(2 * an, ad, n + 1),),
+                          (2, 0, 1), n + 1, turn=turn)
+            assert (fraction_pairs(got) == expected) == (turn == n), (n, turn)
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: meixner_pollaczek_poly(3, Fraction(-1, 2)), "lower parameter -1 hits zero at term 2"),
     (lambda: continuous_hahn_poly(4, Fraction(-1, 2), 1, Fraction(-3, 2), 2),
@@ -588,13 +615,13 @@ def test_complex_parameters_are_refused_by_name(fn, args, names):
 
 
 def test_families_share_the_chains_of_their_unipoly_uppers():
-    # a family passes a + ix and 2a + 2ix as exactly their UniPolys' parts
-    for a in (Fraction(3, 4), Fraction(-7, 6), Fraction(2), Fraction(1, 3)):
+    # a family passes a + y and 2a + 2y, for y = ix, as exactly their
+    # real UniPolys' parts
+    for a in TURN_AS:
         clear_caches()
         meixner_pollaczek_poly(6, a)
         hyp2f1_3f2_connection_check(6, a)
-        for upper in (UniPoly((GaussRational(a), GR_I)),
-                      UniPoly((GaussRational(2 * a), 2 * GR_I))):
+        for upper in (UniPoly((a, 1)), UniPoly((2 * a, 2))):
             assert len(_rising_chain((parts(upper),))) == 7
 
 
@@ -607,6 +634,7 @@ def test_families_and_the_closed_form_build_no_fraction():
 
     calls = [(fn, args) for fn, args, _ in REAL_PARAMETER_CASES]
     calls.append((omega_closed_form, (RadialContext(2, Fraction(5, 2)), 6)))
+    calls.append((omega_closed_form, (RadialContext(2, Fraction(1)), 7)))
     sys.setprofile(profile)
     try:
         for fn, args in calls:
