@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--kmax", type=int, default=None,
                     help="top degree (default 4 for harmonics, 8 otherwise)")
     vp.add_argument("--count", type=int, default=20)
-    vp.add_argument("--tol", type=float, default=1e-8)
+    vp.add_argument("--tol", type=float, default=None,
+                    help="float tolerance (default: the suite's own)")
     vp.add_argument("--order", type=int, default=10)
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--quick", action="store_true")
@@ -260,10 +261,11 @@ def _run_suite(args) -> list:
                                   count=args.count, deg=args.deg, seed=args.seed)]
     if name == "hahn":
         return [V.suite_hahn(kmax, d_max=d, seed=args.seed)]
+    tol = {} if args.tol is None else {"tol": args.tol}
     if name == "orthogonality":
-        return [V.suite_orthogonality(d, kmax, args.tol, args.seed)]
+        return [V.suite_orthogonality(d, kmax, seed=args.seed, **tol)]
     if name == "genfun":
-        return [V.suite_genfun(args.q, d, args.order, args.tol, args.seed)]
+        return [V.suite_genfun(args.q, d, args.order, seed=args.seed, **tol)]
     return V.suite_all(seed=args.seed, quick=args.quick)
 
 

@@ -275,15 +275,11 @@ def genfun_eval(q, d: int, lam, s) -> complex:
     return _genfun(q, d, lam)(s)
 
 
-def genfun_extraction_radius(q, order: int, radius: float | None = None) -> float:
+def genfun_extraction_radius(q, order: int) -> float:
     """Radius r of the circle `genfun_taylor_coefficients` extracts on:
-    ``radius``, or half the branch-point radius.  A circle at BRANCH_GUARD
-    times that radius or beyond, and an order whose scale 1/r^order (the
-    largest the extraction divides by) overflows a float, are refused."""
-    r_sing = genfun_singularity_radius(q)
-    r = radius if radius is not None else 0.5 * r_sing
-    if r >= BRANCH_GUARD * r_sing:
-        raise BranchCutProximityError("extraction circle too large")
+    half the branch-point radius.  An order whose scale 1/r^order (the
+    largest the extraction divides by) overflows a float is refused."""
+    r = 0.5 * genfun_singularity_radius(q)
     try:
         r ** -order
     except OverflowError:
@@ -292,8 +288,7 @@ def genfun_extraction_radius(q, order: int, radius: float | None = None) -> floa
     return r
 
 
-def genfun_taylor_coefficients(q, d: int, lam, order: int,
-                               radius: float | None = None) -> list:
+def genfun_taylor_coefficients(q, d: int, lam, order: int) -> list:
     """Taylor coefficients 0..order of the generating function at s = 0.
 
     Cauchy-integral extraction on a circle well inside the branch-point
@@ -302,7 +297,7 @@ def genfun_taylor_coefficients(q, d: int, lam, order: int,
     order.  Uniform accuracy across orders, unlike iterated numerical
     differentiation.
     """
-    r = genfun_extraction_radius(q, order, radius)
+    r = genfun_extraction_radius(q, order)
     g = _genfun(q, d, lam)
     values = [g(r * z) for z in _DFT_ROOTS]
     coeffs = []

@@ -291,7 +291,7 @@ def omega_closed_form(ctx: RadialContext, k: int) -> UniPoly:
         level = _rising_levels((_MINUS_T_KEY,), k + 1)[k]
         return -level if k & 1 else level
     d = ctx.d
-    return _series(((-k, 0, 1),), (_MINUS_T_KEY,), ((d, 0, 1),), (b, 0, c), k + 1,
+    return _series(((-k, 1),), (_MINUS_T_KEY,), ((d, 0, 1),), (b, 0, c), k + 1,
                    (prod(range(d, d + k)) * c**k, 0, b**k))
 
 

@@ -454,7 +454,11 @@ class UniPoly:
         return f"UniPoly({list(map(str, self.coeffs))})"
 
     def __str__(self) -> str:
-        return format_unipoly(self)
+        """p in the variable t, highest power first."""
+        from .expr import _format_terms, _power_text
+
+        return _format_terms([(c, _power_text("t", k) if k else "")
+                              for k, c in reversed(list(enumerate(self.coeffs))) if c])
 
 
 _set_up_re = UniPoly._re.__set__
@@ -588,31 +592,3 @@ UP_ZERO = UniPoly()
 UP_ONE = UniPoly((1,))
 UP_I = UniPoly((GR_I,))
 
-
-def format_unipoly(p: UniPoly) -> str:
-    """p in the variable t, highest power first."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p[k]
-        if c.is_zero():
-            continue
-        if k == 0:
-            term = format_gauss(c)
-        else:
-            tpow = "t" if k == 1 else f"t^{k}"
-            if c == GR_ONE:
-                term = tpow
-            elif c == -GR_ONE:
-                term = f"-{tpow}"
-            else:
-                ctxt = format_gauss(c)
-                if ("+" in ctxt[1:]) or ("-" in ctxt[1:]):
-                    ctxt = f"({ctxt})"
-                term = f"{ctxt}*{tpow}"
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
-    return "".join(parts)

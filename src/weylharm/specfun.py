@@ -1,17 +1,19 @@
 """Exact terminating hypergeometric series and named polynomial families.
 
 Everything here is a finite sum evaluated in Q(i) or in polynomials over
-Q(i); there is no convergence logic anywhere.  Series factors may be
-exact scalars or polynomials (e.g. the -t upper parameter that makes a
-Gauss series a polynomial of t); lower parameters must be scalars and are
-pole-checked over the finitely many terms actually used.
+Q(i); there is no convergence logic anywhere.  The named families are the
+series the package evaluates: the Gauss series with upper parameters
+(-t, -k), the continuous Hahn and Meixner-Pollaczek polynomials, and the
+Krawtchouk and Meixner polynomials.  Their lower parameters must be real
+and are pole-checked over the finitely many terms actually used.
 
-Every series, and every named family, is one call of `_series`, the one
-series kernel, on ints: each scalar is a canonical triple (n, m, den) for
-(n + m*i)/den, each polynomial upper is the key (_re, _im, _den) of its
-`UniPoly`, and a constant prefactor seeds the first term.  A family reads
-its parameters once per call through `scalars._parts`, forms its uppers,
-lowers, argument and prefactor as such triples and builds no Fraction.
+Every family is one call of `_series`, the one series kernel, on ints:
+each scalar upper is a real pair (c, f) for c/f, each lower, the argument
+and the prefactor a canonical triple (n, m, den) for (n + m*i)/den, each
+polynomial upper the key (_re, _im, _den) of its real `UniPoly`, and a
+constant prefactor seeds the first term.  A family reads its parameters
+once per call through `scalars._parts`, forms its uppers, lowers,
+argument and prefactor as such ints and builds no Fraction.
 
 The kernel writes term j as s_j * B_j(t).  B_j, the product of the rising
 factorials (u)_j of the polynomial uppers u, depends on those u alone, so
@@ -29,7 +31,8 @@ y = ix instead: (a + y)_j is a real polynomial of y, and their factor i^k
 leaves the prefactor, so every level and every weight is real and the
 kernel does one int product per coefficient.  A last O(k) pass, the
 kernel's ``turn``, multiplies coefficient j by i^(j+k) to read the result
-back in x.
+back in x.  Every level is therefore real; only the Gauss series' argument
+may be complex.
 
 The identities between such polynomials (`gauss_contiguous_check`) run
 through `scalars._shifted_sum` with int weights, like the radial layer's.
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from math import factorial, gcd, lcm
 
-from .scalars import UP_ONE, UniPoly, _gr, _mul_parts, _parts, _shifted_sum, _up
+from .scalars import UP_ONE, GaussRational, UniPoly, _gr, _mul_parts, _parts, _shifted_sum, _up
 from .weyl import _memo
 
 
@@ -75,14 +78,8 @@ def pochhammer(base, n: int):
     return _gr(*_rising(*_parts(base), n))
 
 
-_MINUS_T = UniPoly((0, -1))
-_MINUS_T_KEY = (_MINUS_T._re, _MINUS_T._im, _MINUS_T._den)
-
-
-def minus_t_poly() -> UniPoly:
-    """The polynomial -t, the usual terminating upper parameter (one shared
-    immutable value)."""
-    return _MINUS_T
+# the key of the real UniPoly -t, the usual terminating upper parameter
+_MINUS_T_KEY = ((0, -1), (), 1)
 
 
 def _plus_y(n: int, den: int, s: int = 1) -> tuple:
@@ -108,15 +105,6 @@ def _lower(c: int, f: int, nterms: int) -> tuple:
     if not r and 0 <= m < nterms - 1:
         raise InvalidParameterError(f"lower parameter {-m} hits zero at term {m + 1}")
     return c, 0, f
-
-
-def _check_lower(lower, nterms: int) -> tuple:
-    """The triple of ``lower``, raising unless it is real and its rising
-    factorials are nonzero over the series (`_lower`)."""
-    c, e, f = _parts(lower)
-    if e:
-        raise InvalidParameterError(f"lower parameter {lower} must be real")
-    return _lower(c, f, nterms)
 
 
 @_memo()
@@ -152,19 +140,19 @@ def _series(scalars, polys: tuple, lowers, arg: tuple, nterms: int,
             pre: tuple = (1, 0, 1), turn: int | None = None) -> UniPoly:
     """pre * sum_{j<nterms} prod(u)_j / (prod(l)_j j!) * arg^j on ints.
 
-    ``scalars``, ``lowers``, ``arg`` and ``pre`` are (n, m, den) triples
-    with den != 0, the lowers real and already pole-checked; ``polys`` is
-    the tuple of the polynomial uppers' keys (_re, _im, _den).  Term j is
-    s_j * B_j(t), B_j read from the chain of ``polys`` (`_rising_levels`)
-    and s_j the running product of ``pre`` and the ratios of the scalar
-    uppers, the lowers, j! and ``arg``, reduced by one gcd per step; the
-    sum stops at the first zero ratio, the term past a -k upper.  The
-    terms are accumulated once over the lcm of their denominators, each in
-    one pass over its level's numerators: (wn + wm*i)(re + im*i) for a
-    complex level, and for a real one the real weight alone when wm = 0.
-    A ``turn`` r, given for a real series in y = ix, then multiplies
-    coefficient j by i^(j+r), which reads the series in x times i^r.  One
-    `_up` builds the result.
+    ``scalars`` are the real scalar uppers as pairs (c, f) for c/f, f != 0;
+    ``lowers``, ``arg`` and ``pre`` are (n, m, den) triples with den != 0,
+    the lowers real and already pole-checked; ``polys`` is the tuple of the
+    real polynomial uppers' keys (_re, (), _den).  Term j is s_j * B_j(t),
+    B_j read from the chain of ``polys`` (`_rising_levels`) and s_j the
+    running product of ``pre`` and the ratios of the scalar uppers, the
+    lowers, j! and ``arg``, reduced by one gcd per step; the sum stops at
+    the first zero ratio, the term past a -k upper.  The terms are
+    accumulated once over the lcm of their denominators, each in one pass
+    over its level's numerators: the real weight alone when wm = 0, and
+    both parts otherwise.  A ``turn`` r, given for a real series in y = ix,
+    then multiplies coefficient j by i^(j+r), which reads the series in x
+    times i^r.  One `_up` builds the result.
     """
     if nterms < 1:
         raise ValueError("series needs at least one term")
@@ -173,12 +161,11 @@ def _series(scalars, polys: tuple, lowers, arg: tuple, nterms: int,
     steps = []
     for j in range(nterms):
         if j:
-            # u + j - 1 = (c + (j-1)*f + e*i)/f for u = (c + e*i)/f
             i = j - 1
             rn, rm, rd = an, am, ad * j
-            for c, e, f in scalars:
+            for c, f in scalars:  # u + j - 1 = (c + (j-1)*f)/f for u = c/f
                 c += i * f
-                rn, rm, rd = rn * c - rm * e, rn * e + rm * c, rd * f
+                rn, rm, rd = rn * c, rm * c, rd * f
             if not rn and not rm:
                 break
             for c, _, f in lowers:
@@ -190,25 +177,20 @@ def _series(scalars, polys: tuple, lowers, arg: tuple, nterms: int,
         sn, sm, sd = sn // g, sm // g, sd // g
         steps.append((sn, sm, sd))
     levels = _rising_levels(polys, len(steps))
-    terms = [(sn, sm, sd * level._den, level)
+    terms = [(sn, sm, sd * level._den, level._re)
              for (sn, sm, sd), level in zip(steps, levels) if level._re]
     common = lcm(*(den for _, _, den, _ in terms))
-    size = max(len(level._re) for *_, level in terms)
+    size = max(len(level) for *_, level in terms)
     re, im = [0] * size, [0] * size
     for sn, sm, den, level in terms:
         scale = common // den
         wn, wm = sn * scale, sm * scale
-        lim = level._im
-        if lim:  # (wn + wm*i) * (x + y*i)
-            for j, (x, y) in enumerate(zip(level._re, lim)):
-                re[j] += wn * x - wm * y
-                im[j] += wn * y + wm * x
-        elif wm:
-            for j, x in enumerate(level._re):
+        if wm:
+            for j, x in enumerate(level):
                 re[j] += wn * x
                 im[j] += wm * x
         else:
-            for j, x in enumerate(level._re):
+            for j, x in enumerate(level):
                 re[j] += wn * x
     if turn is not None:  # re holds the real coefficients of y^j
         for j, x in enumerate(re):
@@ -222,26 +204,6 @@ def _series(scalars, polys: tuple, lowers, arg: tuple, nterms: int,
     return _up(re, im, common)
 
 
-def terminating_series(uppers, lowers, arg, nterms: int) -> UniPoly:
-    """sum_{j<nterms} prod(u)_j / (prod(l)_j j!) * arg^j as a UniPoly.
-
-    ``uppers`` may mix scalars and UniPoly factors of any number and
-    degree; ``lowers`` must be real exact scalars and ``arg`` an exact
-    scalar.  The result is a polynomial (a constant one when no upper
-    factor is a polynomial).
-
-    The lowers are checked, every scalar is read once as its int triple
-    and every UniPoly upper as its key, and one `_series` call sums the
-    series with no prefactor.  Its polynomial uppers share their memoised
-    rising-factorial chain with every other series on the same uppers,
-    the named families included.
-    """
-    lowers = [_check_lower(low, nterms) for low in lowers]
-    scalars = [_parts(u) for u in uppers if not isinstance(u, UniPoly)]
-    polys = tuple((u._re, u._im, u._den) for u in uppers if isinstance(u, UniPoly))
-    return _series(scalars, polys, lowers, _parts(arg), nterms)
-
-
 def hyp2F1_terminating_poly(k: int, c, x) -> UniPoly:
     """The Gauss series with upper parameters (-t, -k), as a polynomial of t.
 
@@ -250,7 +212,7 @@ def hyp2F1_terminating_poly(k: int, c, x) -> UniPoly:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _series(((-k, 0, 1),), (_MINUS_T_KEY,), (_lower(*_real(c, "c"), k + 1),),
+    return _series(((-k, 1),), (_MINUS_T_KEY,), (_lower(*_real(c, "c"), k + 1),),
                    _parts(x), k + 1)
 
 
@@ -305,7 +267,7 @@ def continuous_hahn_poly(k: int, a, b, c, d) -> UniPoly:
     a_d = _lower(an * dd + dn * ad, ad * dd, k + 1)
     rc, _, fc = _rising(*a_c, k)
     rd, _, fd = _rising(*a_d, k)
-    return _series(((-k, 0, 1), (top, 0, den)), (_plus_y(an, ad),), (a_c, a_d),
+    return _series(((-k, 1), (top, den)), (_plus_y(an, ad),), (a_c, a_d),
                    (1, 0, 1), k + 1, (rc * rd, 0, fc * fd * factorial(k)), k)
 
 
@@ -321,7 +283,7 @@ def meixner_pollaczek_poly(n: int, a) -> UniPoly:
     if n < 0:
         raise ValueError("n must be >= 0")
     an, ad = _real(a, "a")
-    return _series(((-n, 0, 1),), (_plus_y(an, ad),), (_lower(2 * an, ad, n + 1),),
+    return _series(((-n, 1),), (_plus_y(an, ad),), (_lower(2 * an, ad, n + 1),),
                    (2, 0, 1), n + 1, turn=n)
 
 
@@ -329,9 +291,9 @@ def hyp2f1_3f2_connection_check(n: int, a) -> bool:
     """Exact check of 2F1(-n, 2a+2ix, 4a; 2) = 3F2(-n, n+4a, a+ix; 2a, 2a+1/2; 1)
     for real a, compared as real polynomials of y = ix."""
     an, ad = _real(a, "a")
-    lhs = _series(((-n, 0, 1),), (_plus_y(an, ad, 2),), (_lower(4 * an, ad, n + 1),),
+    lhs = _series(((-n, 1),), (_plus_y(an, ad, 2),), (_lower(4 * an, ad, n + 1),),
                   (2, 0, 1), n + 1)
-    rhs = _series(((-n, 0, 1), (n * ad + 4 * an, 0, ad)), (_plus_y(an, ad),),
+    rhs = _series(((-n, 1), (n * ad + 4 * an, ad)), (_plus_y(an, ad),),
                   (_lower(2 * an, ad, n + 1), _lower(4 * an + ad, 2 * ad, n + 1)),
                   (1, 0, 1), n + 1)
     return lhs == rhs
@@ -344,7 +306,7 @@ def krawtchouk_poly(k: int, p, n_par) -> UniPoly:
     if not pn:
         raise InvalidParameterError("the Krawtchouk parameter p must be nonzero")
     nn, nd = _real(n_par, "N")
-    return _series(((-k, 0, 1),), (_MINUS_T_KEY,), (_lower(-nn, nd, k + 1),),
+    return _series(((-k, 1),), (_MINUS_T_KEY,), (_lower(-nn, nd, k + 1),),
                    (pd, 0, pn), k + 1)
 
 
@@ -354,13 +316,8 @@ def meixner_poly(k: int, beta, c_par) -> UniPoly:
     cn, cd = _real(c_par, "c")
     if not cn:
         raise InvalidParameterError("the Meixner parameter c must be nonzero")
-    return _series(((-k, 0, 1),), (_MINUS_T_KEY,), (_lower(*_real(beta, "beta"), k + 1),),
+    return _series(((-k, 1),), (_MINUS_T_KEY,), (_lower(*_real(beta, "beta"), k + 1),),
                    (cn - cd, 0, cn), k + 1)
-
-
-def _rational(n: int, den: int):
-    """n/den as a GaussRational, for ints with den != 0."""
-    return _gr(n, 0, den) if den > 0 else _gr(-n, 0, -den)
 
 
 def krawtchouk_meixner_check(k: int, q, d: int) -> bool:
@@ -373,7 +330,7 @@ def krawtchouk_meixner_check(k: int, q, d: int) -> bool:
     if qn in (0, qd):
         raise InvalidParameterError("the Meixner form needs q outside {0, 1}")
     cn = qd - qn  # 1 - q = cn/qd
-    gauss = hyp2F1_terminating_poly(k, d, _rational(qd, cn))
-    kraw = krawtchouk_poly(k, _rational(cn, qd), -d)
-    meix = meixner_poly(k, d, _rational(-cn, qn))
+    gauss = hyp2F1_terminating_poly(k, d, GaussRational(qd) / cn)
+    kraw = krawtchouk_poly(k, GaussRational(cn) / qd, -d)
+    meix = meixner_poly(k, d, GaussRational(-cn) / qn)
     return gauss == kraw and kraw == meix

@@ -519,40 +519,27 @@ def _genfun_cases(q: Fraction, d: int, order: int, tol: float) -> list:
         unipoly_eval_float,
     )
 
-    cases = []
+    # (lam, k -> the exact k-th Taylor coefficient at lam)
     if q == Fraction(1, 2):
-        _check_genfun_order(q, order)
-        worst = 0.0
-        for lam in (0.0, 1.0, 2.5):
-            coeffs = genfun_taylor_coefficients(q, d, lam, order)
-            for k in range(order + 1):
-                exact = complex(unipoly_eval_float(g_poly_symmetric(d, k), lam))
-                worst = max(worst, abs(coeffs[k] - exact))
-        cases.append(
-            _case("Taylor coefficients match symmetric family", worst < tol,
-                  f"max err {worst:.3e}, order <= {order}")
-        )
+        samples = [(lam, lambda k, lam=lam: complex(unipoly_eval_float(
+            g_poly_symmetric(d, k), lam))) for lam in (0.0, 1.0, 2.5)]
+        name, bound = "Taylor coefficients match symmetric family", tol
     else:
         ctx = RadialContext(d, q)
         alpha = float(ctx.alpha_squared) ** 0.5
         t0 = float(ctx.t0)
-        _check_genfun_order(q, order)
-        worst = 0.0
-        for t in (0, 1, 2):
-            lam = 1j * alpha * (t + t0)
-            coeffs = genfun_taylor_coefficients(q, d, lam, order)
-            for k in range(order + 1):
-                exact = (
-                    (1j * alpha) ** k
-                    / factorial(k)
-                    * complex(unipoly_eval_float(omega_by_raising(ctx, k), t))
-                )
-                worst = max(worst, abs(coeffs[k] - exact))
-        cases.append(
-            _case("coefficients match renormalized radial family on the "
-                  "imaginary line", worst < max(tol, 1e-9),
-                  f"max err {worst:.3e}, order <= {order}")
-        )
+        samples = [(1j * alpha * (t + t0), lambda k, t=t: (1j * alpha) ** k / factorial(k)
+                   * complex(unipoly_eval_float(omega_by_raising(ctx, k), t)))
+                  for t in (0, 1, 2)]
+        name = "coefficients match renormalized radial family on the imaginary line"
+        bound = max(tol, 1e-9)
+    _check_genfun_order(q, order)
+    worst = 0.0
+    for lam, exact in samples:
+        coeffs = genfun_taylor_coefficients(q, d, lam, order)
+        for k in range(order + 1):
+            worst = max(worst, abs(coeffs[k] - exact(k)))
+    cases = [_case(name, worst < bound, f"max err {worst:.3e}, order <= {order}")]
     # the stencil reaches |s| = 0.1 + 2 step; inside a smaller branch-point
     # radius R, points and step are scaled by 5R, so the largest is R/2
     points, step = (0.05, 0.1, -0.08), 1e-3

@@ -650,6 +650,16 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("argv, tol", [
+        (["genfun", "--order", "6"], "1e-10"),
+        (["orthogonality", "--d", "1", "--kmax", "4"], "1e-08"),
+    ], ids=["genfun", "orthogonality"])
+    def test_tol_defaults_to_the_suites_own(self, capsys, argv, tol):
+        code, out = run_cli(capsys, "verify", *argv, "--json")
+        assert code == 0
+        assert f'"tol": {tol}' in out
+        assert json.loads(out)["params"]["tol"] == float(tol)
+
     def test_hahn(self, capsys):
         code, out = run_cli(capsys, "verify", "hahn", "--kmax", "5")
         assert code == 0

@@ -425,8 +425,6 @@ class TestGenFun:
         radius = genfun_singularity_radius(Fraction(1, 4))
         with pytest.raises(BranchCutProximityError):
             genfun_eval(Fraction(1, 4), 1, 0.5, 0.99 * radius)
-        with pytest.raises(BranchCutProximityError):
-            genfun_taylor_coefficients(Fraction(1, 4), 1, 0.5, 4, radius=radius)
 
     def test_q_outside_open_interval_rejected(self):
         with pytest.raises(ValueError):

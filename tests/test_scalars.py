@@ -160,6 +160,15 @@ class TestUniPoly:
         assert forward_difference(p) == UniPoly((1, 2))
         assert backward_difference(p) == UniPoly((-1, 2))
 
+    @pytest.mark.parametrize("coeffs, text", [
+        ((Fraction(16, 9), 4, 3, 1), "t^3 + 3*t^2 + 4*t + 16/9"),
+        ((gr(1, -2), GR_I, -1, gr(Fraction(1, 2), Fraction(-1, 3))),
+         "(1/2-1/3*i)*t^3 - t^2 + i*t + 1-2*i"),
+        ((), "0"),
+    ], ids=["real", "complex", "zero"])
+    def test_str_in_t(self, coeffs, text):
+        assert str(UniPoly(coeffs)) == text
+
 
 # ---------------------------------------------------------------------------
 # Fast paths against retained oracles

@@ -1,6 +1,5 @@
 """Terminating hypergeometric machinery and the named families."""
 
-import random
 import sys
 from fractions import Fraction
 from itertools import zip_longest
@@ -8,11 +7,14 @@ from math import factorial
 
 import pytest
 
+import weylharm.radial as radial
+import weylharm.specfun as specfun
 from weylharm import clear_caches
 from weylharm.radial import RadialContext, g_poly_symmetric, omega_closed_form
 from weylharm.scalars import GR_I, GR_ONE, GaussRational, UniPoly, _parts
 from weylharm.specfun import (
     InvalidParameterError,
+    _MINUS_T_KEY,
     _lower,
     _plus_y,
     _rising_chain,
@@ -26,9 +28,7 @@ from weylharm.specfun import (
     krawtchouk_poly,
     meixner_pollaczek_poly,
     meixner_poly,
-    minus_t_poly,
     pochhammer,
-    terminating_series,
 )
 
 T = UniPoly.x()
@@ -190,102 +190,9 @@ class TestKrawtchoukMeixner:
             krawtchouk_meixner_check(2, Fraction(0), 1)
 
 
-# ---------------------------------------------------------------------------
-# The integer-numerator series against the per-term UniPoly series
-# ---------------------------------------------------------------------------
-
-
-def per_term_series(uppers, lowers, arg, nterms):
-    """The oracle: the series summed one UniPoly term at a time, every
-    factor applied as its own UniPoly or GaussRational operation.  This is
-    how `terminating_series` computed before it moved onto one integer
-    numerator list per result."""
-    if nterms < 1:
-        raise ValueError("series needs at least one term")
-    for lower in lowers:
-        for m in range(nterms - 1):
-            if Fraction(lower) + m == 0:
-                raise InvalidParameterError(
-                    f"lower parameter {lower} hits zero at term {m + 1}")
-    argc = GaussRational.coerce(arg)
-    term = UniPoly((GR_ONE,))
-    total = term
-    for j in range(nterms - 1):
-        for u in uppers:
-            term = term * (u + j)
-        denom = GaussRational.coerce(j + 1)
-        for low in lowers:
-            denom = denom * GaussRational.coerce(low + j)
-        term = term * (argc / denom)
-        total = total + term
-    return total
-
-
 def parts(p):
     """The canonical parts of a UniPoly."""
     return p._re, p._im, p._den
-
-
-def random_series_case(rng):
-    """Uppers, lowers, arg and nterms for one random terminating series."""
-
-    def rational():
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-
-    def scalar():
-        if rng.random() < 0.3:
-            return GaussRational(rational(), rational())
-        return rational()
-
-    k = rng.randint(0, 6)
-    uppers = [Fraction(-k)] if rng.random() < 0.8 else []
-    uppers += [scalar() for _ in range(rng.randint(0, 2))]
-    uppers += [UniPoly([scalar() for _ in range(rng.randint(1, 3))])
-               for _ in range(rng.randint(0, 2))]
-    rng.shuffle(uppers)
-    lowers = [rational() for _ in range(rng.randint(0, 2))]
-    arg = scalar() if rng.random() < 0.9 else 0
-    return uppers, lowers, arg, rng.randint(1, k + 4)
-
-
-def test_series_matches_per_term_oracle():
-    rng = random.Random(11)
-    cases = 0
-    while cases < 600:
-        uppers, lowers, arg, nterms = random_series_case(rng)
-        try:
-            expected = per_term_series(uppers, lowers, arg, nterms)
-        except InvalidParameterError as exc:
-            with pytest.raises(InvalidParameterError) as got:
-                terminating_series(uppers, lowers, arg, nterms)
-            assert str(got.value) == str(exc)
-            continue
-        assert parts(terminating_series(uppers, lowers, arg, nterms)) == parts(expected)
-        cases += 1
-
-
-def test_series_named_families_match_per_term_oracle():
-    # the parameter sets the package's families and the radial closed form use
-    for k in range(12):
-        for c, x in ((Fraction(3), Fraction(4, 3)), (Fraction(1, 2), Fraction(-2))):
-            args = ([minus_t_poly(), Fraction(-k)], [c], x, k + 1)
-            assert parts(terminating_series(*args)) == parts(per_term_series(*args))
-        a = Fraction(3, 4)
-        args = ([Fraction(-k), k + 4 * a - 1, UniPoly((GaussRational(a), GR_I))],
-                [2 * a, 2 * a + Fraction(1, 2)], 1, k + 1)
-        assert parts(terminating_series(*args)) == parts(per_term_series(*args))
-
-
-def test_series_is_exact_sum_of_k_plus_one_terms():
-    # structurally terminating: the (-k) upper factor zeroes everything
-    # past term k, so adding more requested terms changes nothing
-    base = terminating_series(
-        [minus_t_poly(), Fraction(-3)], [Fraction(2)], Fraction(5, 7), 4
-    )
-    longer = terminating_series(
-        [minus_t_poly(), Fraction(-3)], [Fraction(2)], Fraction(5, 7), 9
-    )
-    assert base == longer
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +252,29 @@ def fraction_pairs(p):
     return [(c.re, c.im) for c in p.coeffs]
 
 
+def kernel_series(uppers, lowers, arg, nterms, pre=GR_ONE):
+    """`_series` on exact inputs: each scalar upper a real Fraction, each
+    polynomial upper a real UniPoly, read as the ints the kernel takes."""
+    scalars = [(Fraction(u).numerator, Fraction(u).denominator)
+               for u in uppers if not isinstance(u, UniPoly)]
+    polys = tuple(parts(u) for u in uppers if isinstance(u, UniPoly))
+    return _series(scalars, polys, [_parts(low) for low in lowers], _parts(arg), nterms,
+                   _parts(pre))
+
+
 A_PLUS_IX = UniPoly((Fraction(3, 4), GR_I))
+A_PLUS_Y = UniPoly((Fraction(3, 4), 1))
 ORACLE_GRID = [
-    # (uppers, lowers, arg): the -k upper stops the sum early once
-    # nterms > k + 1, and nterms = 1 is the bare first term
-    ([minus_t_poly(), Fraction(-4)], [Fraction(3)], Fraction(4, 3)),
-    ([minus_t_poly(), Fraction(-3)], [Fraction(1, 2)], GaussRational(1, -2)),
-    ([Fraction(-5), GaussRational(Fraction(1, 3), 2), A_PLUS_IX], [Fraction(5, 2)],
+    # (uppers, lowers, arg): the -k upper, and the zero upper of the last
+    # case, stop the sum early once nterms > k + 1, and nterms = 1 is the
+    # bare first term; only the argument may be complex
+    ([-T, Fraction(-4)], [Fraction(3)], Fraction(4, 3)),
+    ([-T, Fraction(-3)], [Fraction(1, 2)], GaussRational(1, -2)),
+    ([Fraction(-5), Fraction(1, 3), A_PLUS_Y], [Fraction(5, 2)],
      GaussRational(Fraction(1, 2), Fraction(1, 3))),
-    ([Fraction(-4), A_PLUS_IX, minus_t_poly()], [Fraction(2), Fraction(7, 3)], 1),
-    ([A_PLUS_IX, UniPoly((GaussRational(1, 1), 2, Fraction(1, 2)))], [Fraction(-9, 2)],
-     Fraction(-2, 5)),
-    ([GaussRational(0, 1), T], [], Fraction(3)),
+    ([Fraction(-4), A_PLUS_Y, -T], [Fraction(2), Fraction(7, 3)], 1),
+    ([A_PLUS_Y, UniPoly((1, 2, Fraction(1, 2)))], [Fraction(-9, 2)], Fraction(-2, 5)),
+    ([Fraction(0), T], [], Fraction(3)),
 ]
 
 
@@ -365,24 +283,25 @@ ORACLE_GRID = [
 def test_series_matches_fraction_oracle(case, nterms):
     uppers, lowers, arg = ORACLE_GRID[case]
     expected = fraction_series(uppers, lowers, arg, nterms)
-    assert fraction_pairs(terminating_series(uppers, lowers, arg, nterms)) == expected
+    assert fraction_pairs(kernel_series(uppers, lowers, arg, nterms)) == expected
 
 
-# (uppers, lowers, arg, prefactor) for each branch of `_series`'s term sum:
-# a complex level B_j (a complex polynomial upper), under a real and under
-# a complex weight s_j; a real level under a complex weight (a complex
-# scalar, argument or prefactor); and a real level under a real weight
+def test_series_is_exact_sum_of_k_plus_one_terms():
+    # structurally terminating: the (-k) upper factor zeroes everything
+    # past term k, so adding more requested terms changes nothing
+    args = ([-T, Fraction(-3)], [Fraction(2)], Fraction(5, 7))
+    assert kernel_series(*args, 4) == kernel_series(*args, 9)
+
+
+# (uppers, lowers, arg, prefactor) for each branch of `_series`'s term sum,
+# on the real levels of real polynomial uppers: a complex weight s_j (a
+# complex argument or prefactor), and a real weight
 SERIES_BRANCHES = {
-    "complex level, real weight": (
-        [A_PLUS_IX, Fraction(-4)], [Fraction(5, 2)], Fraction(-4, 3), GaussRational(3)),
-    "complex level, complex weight": (
-        [A_PLUS_IX, minus_t_poly(), Fraction(-3)], [Fraction(7, 3)],
-        GaussRational(Fraction(1, 2), Fraction(1, 3)), GaussRational(0, Fraction(2, 5))),
     "real level, complex weight": (
-        [minus_t_poly(), GaussRational(Fraction(1, 3), 2), Fraction(-5)], [Fraction(3)],
-        Fraction(5, 7), GaussRational(Fraction(-1, 6), 1)),
+        [-T, Fraction(1, 3), Fraction(-5)], [Fraction(3)],
+        GaussRational(Fraction(5, 7), 2), GaussRational(Fraction(-1, 6), 1)),
     "real level, real weight": (
-        [minus_t_poly(), UniPoly((Fraction(1, 2), 3)), Fraction(-4)], [Fraction(-9, 2)],
+        [-T, UniPoly((Fraction(1, 2), 3)), Fraction(-4)], [Fraction(-9, 2)],
         Fraction(4, 3), GaussRational(Fraction(7, 9))),
 }
 
@@ -391,23 +310,17 @@ SERIES_BRANCHES = {
 @pytest.mark.parametrize("nterms", [1, 2, 5, 8])
 def test_series_branches_match_fraction_oracle(branch, nterms):
     uppers, lowers, arg, pre = SERIES_BRANCHES[branch]
-    scalars = [_parts(u) for u in uppers if not isinstance(u, UniPoly)]
-    polys = tuple(parts(u) for u in uppers if isinstance(u, UniPoly))
-    # the case takes the branch it is named for, past the real first term
-    complex_level = any(level._im for level in _rising_levels(polys, nterms)[:nterms])
-    complex_weight = any(m for _, m, _ in (*scalars, _parts(arg), _parts(pre)))
-    assert complex_level == (branch.startswith("complex level") and nterms > 1)
-    assert complex_weight == branch.endswith("complex weight")
-    got = _series(scalars, polys, [_parts(low) for low in lowers], _parts(arg), nterms,
-                  _parts(pre))
+    # the case takes the branch it is named for
+    assert bool(_parts(arg)[1] or _parts(pre)[1]) == branch.endswith("complex weight")
+    got = kernel_series(uppers, lowers, arg, nterms, pre)
     assert fraction_pairs(got) == fraction_series(uppers, lowers, arg, nterms,
                                                   (pre.re, pre.im))
 
 
 def test_warm_chain_gives_the_cold_parts():
     def series(k):
-        return parts(terminating_series([minus_t_poly(), A_PLUS_IX, Fraction(-k)],
-                                        [Fraction(5, 3)], GaussRational(2, 1), k + 1))
+        return parts(continuous_hahn_poly(k, Fraction(3, 4), Fraction(5, 4),
+                                          Fraction(-2, 3), 2))
 
     series(12)
     warm = series(3)
@@ -416,7 +329,7 @@ def test_warm_chain_gives_the_cold_parts():
 
 
 def test_chain_levels_are_rising_factorial_products():
-    uppers = (minus_t_poly(), A_PLUS_IX)
+    uppers = (-T, A_PLUS_IX)
     levels = _rising_levels(tuple(parts(u) for u in uppers), 7)
     for j, level in enumerate(levels[:7]):
         expected = UniPoly((1,))
@@ -427,12 +340,12 @@ def test_chain_levels_are_rising_factorial_products():
 
 
 def test_chain_levels_are_immutable():
-    level = _rising_levels((parts(minus_t_poly()),), 3)[2]
+    level = _rising_levels((_MINUS_T_KEY,), 3)[2]
     with pytest.raises(AttributeError):
         level._re = (0,)
     with pytest.raises(TypeError):
         level._re[0] = 1
-    assert parts(_rising_levels((parts(minus_t_poly()),), 3)[2]) == parts(T * (T - 1))
+    assert parts(_rising_levels((_MINUS_T_KEY,), 3)[2]) == parts(T * (T - 1))
 
 
 def test_real_gauss_rational_lower_is_read_as_its_fraction():
@@ -444,7 +357,7 @@ def test_real_gauss_rational_lower_is_read_as_its_fraction():
 
 def test_complex_lower_is_refused():
     with pytest.raises(InvalidParameterError, match="must be real"):
-        terminating_series([minus_t_poly()], [GaussRational(1, 1)], 1, 3)
+        hyp2F1_terminating_poly(2, GaussRational(1, 1), 2)
 
 
 @pytest.mark.parametrize("make, name", [
@@ -454,11 +367,6 @@ def test_complex_lower_is_refused():
 def test_zero_krawtchouk_p_and_meixner_c_are_refused(make, name):
     with pytest.raises(InvalidParameterError, match=f"parameter {name} must be nonzero"):
         make()
-
-
-def test_minus_t_is_one_shared_constant():
-    assert minus_t_poly() is minus_t_poly()
-    assert minus_t_poly() == -T
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +465,7 @@ def test_a_turn_off_by_one_fails_the_oracle(a):
     for n in range(10):
         expected = meixner_pollaczek_oracle(n, a)
         for turn in (n - 1, n, n + 1):
-            got = _series(((-n, 0, 1),), (_plus_y(an, ad),), (_lower(2 * an, ad, n + 1),),
+            got = _series(((-n, 1),), (_plus_y(an, ad),), (_lower(2 * an, ad, n + 1),),
                           (2, 0, 1), n + 1, turn=turn)
             assert (fraction_pairs(got) == expected) == (turn == n), (n, turn)
 
@@ -623,6 +531,27 @@ def test_families_share_the_chains_of_their_unipoly_uppers():
         hyp2f1_3f2_connection_check(6, a)
         for upper in (UniPoly((a, 1)), UniPoly((2 * a, 2))):
             assert len(_rising_chain((parts(upper),))) == 7
+
+
+def test_families_and_the_closed_form_pass_only_real_polynomial_uppers(monkeypatch):
+    # `_series` sums real levels only, so no caller may hand it a key with
+    # an imaginary part
+    keys = []
+
+    def spy(polys, n):
+        keys.extend(polys)
+        return _rising_levels(polys, n)
+
+    monkeypatch.setattr(specfun, "_rising_levels", spy)
+    monkeypatch.setattr(radial, "_rising_levels", spy)
+    for k in range(6):  # Krawtchouk's N = 6 has a pole past k = 5
+        for family, _, params in FAMILY_GRID:
+            family(k, *params)
+        for fn, args, _ in REAL_PARAMETER_CASES:
+            fn(k, *args[1:])
+        hyp2F1_terminating_poly(k, F(5, 2), GaussRational(1, -2))
+        omega_closed_form(RadialContext(2, F(1)), k)
+    assert keys and all(im == () for _, im, _ in keys)
 
 
 def test_families_and_the_closed_form_build_no_fraction():
